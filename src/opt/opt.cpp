@@ -183,7 +183,7 @@ double output_pin_load(const Design& d, CellId c) {
 }  // namespace
 
 int upsize_critical(Design& d, const sta::StaResult& timing,
-                    double slack_threshold) {
+                    double slack_threshold, std::vector<CellId>* resized) {
   int changed = 0;
   auto& nl = d.nl();
   for (CellId c = 0; c < nl.cell_count(); ++c) {
@@ -218,19 +218,21 @@ int upsize_critical(Design& d, const sta::StaResult& timing,
     if (gain <= penalty) continue;
 
     nl.set_drive(c, up);
+    if (resized != nullptr) resized->push_back(c);
     ++changed;
   }
   return changed;
 }
 
 int fix_max_transition(Design& d, const sta::StaResult& timing,
-                       double max_tran_fo4) {
+                       double max_tran_fo4, std::vector<CellId>* resized) {
   int changed = 0;
   auto& nl = d.nl();
   // Per-tier slew limits derived from each library's own speed.
-  double limit[2] = {0.0, 0.0};
+  std::vector<double> limit(static_cast<std::size_t>(d.num_tiers()));
   for (int t = 0; t < d.num_tiers(); ++t)
-    limit[t] = max_tran_fo4 * tech::fo4_delay_ns(d.lib(t));
+    limit[static_cast<std::size_t>(t)] =
+        max_tran_fo4 * tech::fo4_delay_ns(d.lib(t));
   for (NetId n = 0; n < nl.net_count(); ++n) {
     const auto& net = nl.net(n);
     if (net.is_clock || net.driver == kInvalidId) continue;
@@ -238,18 +240,19 @@ int fix_max_transition(Design& d, const sta::StaResult& timing,
     nl.for_each_sink(n,
                      [&](PinId s) { worst = std::max(worst, timing.pin_slew(s)); });
     const CellId drv = nl.pin(net.driver).cell;
-    if (worst <= limit[d.tier(drv)]) continue;
+    if (worst <= limit[static_cast<std::size_t>(d.tier(drv))]) continue;
     if (!sizable(d, drv)) continue;
     const int up = next_drive_up(d, drv);
     if (up < 0) continue;
     nl.set_drive(drv, up);
+    if (resized != nullptr) resized->push_back(drv);
     ++changed;
   }
   return changed;
 }
 
 int recover_power(Design& d, const sta::StaResult& timing,
-                  double slack_threshold) {
+                  double slack_threshold, std::vector<CellId>* resized) {
   int changed = 0;
   auto& nl = d.nl();
   for (CellId c = 0; c < nl.cell_count(); ++c) {
@@ -258,6 +261,7 @@ int recover_power(Design& d, const sta::StaResult& timing,
     const int down = next_drive_down(d, c);
     if (down < 0) continue;
     nl.set_drive(c, down);
+    if (resized != nullptr) resized->push_back(c);
     ++changed;
   }
   return changed;
@@ -265,12 +269,6 @@ int recover_power(Design& d, const sta::StaResult& timing,
 
 OptResult optimize_timing(Design& d, const OptOptions& opt) {
   OptResult res;
-  auto time_design = [&] {
-    if (!opt.routed) return sta::run_sta(d, nullptr, opt.sta);
-    const auto routes = route::route_design(d, {opt.sta.pool});
-    return sta::run_sta(d, &routes, opt.sta);
-  };
-
   res.buffers_added = insert_fanout_buffers(d, opt.max_fanout,
                                             opt.buffer_drive);
   // Repeaters only make sense once positions exist (post-placement).
@@ -278,16 +276,27 @@ OptResult optimize_timing(Design& d, const OptOptions& opt) {
     res.buffers_added +=
         insert_wire_repeaters(d, opt.max_wire_um, opt.buffer_drive);
 
-  sta::StaResult timing = time_design();
+  // Those were the only topology edits. From here on only drive strengths
+  // change, which moves no cell and edits no net: the one route estimate
+  // stays exact, and the one engine retimes just the resized cells —
+  // bitwise what a fresh route + full STA would report (see sta::Sta).
+  route::RoutingEstimate routes;
+  if (opt.routed) routes = route::route_design(d, {opt.sta.pool});
+  sta::Sta sta(d, opt.routed ? &routes : nullptr, opt.sta);
+  // The engine's live result: every retime() below updates it in place.
+  const sta::StaResult& timing = sta.run();
   res.wns_before = timing.wns();
 
+  std::vector<CellId> resized;
   for (int round = 0; round < opt.max_sizing_rounds; ++round) {
-    int changed = fix_max_transition(d, timing, opt.max_transition_fo4);
+    resized.clear();
+    int changed =
+        fix_max_transition(d, timing, opt.max_transition_fo4, &resized);
     if (timing.wns() < opt.target_slack_ns)
-      changed += upsize_critical(d, timing, opt.target_slack_ns);
+      changed += upsize_critical(d, timing, opt.target_slack_ns, &resized);
     res.cells_upsized += changed;
     if (changed == 0) break;
-    timing = time_design();
+    sta.retime(resized);
     util::log_debug("sizing round ", round, ": ", changed,
                     " upsized, wns=", timing.wns());
   }
@@ -295,15 +304,17 @@ OptResult optimize_timing(Design& d, const OptOptions& opt) {
   const double recovery_threshold =
       opt.recovery_slack_frac * d.clock_period_ns();
   for (int round = 0; round < opt.power_recovery_rounds; ++round) {
-    const int changed = recover_power(d, timing, recovery_threshold);
+    resized.clear();
+    const int changed = recover_power(d, timing, recovery_threshold, &resized);
     res.cells_downsized += changed;
     if (changed == 0) break;
-    timing = time_design();
+    sta.retime(resized);
     // Downsizing must never break timing it was told to preserve; if it
     // did (shared nets shifted), one upsizing round repairs it.
     if (timing.wns() < res.wns_before) {
-      upsize_critical(d, timing, opt.target_slack_ns);
-      timing = time_design();
+      resized.clear();
+      upsize_critical(d, timing, opt.target_slack_ns, &resized);
+      sta.retime(resized);
     }
   }
 

@@ -10,6 +10,8 @@
 /// and power — the "over-correction" that makes homogeneous 9-track
 /// implementations lose on area despite their smaller cells.
 
+#include <vector>
+
 #include "netlist/design.hpp"
 #include "sta/sta.hpp"
 
@@ -60,23 +62,37 @@ int insert_fanout_buffers(Design& d, int max_fanout, int buffer_drive = 4);
 /// 3-D wirelength savings. Returns repeaters added.
 int insert_wire_repeaters(Design& d, double max_seg_um, int drive = 4);
 
+// The three sizing sweeps below read one timing view and change drive
+// strengths only. Each returns the number of cells it changed and, when
+// `resized` is given, appends every changed cell to it — the dirty set
+// sta::Sta::retime() needs.
+
 /// One upsizing sweep: bump the drive of cells whose slack is below
-/// `slack_threshold`. Returns cells changed.
+/// `slack_threshold`.
 int upsize_critical(Design& d, const sta::StaResult& timing,
-                    double slack_threshold);
+                    double slack_threshold,
+                    std::vector<CellId>* resized = nullptr);
 
 /// One power-recovery sweep: downsize cells whose slack exceeds
-/// `slack_threshold` (never below drive X1). Returns cells changed.
+/// `slack_threshold` (never below drive X1).
 int recover_power(Design& d, const sta::StaResult& timing,
-                  double slack_threshold);
+                  double slack_threshold,
+                  std::vector<CellId>* resized = nullptr);
 
 /// Max-transition repair: upsize drivers of nets whose worst sink slew
-/// exceeds `max_tran_fo4` × the driver library's FO-4 delay. Returns
-/// cells changed.
+/// exceeds `max_tran_fo4` × the driver library's FO-4 delay (one limit
+/// per tier, for any number of tiers).
 int fix_max_transition(Design& d, const sta::StaResult& timing,
-                       double max_tran_fo4);
+                       double max_tran_fo4,
+                       std::vector<CellId>* resized = nullptr);
 
-/// Full optimization loop: buffer → (time, upsize)* → (time, downsize)*.
+/// Full optimization loop: buffer → (upsize, retime)* → (downsize,
+/// retime)*. Every topology edit (fanout buffers, and repeaters when
+/// `opt.routed`) happens first; the design is then routed once and one
+/// sta::Sta runs one full propagation. Each sizing, power-recovery and
+/// recovery-repair sweep after that only changes drives, so the routes
+/// stay valid and Sta::retime() re-propagates just the resized cells'
+/// cones — bitwise the result of a full re-route and re-time per round.
 OptResult optimize_timing(Design& d, const OptOptions& opt = {});
 
 }  // namespace m3d::opt

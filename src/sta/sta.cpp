@@ -123,7 +123,7 @@ class StaEngine {
   StaOptions opt_;
   exec::Pool& pool_;
 
-  // ---- static structure (valid across tier moves) -------------------------
+  // ---- static structure (valid across tier moves and drive changes) -------
   std::vector<char> part_;        // per pin: participates in the data graph
   std::vector<char> clkbuf_;      // per cell: is a clock buffer
   std::vector<Role> role_;        // per pin
@@ -877,11 +877,12 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
   const std::size_t np = static_cast<std::size_t>(nl_.pin_count());
 
   // ---- seed: pins whose *computation* changed ----------------------------
-  // A tier move of cell c changes: c's own pins (lib tables, pin caps,
-  // setup/hold, derates), the driver and every sink of each incident net
-  // (loads, re-estimated routes, per-sink crossing flags), and — because
-  // the boundary derate at a sink's input feeds its cell's output arcs —
-  // the output pins of every sink's combinational cell.
+  // A tier move or drive change of cell c swaps its library cell, which
+  // changes: c's own pins (lib tables, pin caps, setup/hold, derates),
+  // the driver and every sink of each incident net (loads, and after a
+  // tier move re-estimated routes and per-sink crossing flags), and —
+  // because the boundary derate at a sink's input feeds its cell's output
+  // arcs — the output pins of every sink's combinational cell.
   std::vector<char> fwd_pending(np, 0);
   std::vector<std::vector<PinId>> wl(levels_.size());
   auto seed = [&](PinId p) {

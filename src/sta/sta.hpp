@@ -219,13 +219,14 @@ class StaResult {
 ///  * run() and retime() produce bitwise-identical StaResults for any
 ///    worker-pool size, including 1 (each pin is computed by exactly one
 ///    writer that gathers its predecessors in a fixed order);
-///  * retime(dirty) after tier moves of `dirty` (with `routes` patched in
-///    place via route::update_routes_for_cells for the same cells) is
+///  * retime(dirty) after tier moves or drive changes of `dirty` (with
+///    `routes` patched in place via route::update_routes_for_cells for
+///    the moved cells; a drive change leaves every route valid) is
 ///    bitwise-identical to a fresh full run();
 ///  * the structure is only valid while the netlist topology, placement
-///    and clock latencies are unchanged — tier moves are fine, anything
-///    else needs a new Sta (or a full run() for latency/period changes
-///    is NOT enough: rebuild instead).
+///    and clock latencies are unchanged — tier moves and drive changes
+///    are fine, anything else needs a new Sta (or a full run() for
+///    latency/period changes is NOT enough: rebuild instead).
 ///
 /// Throws util::Error from the constructor when the combinational graph
 /// has a cycle (same check run_sta used to make).
@@ -241,9 +242,10 @@ class Sta {
   const StaResult& run();
 
   /// Incremental re-propagation after the cells in `dirty_cells` changed
-  /// tier (and the routes of their incident nets were re-estimated).
-  /// Requires a prior run(). An empty dirty set is a no-op; the full cell
-  /// set degenerates to run().
+  /// library cell: a tier move (with the routes of their incident nets
+  /// re-estimated) or a drive change. Requires a prior run(). Order and
+  /// duplicates in `dirty_cells` do not matter. An empty dirty set is a
+  /// no-op; the full cell set degenerates to run().
   const StaResult& retime(const std::vector<CellId>& dirty_cells);
 
   /// Last computed result (valid after run()).

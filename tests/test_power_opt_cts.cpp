@@ -372,3 +372,154 @@ TEST(Power, ByteIdenticalAcrossPoolSizes) {
     ASSERT_EQ(p0.net_switching_uw, p->net_switching_uw);
   }
 }
+
+// ---- incremental optimizer vs the full-rebuild reference ----------------
+
+namespace {
+
+/// Reference for optimize_timing: the same sweeps, but after each one the
+/// whole design is routed again and timed by a fresh full STA, so nothing
+/// rests on retime(). Adds the cells the recovery-repair upsize changed
+/// to `*repair_upsized`.
+mo::OptResult full_rebuild_optimize(mn::Design& d, const mo::OptOptions& opt,
+                                    int* repair_upsized) {
+  mo::OptResult res;
+  auto time_design = [&] {
+    if (!opt.routed) return ms::run_sta(d, nullptr, opt.sta);
+    const auto routes = mr::route_design(d, {opt.sta.pool});
+    return ms::run_sta(d, &routes, opt.sta);
+  };
+  res.buffers_added =
+      mo::insert_fanout_buffers(d, opt.max_fanout, opt.buffer_drive);
+  if (opt.routed)
+    res.buffers_added +=
+        mo::insert_wire_repeaters(d, opt.max_wire_um, opt.buffer_drive);
+  ms::StaResult timing = time_design();
+  res.wns_before = timing.wns();
+  for (int round = 0; round < opt.max_sizing_rounds; ++round) {
+    int changed = mo::fix_max_transition(d, timing, opt.max_transition_fo4);
+    if (timing.wns() < opt.target_slack_ns)
+      changed += mo::upsize_critical(d, timing, opt.target_slack_ns);
+    res.cells_upsized += changed;
+    if (changed == 0) break;
+    timing = time_design();
+  }
+  const double recovery_threshold =
+      opt.recovery_slack_frac * d.clock_period_ns();
+  for (int round = 0; round < opt.power_recovery_rounds; ++round) {
+    const int changed = mo::recover_power(d, timing, recovery_threshold);
+    res.cells_downsized += changed;
+    if (changed == 0) break;
+    timing = time_design();
+    if (timing.wns() < res.wns_before) {
+      *repair_upsized += mo::upsize_critical(d, timing, opt.target_slack_ns);
+      timing = time_design();
+    }
+  }
+  res.wns_after = timing.wns();
+  return res;
+}
+
+std::vector<int> drives(const mn::Design& d) {
+  std::vector<int> out;
+  for (mn::CellId c = 0; c < d.nl().cell_count(); ++c)
+    out.push_back(d.nl().cell(c).drive);
+  return out;
+}
+
+/// Bit-for-bit equality of two optimizer outcomes.
+void expect_same_outcome(const mo::OptResult& a, const mn::Design& da,
+                         const mo::OptResult& b, const mn::Design& db) {
+  EXPECT_EQ(a.buffers_added, b.buffers_added);
+  EXPECT_EQ(a.cells_upsized, b.cells_upsized);
+  EXPECT_EQ(a.cells_downsized, b.cells_downsized);
+  EXPECT_EQ(a.wns_before, b.wns_before);
+  EXPECT_EQ(a.wns_after, b.wns_after);
+  EXPECT_EQ(da.nl().cell_count(), db.nl().cell_count());
+  EXPECT_EQ(da.nl().net_count(), db.nl().net_count());
+  EXPECT_EQ(drives(da), drives(db));
+}
+
+/// A placed design with every other standard cell on the slow top tier.
+mn::Design placed_hetero(const char* which, double scale) {
+  auto d = placed(which, scale, /*hetero=*/true);
+  int i = 0;
+  for (mn::CellId c = 0; c < d.nl().cell_count(); ++c) {
+    const auto& cc = d.nl().cell(c);
+    if ((cc.is_comb() || cc.is_sequential()) && ++i % 2 == 0)
+      d.set_tier(c, mn::kTopTier);
+  }
+  return d;
+}
+
+}  // namespace
+
+TEST(Opt, IncrementalLoopMatchesFullRebuildReference) {
+  auto flat = placed("cpu", 0.08);
+  flat.set_clock_period_ns(0.45);
+  auto hetero = placed_hetero("cpu", 0.08);
+  hetero.set_clock_period_ns(0.6);
+  // Recovery allowed down to 10 % of the period pushes this design's WNS
+  // below its starting value, so the repair upsize has cells to restore.
+  auto repairs = placed("netcard");
+  repairs.set_clock_period_ns(0.45);
+  struct Case {
+    const char* name;
+    const mn::Design* design;
+    double recovery_slack_frac;
+  };
+  const Case cases[] = {{"2D-12T", &flat, 0.3},
+                        {"Hetero-3D", &hetero, 0.3},
+                        {"2D-12T repair", &repairs, 0.1}};
+  mex::Pool serial(1), wide(4);
+  int repair_upsized = 0;
+  for (const Case& cs : cases) {
+    for (const bool routed : {true, false}) {
+      SCOPED_TRACE(std::string(cs.name) + (routed ? " routed" : " zero-wire"));
+      mo::OptOptions opt;
+      opt.routed = routed;
+      opt.recovery_slack_frac = cs.recovery_slack_frac;
+      mn::Design ref = *cs.design;
+      const auto want = full_rebuild_optimize(ref, opt, &repair_upsized);
+      EXPECT_GT(want.cells_upsized, 0);
+      EXPECT_GT(want.cells_downsized, 0);
+      for (mex::Pool* pool : {&serial, &wide}) {
+        mn::Design d = *cs.design;
+        opt.sta.pool = pool;
+        const auto got = mo::optimize_timing(d, opt);
+        expect_same_outcome(got, d, want, ref);
+      }
+    }
+  }
+  EXPECT_GT(repair_upsized, 0);
+}
+
+TEST(Opt, ThreeTierStackSizesLikeOneTier) {
+  // fix_max_transition keeps one slew limit per tier. With every cell on
+  // tier 2 of a {9T, 12T, 9T} stack, the design must optimize exactly
+  // like the same placement on a single 9-track tier: tier 2's limit
+  // comes from tier 2's library, and nothing indexes past the stack.
+  mg::GenOptions g;
+  g.scale = 0.06;
+  const auto nl = mg::make_design("aes", g);
+  mn::Design one(nl, mt::make_9track());
+  one.set_clock_period_ns(0.6);
+  mpl::place_design(one, {});
+
+  mn::Design three(one.nl(),
+                   {mt::make_9track(), mt::make_12track(), mt::make_9track()});
+  three.set_floorplan(one.floorplan());
+  three.set_clock_period_ns(one.clock_period_ns());
+  three.set_clock_net(one.clock_net());
+  for (mn::CellId c = 0; c < one.nl().cell_count(); ++c) {
+    three.set_tier(c, 2);
+    three.set_pos(c, one.pos(c));
+  }
+
+  const auto want = mo::optimize_timing(one);
+  const auto got = mo::optimize_timing(three);
+  EXPECT_GT(want.cells_upsized, 0);
+  expect_same_outcome(got, three, want, one);
+  for (mn::CellId c = 0; c < three.nl().cell_count(); ++c)
+    ASSERT_EQ(three.tier(c), 2) << "cell " << c;
+}

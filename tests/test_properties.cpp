@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/flow.hpp"
@@ -185,8 +186,11 @@ INSTANTIATE_TEST_SUITE_P(Areas, CostProperty,
 
 // ------------------------------------------------------------ flow sweep --
 
+// The netlist name is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which ASLR changes on every run, so
+// the test names would differ from build to build.
 class FlowProperty
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(FlowProperty, MetricIdentitiesHold) {
   m3d::util::set_log_level(m3d::util::LogLevel::Silent);
@@ -222,4 +226,5 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(static_cast<int>(mc::Config::TwoD12T),
                           static_cast<int>(mc::Config::ThreeD9T),
                           static_cast<int>(mc::Config::Hetero3D)),
-        ::testing::Values("netcard", "ldpc", "aes")));
+        ::testing::Values(std::string("netcard"), std::string("ldpc"),
+                          std::string("aes"))));

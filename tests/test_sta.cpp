@@ -478,6 +478,87 @@ TEST(StaRetime, MatchesFullRunAfterRandomTierMoves) {
   }
 }
 
+namespace {
+
+/// One step along the cell's drive ladder: up or down as asked, or the
+/// other way where the ladder ends. False for a single-drive cell.
+bool resize_step(mn::Design& d, mn::CellId c, bool up) {
+  const auto& lib = d.lib_of(c);
+  const auto cc = d.nl().cell(c);
+  int next = lib.upsize(cc.func, cc.drive);
+  const int lower = lib.downsize(cc.func, cc.drive);
+  if (next < 0 || (!up && lower >= 0)) next = lower;
+  if (next < 0) return false;
+  d.nl().set_drive(c, next);
+  return true;
+}
+
+}  // namespace
+
+TEST(StaRetime, MatchesFullRunAfterRandomResizesAndTierMoves) {
+  // The timing optimizer's contract: a drive change swaps a cell's
+  // library cell as a tier move does, but moves no cell and edits no net.
+  // retime() over the resized and moved cells, with routes patched for
+  // the moved ones only, must equal a fresh run() on freshly routed
+  // wires, with and without wires, on one corner and on sixteen.
+  mt::CornerSpec sweep;
+  sweep.count = 16;
+  sweep.derate[1] = 1.05;
+  sweep.sigma[0] = 0.03;
+  sweep.sigma[1] = 0.08;
+  for (const bool routed : {true, false}) {
+    for (const int corners : {1, 16}) {
+      SCOPED_TRACE(std::string(routed ? "routed" : "zero-wire") +
+                   " K=" + std::to_string(corners));
+      auto d = routed_hetero("cpu", 0.05, 0.8);
+      ms::StaOptions o;
+      if (corners > 1) o.corners = sweep;
+      mr::RoutingEstimate routes;
+      if (routed) routes = mr::route_design(d);
+      ms::Sta sta(d, routed ? &routes : nullptr, o);
+      sta.run();
+
+      const auto cells = movable_std_cells(d);
+      std::mt19937 rng(23);
+      std::uniform_int_distribution<std::size_t> pick(0, cells.size() - 1);
+      std::uniform_int_distribution<int> howmany(1, 24);
+      std::uniform_int_distribution<int> edit(0, 3);  // move, down, up, up
+      int comb_resized = 0, seq_resized = 0;
+      for (int round = 0; round < 8; ++round) {
+        std::vector<mn::CellId> dirty, moved;
+        const int k = howmany(rng);
+        for (int i = 0; i < k; ++i) {
+          const mn::CellId c = cells[pick(rng)];
+          const int e = edit(rng);
+          if (e == 0) {
+            d.set_tier(c, 1 - d.tier(c));
+            moved.push_back(c);
+          } else if (resize_step(d, c, e >= 2)) {
+            if (d.nl().cell(c).is_sequential())
+              ++seq_resized;
+            else
+              ++comb_resized;
+          } else {
+            continue;
+          }
+          dirty.push_back(c);
+        }
+        if (routed) mr::update_routes_for_cells(d, moved, &routes);
+        const auto& inc = sta.retime(dirty);
+
+        mr::RoutingEstimate fresh_routes;
+        if (routed) fresh_routes = mr::route_design(d);
+        ms::Sta ref(d, routed ? &fresh_routes : nullptr, o);
+        const auto& full = ref.run();
+        expect_identical(inc, full, d);
+        ASSERT_EQ(ms::timing_fingerprint(inc), ms::timing_fingerprint(full));
+      }
+      EXPECT_GT(comb_resized, 0);
+      EXPECT_GT(seq_resized, 0);
+    }
+  }
+}
+
 TEST(StaRetime, EmptyDirtySetKeepsResult) {
   auto d = routed_hetero("aes", 0.05, 0.7);
   auto routes = mr::route_design(d);
@@ -541,10 +622,11 @@ TEST(Sta, ByteIdenticalAcrossPoolSizes) {
 }
 
 TEST(Sta, RetimeBigBatchByteIdenticalAcrossPoolSizes) {
-  // An ECO-sized batch move: enough dirty cones that per-level retime
-  // buckets clear the parallel threshold, exercising the batched
-  // (capture-then-recompute) path. It must stay bitwise equal to the
-  // single-worker walk and to a from-scratch run on the moved design.
+  // An ECO-sized batch move, then an optimizer-sized batch resize: enough
+  // dirty cones that per-level retime buckets clear the parallel
+  // threshold, exercising the batched (capture-then-recompute) path. Each
+  // must stay bitwise equal to the single-worker walk and to a
+  // from-scratch run on the edited design.
   auto d = routed_hetero("netcard", kWideScale, 0.8);
   auto routes = mr::route_design(d);
 
@@ -567,6 +649,18 @@ TEST(Sta, RetimeBigBatchByteIdenticalAcrossPoolSizes) {
 
   ms::Sta fresh(d, &routes, o4);
   expect_identical(fresh.run(), b.result(), d);
+
+  // An optimizer-sized sweep: a third of the cells change drive at once.
+  // A drive change moves nothing, so the routes stay as they are.
+  std::vector<mn::CellId> resized;
+  for (std::size_t i = 1; i < cells.size(); i += 3)
+    if (resize_step(d, cells[i], i % 2 == 0)) resized.push_back(cells[i]);
+  ASSERT_GT(resized.size(), cells.size() / 4);
+  expect_identical(a.retime(resized), b.retime(resized), d);
+  ms::Sta fresh_resized(d, &routes, o4);
+  expect_identical(fresh_resized.run(), b.result(), d);
+  ASSERT_EQ(ms::timing_fingerprint(fresh_resized.result()),
+            ms::timing_fingerprint(b.result()));
 }
 
 // ---- corner-vectorized sweep ---------------------------------------------
