@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   const auto nl = gen::make_design(which, gen_opts);
 
   // Use the paper's methodology: the 12-track 2-D maximum achievable
-  // frequency is the iso-performance target for everyone. The search
-  // itself evaluates candidates speculatively in parallel.
+  // frequency is the iso-performance target for everyone.
   core::FlowOptions opts;
   const double fmax = core::find_max_frequency(nl, core::Config::TwoD12T,
                                                opts, 0.4, 4.0, 5);

@@ -404,7 +404,6 @@ double find_max_frequency(const Netlist& nl, Config cfg, FlowOptions opt,
   util::TraceSpan search_span("find_max_frequency", nl.name());
   const exec::Ctx defaults;
   if (!ctx) ctx = &defaults;
-  exec::Pool& pool = ctx->pool_or_global();
   exec::FlowCache& cache = ctx->cache_or_global();
 
   auto eval = [&](double ghz) {
@@ -419,47 +418,13 @@ double find_max_frequency(const Netlist& nl, Config cfg, FlowOptions opt,
 
   // The paper sweeps 12-track 2-D frequencies and accepts designs whose
   // WNS stays within ~5–7 % of the period. Binary search on that rule.
-  // With spare workers the two possible *next* midpoints are evaluated
-  // speculatively: one of them is on the search path whatever this step
-  // decides, so the next eval collapses into a cache hit (or joins the
-  // in-flight run). The off-path task is cancelled if it has not started.
-  const bool speculate = pool.size() > 1 && iters > 1;
-  auto shared_nl = std::make_shared<const Netlist>(nl);
   double lo = lo_ghz, hi = hi_ghz;
   for (int i = 0; i < iters; ++i) {
     const double mid = 0.5 * (lo + hi);
-    auto spec_lo = std::make_shared<std::atomic<bool>>(false);
-    auto spec_hi = std::make_shared<std::atomic<bool>>(false);
-    if (speculate && i + 1 < iters) {
-      auto speculate_at = [&](double ghz,
-                              std::shared_ptr<std::atomic<bool>> cancel) {
-        FlowOptions o = opt;
-        o.clock_period_ns = 1.0 / ghz;
-        pool.post([shared_nl, cfg, o, cancel, &cache] {
-          if (cancel->load()) return;
-          util::TraceSpan span("speculative_flow", shared_nl->name());
-          try {
-            // prewarm, not get_or_run: the warm-up has no use for the
-            // result, so it must neither block on an in-flight entry nor
-            // duplicate one — it claims the key only if nobody has it.
-            cache.prewarm(*shared_nl, cfg, o);
-          } catch (...) {
-            // A failed speculative run is dropped from the cache; the
-            // on-path evaluation will surface the error if it matters.
-          }
-        });
-      };
-      speculate_at(0.5 * (lo + mid), spec_lo);   // "mid failed" branch
-      speculate_at(0.5 * (mid + hi), spec_hi);   // "mid met" branch
-    }
-    const bool met = eval(mid);
-    if (met) {
+    if (eval(mid))
       lo = mid;
-      spec_lo->store(true);  // search went up; the low candidate is off-path
-    } else {
+    else
       hi = mid;
-      spec_hi->store(true);
-    }
   }
   return lo;
 }

@@ -164,13 +164,11 @@ FlowResult run_flow(const netlist::Netlist& nl, Config cfg,
 /// of the period (the paper's "timing met" rule: WNS ≲ 5–7 % of period).
 /// Returns GHz.
 ///
-/// Candidate flows are memoized in the context's FlowCache, and when the
-/// context's pool has more than one worker the two possible next midpoints
-/// of each step are evaluated *speculatively* in parallel — whichever
-/// branch the search takes, the next candidate is already computed (or
-/// computing) and collapses into a cache hit. The search path and result
-/// are identical to the serial search at any thread count.
-/// `ctx == nullptr` uses the process-wide pool and cache.
+/// The search runs its `iters` candidate flows one after another on the
+/// calling thread, each memoized in the context's FlowCache (a later
+/// search or table row asking for the same flow gets a hit); the flows'
+/// kernels run on `opt.pool`. `ctx == nullptr` uses the process-wide
+/// cache.
 double find_max_frequency(const netlist::Netlist& nl, Config cfg,
                           FlowOptions opt, double lo_ghz, double hi_ghz,
                           int iters = 5, double wns_budget_frac = 0.05,

@@ -278,31 +278,6 @@ FlowCache::ResultPtr FlowCache::get_or_run(const netlist::Netlist& nl,
     return std::make_shared<core::FlowResult>(core::run_flow(nl, cfg, opt));
   }
 
-  return compute_entry(key, nl, cfg, opt, promise);
-}
-
-bool FlowCache::prewarm(const netlist::Netlist& nl, core::Config cfg,
-                        const core::FlowOptions& opt) {
-  const Key key{fingerprint(nl), static_cast<int>(cfg), options_hash(opt)};
-  std::promise<ResultPtr> promise;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (entries_.find(key) != entries_.end()) return false;
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    util::trace_instant("flow_cache_prewarm");
-    Entry entry;
-    entry.future = promise.get_future().share();
-    entries_.emplace(key, std::move(entry));
-  }
-  compute_entry(key, nl, cfg, opt, promise);
-  return true;
-}
-
-FlowCache::ResultPtr FlowCache::compute_entry(const Key& key,
-                                              const netlist::Netlist& nl,
-                                              core::Config cfg,
-                                              const core::FlowOptions& opt,
-                                              std::promise<ResultPtr>& promise) {
   // Compute outside the lock; concurrent same-key requesters join on the
   // shared future. The disk tier is consulted first: a persisted entry
   // from an earlier process deserializes in a fraction of a flow run.

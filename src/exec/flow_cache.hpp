@@ -4,10 +4,9 @@
 ///
 /// Every headline sweep re-runs identical flows: the iso-performance
 /// methodology runs a 12-track 2-D frequency search whose winning
-/// candidate *is* the 2D-12T data point of the comparison tables, the
-/// ablations share their baseline run, and speculative frequency-search
-/// evaluation may race ahead on flows the search then actually needs. The
-/// FlowCache turns all of those into lookups.
+/// candidate *is* the 2D-12T data point of the comparison tables, and the
+/// ablations share their baseline run. The FlowCache turns those into
+/// lookups.
 ///
 /// Key: (netlist fingerprint, config, options hash) — a structural hash of
 /// the full netlist (cells, nets, pins, connectivity, activities) plus a
@@ -17,9 +16,8 @@
 ///
 /// Concurrency: get_or_run() is safe from any thread. Concurrent requests
 /// for the *same* key are deduplicated — the first requester computes, the
-/// others block on a shared future of the same entry (that is what makes
-/// speculation cheap: a speculative run and the real request collapse into
-/// one flow). Distinct keys never block each other.
+/// others block on a shared future of the same entry. Distinct keys never
+/// block each other.
 ///
 /// Deadlock safety: a thread that is itself computing a cache entry may
 /// re-enter get_or_run *nested* — run_flow helps its pool during
@@ -30,8 +28,6 @@
 /// direction. Nested requests therefore *bypass* in-flight entries and
 /// compute the flow directly, uncached — flows are deterministic, so the
 /// bypass result is identical to the entry it declined to wait for.
-/// Speculative warm-ups should use prewarm(), which claims a key only if
-/// nobody else has it and never waits at all.
 ///
 /// Eviction: LRU over completed entries, bounded by `capacity` entries
 /// (default M3D_FLOW_CACHE_CAP or 64). In-flight entries are never
@@ -86,14 +82,6 @@ class FlowCache {
   ResultPtr get_or_run(const netlist::Netlist& nl, core::Config cfg,
                        const core::FlowOptions& opt = {});
 
-  /// Speculative warm-up: if no entry (ready or in-flight) exists for the
-  /// key, claim it and compute on the calling thread; otherwise do nothing.
-  /// Never blocks and never duplicates work — the right call when the
-  /// caller wants the cache warmed but does not need the result itself.
-  /// Returns whether this call computed the flow.
-  bool prewarm(const netlist::Netlist& nl, core::Config cfg,
-               const core::FlowOptions& opt = {});
-
   /// Completed-entry lookup without computing; nullptr on miss/in-flight.
   ResultPtr lookup(const netlist::Netlist& nl, core::Config cfg,
                    const core::FlowOptions& opt = {}) const;
@@ -147,13 +135,6 @@ class FlowCache {
   };
 
   void evict_locked();
-
-  /// Compute the flow for a claimed in-flight entry, resolve `promise`
-  /// with the result (or exception) and mark the entry ready. Shared by
-  /// get_or_run and prewarm; runs with the nested-request depth raised.
-  ResultPtr compute_entry(const Key& key, const netlist::Netlist& nl,
-                          core::Config cfg, const core::FlowOptions& opt,
-                          std::promise<ResultPtr>& promise);
 
   // Disk tier (flow_cache_disk.cpp). disk_load returns nullptr on any
   // miss/validation failure; disk_store returns whether a file landed.

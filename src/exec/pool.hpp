@@ -4,10 +4,9 @@
 ///        cooperative (helping) wait.
 ///
 /// The pool is the execution substrate for every parallel sweep in the
-/// repository: flow fan-outs (bench::run_sweep), speculative
-/// binary-search evaluation (core::find_max_frequency) and the
-/// exec::TaskGraph scheduler all run on it. Design points, in the spirit
-/// of shared-memory runtimes like Galois:
+/// repository: flow fan-outs (bench::run_sweep), the exec::TaskGraph
+/// scheduler and the intra-kernel parallel_for loops all run on it.
+/// Design points, in the spirit of shared-memory runtimes like Galois:
 ///
 ///  * **Per-worker deques + stealing.** Each worker owns a deque; it pushes
 ///    and pops its own work LIFO (cache-warm, depth-first) and steals FIFO
@@ -16,8 +15,8 @@
 ///  * **Helping, not blocking.** `wait(future)` and `parallel_for` execute
 ///    pending tasks while they wait. A task may therefore submit subtasks
 ///    and wait on them without deadlock even on a single-worker pool —
-///    nested parallelism (a sweep task running a frequency search that
-///    itself fans out flows) just works.
+///    nested parallelism (a sweep task running a flow whose kernels
+///    themselves fan out) just works.
 ///  * **Determinism discipline.** The pool never provides randomness or
 ///    ordering guarantees to tasks; results must depend only on task
 ///    inputs (see rng.hpp's concurrency guarantee). Workers register the
@@ -149,5 +148,37 @@ class Pool {
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
 };
+
+/// Deterministic parallel gather: runs `fn(i, out)` for i in [0, n) where
+/// each chunk appends to its own vector, then concatenates the chunk
+/// results in ascending chunk order — byte-identical to the serial
+/// append loop at any pool size. Falls back to the serial loop below the
+/// chunk threshold or on a single-worker pool.
+template <typename T, typename Fn>
+std::vector<T> ordered_gather(Pool& pool, int n, int grain, Fn&& fn) {
+  std::vector<T> out;
+  if (n <= 0) return out;
+  const int n_chunks = (n + grain - 1) / grain;
+  if (n_chunks <= 1 || pool.size() <= 1) {
+    for (int i = 0; i < n; ++i) fn(i, out);
+    return out;
+  }
+  std::vector<std::vector<T>> parts(static_cast<std::size_t>(n_chunks));
+  pool.parallel_for(
+      0, n_chunks,
+      [&](int c) {
+        auto& part = parts[static_cast<std::size_t>(c)];
+        const int lo = c * grain;
+        const int hi = lo + grain < n ? lo + grain : n;
+        for (int i = lo; i < hi; ++i) fn(i, part);
+      },
+      /*grain=*/1);
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  out.reserve(total);
+  for (auto& part : parts)
+    out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
 
 }  // namespace m3d::exec

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "exec/pool.hpp"
-#include "exec/worklist.hpp"
 #include "part/fm_internal.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -60,7 +59,6 @@ namespace {
 
 using detail::GainBuckets;
 using detail::IdBitset;
-using detail::speculation_enabled;
 
 /// Shared FM engine; `region` assigns each cell to a balance domain
 /// (a single domain for whole-design FM, a placement bin for the
@@ -106,23 +104,10 @@ class FmEngine {
   int current_cut() const;
   int gain_of(CellId c) const;
   bool feasible(CellId c) const;
-  /// feasible() against caller-supplied balance arrays — the speculative
-  /// predictor runs the real feasibility math on its optimistic copy.
-  bool feasible_in(CellId c, const std::vector<double>& top,
-                   const std::vector<double>& bottom) const;
-  /// gain_of(c) with `moved`'s tier flip overlaid on the frozen counts —
-  /// the speculative evaluation of a neighbor's post-move gain without
-  /// touching shared state. `moved_from` is moved's pre-flip tier.
-  int gain_of_with_move(CellId c, CellId moved, int moved_from) const;
   /// The FM candidate scan: best feasible cell across both sides' bucket
   /// fronts, walking descending gain / ascending id, probing at most 16
-  /// entries per side. `skip` hides cells from the walk without charging
-  /// the probe budget (the predictor skips already-predicted cells; the
-  /// authoritative selection never skips, making the scan literally the
-  /// historical serial selection).
-  template <typename Skip, typename Feas>
-  CellId scan_candidate(GainBuckets (&bucket)[2], Skip&& skip,
-                        Feas&& feas) const;
+  /// entries per side.
+  CellId scan_candidate(GainBuckets (&bucket)[2]) const;
   void apply_move(CellId c);
   NetSpan nets_of(CellId c) const {
     const std::size_t i = static_cast<std::size_t>(c);
@@ -238,16 +223,11 @@ int FmEngine::gain_of(CellId c) const {
 }
 
 bool FmEngine::feasible(CellId c) const {
-  return feasible_in(c, area_top_, area_bottom_);
-}
-
-bool FmEngine::feasible_in(CellId c, const std::vector<double>& atop,
-                           const std::vector<double>& abottom) const {
   const int from = d_.tier(c);
   const std::size_t r =
       static_cast<std::size_t>(region_[static_cast<std::size_t>(c)]);
-  double top = atop[r];
-  double bottom = abottom[r];
+  double top = area_top_[r];
+  double bottom = area_bottom_[r];
   if (from == kTopTier) {
     top -= area_on(c, kTopTier);
     bottom += area_on(c, kBottomTier);
@@ -260,36 +240,7 @@ bool FmEngine::feasible_in(CellId c, const std::vector<double>& atop,
   return std::abs(top / total - opt_.target_top_share) <= opt_.balance_tol;
 }
 
-int FmEngine::gain_of_with_move(CellId c, CellId moved,
-                                int moved_from) const {
-  const int from = d_.tier(c);
-  const int to = 1 - from;
-  const NetSpan mn = nets_of(moved);
-  int g = 0;
-  for (NetId n : nets_of(c)) {
-    const std::size_t ni = static_cast<std::size_t>(n);
-    int cf = cnt_[from][ni];
-    int ct = cnt_[to][ni];
-    // CSR rows are sorted ascending, so membership of n in moved's row is
-    // a binary search; a hit means moved's flip shifts this net's counts.
-    if (std::binary_search(mn.begin(), mn.end(), n)) {
-      if (from == moved_from) {
-        --cf;
-        ++ct;
-      } else {
-        ++cf;
-        --ct;
-      }
-    }
-    if (cf == 1 && ct > 0) ++g;
-    if (ct == 0) --g;
-  }
-  return g;
-}
-
-template <typename Skip, typename Feas>
-CellId FmEngine::scan_candidate(GainBuckets (&bucket)[2], Skip&& skip,
-                                Feas&& feas) const {
+CellId FmEngine::scan_candidate(GainBuckets (&bucket)[2]) const {
   // Best feasible candidate from either side's bucket front: walk entries
   // in descending gain (ascending id within a gain), probe at most 16,
   // take the first feasible one — the identical traversal the old
@@ -309,9 +260,8 @@ CellId FmEngine::scan_candidate(GainBuckets (&bucket)[2], Skip&& skip,
       bool found = false;
       for (int id = ids.first(); id >= 0 && probed < 16;
            id = ids.next_after(id)) {
-        if (skip(id)) continue;
         ++probed;
-        if (!feas(id)) continue;
+        if (!feasible(id)) continue;
         const int g = ix - gb.off;
         if (c == kInvalidId || g > c_gain) {
           c = id;
@@ -436,11 +386,6 @@ int FmEngine::run() {
   const int nc = nl_.cell_count();
   const bool tracing = util::trace_enabled();
   constexpr int kParallelMin = 2048;
-  // Speculation needs spare workers and enough cells to amortize a round;
-  // below either threshold the pure serial loop is strictly faster. The
-  // committed move sequence is identical either way.
-  const bool speculate = speculation_enabled(opt_) && pool.size() > 1 &&
-                         nc >= kParallelMin;
 
   // Per-side gain-ordered candidate sets, hoisted out of the pass loop:
   // reset() empties them and frees their bitsets between passes, so peak
@@ -450,27 +395,6 @@ int FmEngine::run() {
                            GainBuckets(nc, max_deg_)};
   std::vector<int> gain(static_cast<std::size_t>(nc), 0);
   std::vector<char> locked_in_pass(static_cast<std::size_t>(nc), 0);
-
-  // Speculative-engine state, sized once per run and epoch-reset per
-  // round: conflict stamps over nets and cells, the predictor's
-  // predicted-set, and evaluation slots.
-  exec::EpochMarks net_marks, cell_marks, pred_marks;
-  struct Slot {
-    std::vector<CellId> touched;
-    std::vector<int> ng;
-  };
-  std::vector<Slot> slots;
-  std::vector<double> pred_top, pred_bottom;
-  exec::WorklistOptions wl_opt;
-  if (speculate) {
-    net_marks.reset(static_cast<std::size_t>(nl_.net_count()));
-    cell_marks.reset(static_cast<std::size_t>(nc));
-    pred_marks.reset(static_cast<std::size_t>(nc));
-    wl_opt.pool = &pool;
-    wl_opt.trace_span = "fm_spec_round";
-    wl_opt.trace_counter = "fm_conflict_retry";
-    slots.resize(static_cast<std::size_t>(wl_opt.max_width));
-  }
 
   for (int pass = 0; pass < opt_.max_passes; ++pass) {
     util::TraceSpan pass_span("fm_pass",
@@ -511,170 +435,52 @@ int FmEngine::run() {
     int best_cut = cut;
     std::size_t best_prefix = 0;
 
-    // The one and only commit path — the historical serial loop body.
-    // When `pre_touched`/`pre_ng` are supplied (a validated speculative
-    // evaluation) they are exact by the conflict check, so reusing them
-    // is bit-identical to the inline recompute.
-    auto commit_move = [&](CellId c, const std::vector<CellId>* pre_touched,
-                           const std::vector<int>* pre_ng) {
+    // Select the best feasible move, commit it, update the neighbours'
+    // gains; repeat until no candidate is feasible.
+    while (!bucket[0].empty() || !bucket[1].empty()) {
+      const CellId c = scan_candidate(bucket);
+      if (c == kInvalidId) break;
       bucket[d_.tier(c)].erase(gain[static_cast<std::size_t>(c)], c);
       locked_in_pass[static_cast<std::size_t>(c)] = 1;
       const int c_from = d_.tier(c);
-      if (pre_touched == nullptr) {
-        // Neighbours whose gains may change. Only a *critical* net can
-        // alter a pin's gain terms: with f pins on the mover's side and t
-        // on the other (pre-move), same-side gains change iff f==2 ||
-        // t==0 and other-side gains iff f==1 || t==1 — so a settled net
-        // (f >= 3 && t >= 2) keeps every neighbour's contribution
-        // unchanged and its pins need no revisit. This prunes the walk,
-        // not the math: gains of skipped cells are provably identical.
-        touched.clear();
-        for (NetId n : nets_of(c)) {
-          const std::size_t ni = static_cast<std::size_t>(n);
-          if (cnt_[c_from][ni] >= 3 && cnt_[1 - c_from][ni] >= 2) continue;
-          for (PinId p : nl_.net(n).pins) {
-            const CellId nb = nl_.pin(p).cell;
-            if (nb != c && movable_[static_cast<std::size_t>(nb)] &&
-                !locked_in_pass[static_cast<std::size_t>(nb)])
-              touched.push_back(nb);
-          }
+      // Neighbours whose gains may change. Only a *critical* net can
+      // alter a pin's gain terms: with f pins on the mover's side and t
+      // on the other (pre-move), same-side gains change iff f==2 ||
+      // t==0 and other-side gains iff f==1 || t==1 — so a settled net
+      // (f >= 3 && t >= 2) keeps every neighbour's contribution
+      // unchanged and its pins need no revisit. This prunes the walk,
+      // not the math: gains of skipped cells are provably identical.
+      touched.clear();
+      for (NetId n : nets_of(c)) {
+        const std::size_t ni = static_cast<std::size_t>(n);
+        if (cnt_[c_from][ni] >= 3 && cnt_[1 - c_from][ni] >= 2) continue;
+        for (PinId p : nl_.net(n).pins) {
+          const CellId nb = nl_.pin(p).cell;
+          if (nb != c && movable_[static_cast<std::size_t>(nb)] &&
+              !locked_in_pass[static_cast<std::size_t>(nb)])
+            touched.push_back(nb);
         }
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
       }
-      const std::vector<CellId>& tt =
-          pre_touched != nullptr ? *pre_touched : touched;
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
       running_cut -= gain[static_cast<std::size_t>(c)];
       apply_move(c);
       moves.push_back(c);
-      for (std::size_t i = 0; i < tt.size(); ++i) {
-        const CellId nb = tt[i];
+      for (CellId nb : touched) {
         // Recompute first; an unchanged gain means the bucket entry is
         // already right, and skipping the erase/insert pair avoids two
         // bitset updates for the common no-op case.
-        const int ng = pre_ng != nullptr ? (*pre_ng)[i] : gain_of(nb);
+        const int ng = gain_of(nb);
         const int og = gain[static_cast<std::size_t>(nb)];
         if (ng == og) continue;
         bucket[d_.tier(nb)].erase(og, nb);
         gain[static_cast<std::size_t>(nb)] = ng;
         bucket[d_.tier(nb)].insert(ng, nb);
       }
-      if (speculate) {
-        // Stamp the committed move's neighborhood: any pending evaluation
-        // whose mover shares a net with c, or whose touched set overlaps
-        // c's gain updates, is no longer provably exact.
-        for (NetId n : nets_of(c)) net_marks.mark(n);
-        for (CellId nb : tt) cell_marks.mark(nb);
-      }
       if (running_cut < best_cut) {
         best_cut = running_cut;
         best_prefix = moves.size();
-      }
-    };
-
-    if (!speculate) {
-      while (!bucket[0].empty() || !bucket[1].empty()) {
-        const CellId c = scan_candidate(
-            bucket, [](CellId) { return false; },
-            [&](CellId id) { return feasible(id); });
-        if (c == kInvalidId) break;
-        commit_move(c, nullptr, nullptr);
-      }
-    } else {
-      // Speculative worklist: predict likely movers, evaluate their
-      // touched sets and neighbor gains in parallel against the frozen
-      // round-start state, then commit in the authoritative serial order,
-      // reusing an evaluation only when epoch stamps prove no
-      // earlier-committed move invalidated it. Why a validated reuse is
-      // exact: unstamped nets mean no prior mover this round shares a net
-      // with c, so c's pre-move counts equal the round-start counts the
-      // evaluation read (identical touched set); and an unstamped
-      // neighbor's gain contributions can differ from round-start only
-      // through settled nets, which by the pruning invariant above
-      // contribute identically before and after — so the precomputed
-      // post-move gain equals the inline recompute, bit for bit.
-      exec::WorklistHooks h;
-      h.begin_round = [&] {
-        pred_top = area_top_;
-        pred_bottom = area_bottom_;
-        pred_marks.next_epoch();
-        net_marks.next_epoch();
-        cell_marks.next_epoch();
-      };
-      h.predict = [&]() -> int {
-        const CellId c = scan_candidate(
-            bucket, [&](CellId id) { return pred_marks.marked(id); },
-            [&](CellId id) {
-              return feasible_in(id, pred_top, pred_bottom);
-            });
-        if (c == kInvalidId) return -1;
-        pred_marks.mark(c);
-        // Optimistically account the balance change so later predictions
-        // of this round see the would-be state. Gains are not simulated;
-        // predictor accuracy costs wall-clock only, never results.
-        const std::size_t r = static_cast<std::size_t>(
-            region_[static_cast<std::size_t>(c)]);
-        if (d_.tier(c) == kTopTier) {
-          pred_top[r] -= area_on(c, kTopTier);
-          pred_bottom[r] += area_on(c, kBottomTier);
-        } else {
-          pred_bottom[r] -= area_on(c, kBottomTier);
-          pred_top[r] += area_on(c, kTopTier);
-        }
-        return c;
-      };
-      h.evaluate = [&](int slot, int item) {
-        // Pool-parallel; reads frozen shared state, writes only its slot.
-        Slot& s = slots[static_cast<std::size_t>(slot)];
-        s.touched.clear();
-        s.ng.clear();
-        const CellId c = item;
-        const int c_from = d_.tier(c);
-        for (NetId n : nets_of(c)) {
-          const std::size_t ni = static_cast<std::size_t>(n);
-          if (cnt_[c_from][ni] >= 3 && cnt_[1 - c_from][ni] >= 2) continue;
-          for (PinId p : nl_.net(n).pins) {
-            const CellId nb = nl_.pin(p).cell;
-            if (nb != c && movable_[static_cast<std::size_t>(nb)] &&
-                !locked_in_pass[static_cast<std::size_t>(nb)])
-              s.touched.push_back(nb);
-          }
-        }
-        std::sort(s.touched.begin(), s.touched.end());
-        s.touched.erase(std::unique(s.touched.begin(), s.touched.end()),
-                        s.touched.end());
-        s.ng.reserve(s.touched.size());
-        for (CellId nb : s.touched)
-          s.ng.push_back(gain_of_with_move(nb, c, c_from));
-      };
-      h.select = [&]() -> int {
-        if (bucket[0].empty() && bucket[1].empty()) return -1;
-        return scan_candidate(
-            bucket, [](CellId) { return false; },
-            [&](CellId id) { return feasible(id); });
-      };
-      h.valid = [&](int slot, int item) {
-        for (NetId n : nets_of(item))
-          if (net_marks.marked(n)) return false;
-        for (CellId nb : slots[static_cast<std::size_t>(slot)].touched)
-          if (cell_marks.marked(nb)) return false;
-        return true;
-      };
-      h.commit = [&](int slot, int item) {
-        const Slot& s = slots[static_cast<std::size_t>(slot)];
-        commit_move(item, &s.touched, &s.ng);
-      };
-      h.commit_serial = [&](int item) { commit_move(item, nullptr, nullptr); };
-
-      const exec::WorklistStats ws = exec::run_worklist(h, wl_opt);
-      if (opt_.stats != nullptr) {
-        opt_.stats->spec_rounds += ws.rounds;
-        opt_.stats->predicted += ws.predicted;
-        opt_.stats->spec_commits += ws.spec_commits;
-        opt_.stats->serial_commits += ws.serial_commits;
-        opt_.stats->conflicts += ws.conflicts;
-        opt_.stats->mispredicts += ws.mispredicts;
       }
     }
     if (opt_.stats != nullptr)

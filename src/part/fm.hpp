@@ -29,18 +29,11 @@ using netlist::CellId;
 using netlist::Design;
 using netlist::NetId;
 
-/// Per-run FM accounting, mostly from the speculative worklist engine.
-/// `moves` counts every accepted move (before best-prefix rollback);
-/// `spec_commits + serial_commits == moves` whenever speculation ran.
+/// Per-run FM accounting. `moves` counts every accepted move (before
+/// best-prefix rollback).
 struct FmStats {
-  long long passes = 0;          ///< FM passes executed
-  long long moves = 0;           ///< moves accepted across all passes
-  long long spec_rounds = 0;     ///< speculation rounds
-  long long predicted = 0;       ///< speculative evaluations launched
-  long long spec_commits = 0;    ///< moves that reused a speculative eval
-  long long serial_commits = 0;  ///< moves evaluated inline
-  long long conflicts = 0;       ///< evals invalidated by neighbor commits
-  long long mispredicts = 0;     ///< predicted order diverged from actual
+  long long passes = 0;  ///< FM passes executed
+  long long moves = 0;   ///< moves accepted across all passes
 };
 
 /// Partitioning knobs.
@@ -50,20 +43,11 @@ struct FmOptions {
   int max_passes = 8;             ///< FM passes (each pass visits all cells)
   int bins = 8;                   ///< bin grid per axis (bin-based variant)
   unsigned seed = 1;              ///< initial-assignment seed
-  /// Worker pool for the per-pass initial gain computation and the
-  /// speculative move engine; nullptr means exec::Pool::global(). Results
-  /// are identical for any pool size (gains are integers computed
-  /// independently per cell, and the speculative engine commits in the
-  /// exact serial order), so this field is excluded from flow-cache
-  /// option hashes.
+  /// Worker pool for the per-pass initial gain computation; nullptr means
+  /// exec::Pool::global(). Results are identical for any pool size (gains
+  /// are integers computed independently per cell, and the move loop is
+  /// serial), so this field is excluded from flow-cache option hashes.
   exec::Pool* pool = nullptr;
-  /// Speculative worklist-parallel move passes: -1 = M3D_FM_SPECULATE env
-  /// (unset or non-zero enables), 0 = off, 1 = on. The committed move
-  /// sequence is byte-identical to the serial engine either way — the
-  /// knob trades wall-clock, never results — so it too is excluded from
-  /// flow-cache option hashes. Speculation engages only on pools with
-  /// more than one worker and designs large enough to amortize a round.
-  int speculate = -1;
   /// When non-null, per-run counters are accumulated here.
   FmStats* stats = nullptr;
 

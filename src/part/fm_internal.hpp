@@ -1,15 +1,14 @@
 #pragma once
 /// \file fm_internal.hpp
 /// \brief Machinery shared by the 2-tier FM engine (fm.cpp) and the K-way
-///        generalization (kway.cpp): the find-first bitset, the gain-ordered
-///        candidate buckets, and the speculation knob resolution.
+///        generalization (kway.cpp): the find-first bitset and the
+///        gain-ordered candidate buckets.
 ///
 /// Internal to m3d_part — not installed, not part of the public interface.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -137,15 +136,6 @@ struct GainBuckets {
   }
   bool empty() const { return total == 0; }
 };
-
-/// Resolve the speculation knob: an explicit FmOptions::speculate wins,
-/// otherwise M3D_FM_SPECULATE (unset or non-zero means on).
-inline bool speculation_enabled(const FmOptions& opt) {
-  if (opt.speculate >= 0) return opt.speculate != 0;
-  const char* s = std::getenv("M3D_FM_SPECULATE");
-  if (s == nullptr || *s == '\0') return true;
-  return std::atoi(s) != 0;
-}
 
 /// True when the options/design require the K-way engine: more (or fewer)
 /// than two tiers, a cost term in the objective, or any of the per-tier

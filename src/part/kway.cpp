@@ -15,13 +15,9 @@
 /// the buckets: the scan probes a bounded front of each bucket and scores
 /// the probed candidates on the combined objective on the fly.
 ///
-/// The speculative worklist engine (exec::Worklist) carries over from the
-/// 2-tier engine unchanged in structure: parallel evaluations compute a
-/// move's touched set and post-move *cut* gains against the frozen
-/// round-start state (the cost term plays no part in an evaluation, so
-/// its validity argument is untouched); selection stays authoritative and
-/// serial; epoch stamps on nets and cells prove a reused evaluation exact.
-/// The committed move sequence is byte-identical at any pool size.
+/// As in the 2-tier engine, each pass is one serial select → commit loop;
+/// only the per-pass initial gain computation runs on the pool, so the
+/// committed move sequence is byte-identical at any pool size.
 
 #include <algorithm>
 #include <cmath>
@@ -29,7 +25,6 @@
 #include <string>
 
 #include "exec/pool.hpp"
-#include "exec/worklist.hpp"
 #include "part/fm_internal.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -137,18 +132,13 @@ class KwayEngine {
 
   /// Cut gain of moving c to tier `to` (to != tier(c)).
   int gain_of(CellId c, int to) const;
-  /// gain_of(nb, to) with `moved`'s (mf → mt) flip overlaid on the frozen
-  /// counts — the speculative evaluation of a neighbor's post-move gain.
-  int gain_of_with_move(CellId nb, int to, CellId moved, int mf,
-                        int mt) const;
 
-  /// Balance/cap feasibility of moving c to `to`, judged against the
-  /// supplied per-region and global area arrays (the predictor passes its
-  /// optimistic copies). A move is feasible when both affected tiers land
-  /// within balance_tol of their target share — or strictly improve an
-  /// already-out-of-envelope share — and the destination cap holds.
-  bool feasible_in(CellId c, int to, const std::vector<double>& areas,
-                   const std::vector<double>& glob) const;
+  /// Balance/cap feasibility of moving c to `to` against the current
+  /// per-region and global areas. A move is feasible when both affected
+  /// tiers land within balance_tol of their target share — or strictly
+  /// improve an already-out-of-envelope share — and the destination cap
+  /// holds.
+  bool feasible(CellId c, int to) const;
 
   /// Die cost of the stack whose largest tier carries `amax_um2` of
   /// standard-cell area, at the configured utilization.
@@ -160,9 +150,8 @@ class KwayEngine {
     if (std::isinf(c1) && std::isinf(c0)) return 0.0;
     return c1 - c0;
   }
-  /// Cost-term delta of moving c from f to t, from global areas `glob`.
-  double delta_cost(CellId c, int f, int t,
-                    const std::vector<double>& glob) const;
+  /// Cost-term delta of moving c from f to t at the current global areas.
+  double delta_cost(CellId c, int f, int t) const;
 
   /// Best feasible (cell, target) across every (from, to) bucket front.
   /// Walks each bucket in descending cut gain / ascending id, probing at
@@ -170,9 +159,7 @@ class KwayEngine {
   /// best and the walk stops there (the 2-tier selection rule), with
   /// µ > 0 all probed entries are scored on the combined objective.
   /// Ties keep the earlier candidate in (from, to, probe) order.
-  template <typename Skip, typename Feas>
-  Cand scan_candidate(std::vector<GainBuckets>& bucket, Skip&& skip,
-                      Feas&& feas, const std::vector<double>& glob) const;
+  Cand scan_candidate(std::vector<GainBuckets>& bucket) const;
 
   void apply_move(CellId c, int to);
 
@@ -274,44 +261,19 @@ int KwayEngine::gain_of(CellId c, int to) const {
   return g;
 }
 
-int KwayEngine::gain_of_with_move(CellId nb, int to, CellId moved, int mf,
-                                  int mt) const {
-  const int from = d_.tier(nb);
-  const NetSpan mn = nets_of(moved);
-  int g = 0;
-  for (NetId n : nets_of(nb)) {
-    int cf = cnt_[nidx(n, from)];
-    int ct = cnt_[nidx(n, to)];
-    int o = occ_[static_cast<std::size_t>(n)];
-    if (std::binary_search(mn.begin(), mn.end(), n)) {
-      // Overlay moved's mf→mt flip on this shared net.
-      o += (cnt_[nidx(n, mt)] == 0) - (cnt_[nidx(n, mf)] == 1);
-      if (mf == from) --cf;
-      if (mt == from) ++cf;
-      if (mf == to) --ct;
-      if (mt == to) ++ct;
-    }
-    const int oa = o - (cf == 1) + (ct == 0);
-    g += (o >= 2) - (oa >= 2);
-  }
-  return g;
-}
-
-bool KwayEngine::feasible_in(CellId c, int to,
-                             const std::vector<double>& areas,
-                             const std::vector<double>& glob) const {
+bool KwayEngine::feasible(CellId c, int to) const {
   const int from = d_.tier(c);
   if (!opt_.tier_area_cap_um2.empty()) {
     const double cap = opt_.tier_area_cap_um2[static_cast<std::size_t>(to)];
     if (cap > 0.0 &&
-        glob[static_cast<std::size_t>(to)] + area_on(c, to) > cap)
+        global_[static_cast<std::size_t>(to)] + area_on(c, to) > cap)
       return false;
   }
   const std::size_t r0 =
       static_cast<std::size_t>(region_[static_cast<std::size_t>(c)]) *
       static_cast<std::size_t>(K_);
   double total = 0.0;
-  for (int u = 0; u < K_; ++u) total += areas[r0 + static_cast<std::size_t>(u)];
+  for (int u = 0; u < K_; ++u) total += area_[r0 + static_cast<std::size_t>(u)];
   const double af = area_on(c, from);
   const double at = area_on(c, to);
   const double total2 = total - af + at;
@@ -324,13 +286,13 @@ bool KwayEngine::feasible_in(CellId c, int to,
     // out-of-balance start can converge without ever worsening.
     const double dev_before =
         total > 0.0
-            ? std::abs(areas[r0 + static_cast<std::size_t>(u)] / total -
+            ? std::abs(area_[r0 + static_cast<std::size_t>(u)] / total -
                        share_[static_cast<std::size_t>(u)])
             : 0.0;
     return dev_after < dev_before;
   };
-  return ok(from, areas[r0 + static_cast<std::size_t>(from)] - af) &&
-         ok(to, areas[r0 + static_cast<std::size_t>(to)] + at);
+  return ok(from, area_[r0 + static_cast<std::size_t>(from)] - af) &&
+         ok(to, area_[r0 + static_cast<std::size_t>(to)] + at);
 }
 
 double KwayEngine::die_cost_from(double amax_um2) const {
@@ -347,13 +309,12 @@ double KwayEngine::die_cost_now() const {
   return die_cost_from(amax);
 }
 
-double KwayEngine::delta_cost(CellId c, int f, int t,
-                              const std::vector<double>& glob) const {
+double KwayEngine::delta_cost(CellId c, int f, int t) const {
   const double af = area_on(c, f);
   const double at = area_on(c, t);
   double amax0 = 0.0, amax1 = 0.0;
   for (int u = 0; u < K_; ++u) {
-    const double a0 = glob[static_cast<std::size_t>(u)];
+    const double a0 = global_[static_cast<std::size_t>(u)];
     double a1 = a0;
     if (u == f) a1 -= af;
     if (u == t) a1 += at;
@@ -363,10 +324,8 @@ double KwayEngine::delta_cost(CellId c, int f, int t,
   return sub_cost(die_cost_from(amax1), die_cost_from(amax0));
 }
 
-template <typename Skip, typename Feas>
 KwayEngine::Cand KwayEngine::scan_candidate(
-    std::vector<GainBuckets>& bucket, Skip&& skip, Feas&& feas,
-    const std::vector<double>& glob) const {
+    std::vector<GainBuckets>& bucket) const {
   Cand best;
   bool have = false;
   const bool pure_cut = opt_.cost_weight <= 0.0;
@@ -387,13 +346,12 @@ KwayEngine::Cand KwayEngine::scan_candidate(
         const IdBitset& ids = *gb.bs[static_cast<std::size_t>(ix)];
         for (int id = ids.first(); id >= 0 && probed < 16;
              id = ids.next_after(id)) {
-          if (skip(id)) continue;
           ++probed;
-          if (!feas(id, t)) continue;
+          if (!feasible(id, t)) continue;
           const int g = ix - gb.off;
           const double score =
               pure_cut ? static_cast<double>(g)
-                       : g - opt_.cost_weight * delta_cost(id, f, t, glob);
+                       : g - opt_.cost_weight * delta_cost(id, f, t);
           if (!have || score > best.score) {
             best.c = id;
             best.to = t;
@@ -539,8 +497,6 @@ int KwayEngine::run() {
       opt_.pool != nullptr ? *opt_.pool : exec::Pool::global();
   const int nc = nl_.cell_count();
   const bool tracing = util::trace_enabled();
-  const bool speculate = speculation_enabled(opt_) && pool.size() > 1 &&
-                         nc >= kParallelMin;
 
   // One gain bucket per ordered (from, to) tier pair; entries carry
   // integer cut gains only (see file comment).
@@ -550,24 +506,6 @@ int KwayEngine::run() {
   std::vector<int> gain(
       static_cast<std::size_t>(nc) * static_cast<std::size_t>(K_), 0);
   std::vector<char> locked_in_pass(static_cast<std::size_t>(nc), 0);
-
-  exec::EpochMarks net_marks, cell_marks, pred_marks;
-  struct Slot {
-    std::vector<CellId> touched;
-    std::vector<int> ng;  // touched.size() × (K-1) post-move cut gains
-  };
-  std::vector<Slot> slots;
-  std::vector<double> pred_area, pred_glob;
-  exec::WorklistOptions wl_opt;
-  if (speculate) {
-    net_marks.reset(static_cast<std::size_t>(nl_.net_count()));
-    cell_marks.reset(static_cast<std::size_t>(nc));
-    pred_marks.reset(static_cast<std::size_t>(nc));
-    wl_opt.pool = &pool;
-    wl_opt.trace_span = "kway_spec_round";
-    wl_opt.trace_counter = "kway_conflict_retry";
-    slots.resize(static_cast<std::size_t>(wl_opt.max_width));
-  }
 
   for (int pass = 0; pass < opt_.max_passes; ++pass) {
     util::TraceSpan pass_span(
@@ -615,12 +553,14 @@ int KwayEngine::run() {
     double best_J = J;
     std::size_t best_prefix = 0;
 
-    // The single commit path. Precomputed touched/ng from a validated
-    // speculative evaluation are exact by the conflict check, so reusing
-    // them is bit-identical to the inline recompute.
-    auto commit_move = [&](CellId c, int to,
-                           const std::vector<CellId>* pre_touched,
-                           const std::vector<int>* pre_ng) {
+    // Select the best feasible (cell, target) on the combined objective,
+    // commit it, update the neighbours' cut gains; repeat until no
+    // candidate is feasible.
+    while (true) {
+      const Cand cand = scan_candidate(bucket);
+      if (cand.c == kInvalidId) break;
+      const CellId c = cand.c;
+      const int to = cand.to;
       const int c_from = d_.tier(c);
       for (int u = 0; u < K_; ++u)
         if (u != c_from)
@@ -629,43 +569,33 @@ int KwayEngine::run() {
                  static_cast<std::size_t>(u)]
               .erase(gain[idx(c, u)], c);
       locked_in_pass[static_cast<std::size_t>(c)] = 1;
-      if (pre_touched == nullptr) {
-        // Settled-net pruning, K-way form: a net with ≥3 pins on the
-        // mover's tier and ≥2 on the target keeps every per-tier count it
-        // exposes to neighbor gains in the same predicate class (no count
-        // crosses the 0/1 thresholds and the occupied-tier count is
-        // unchanged), so its pins need no revisit.
-        touched.clear();
-        for (NetId n : nets_of(c)) {
-          if (cnt_[nidx(n, c_from)] >= 3 && cnt_[nidx(n, to)] >= 2) continue;
-          for (PinId p : nl_.net(n).pins) {
-            const CellId nb = nl_.pin(p).cell;
-            if (nb != c && movable_[static_cast<std::size_t>(nb)] &&
-                !locked_in_pass[static_cast<std::size_t>(nb)])
-              touched.push_back(nb);
-          }
+      // Settled-net pruning, K-way form: a net with ≥3 pins on the
+      // mover's tier and ≥2 on the target keeps every per-tier count it
+      // exposes to neighbor gains in the same predicate class (no count
+      // crosses the 0/1 thresholds and the occupied-tier count is
+      // unchanged), so its pins need no revisit.
+      touched.clear();
+      for (NetId n : nets_of(c)) {
+        if (cnt_[nidx(n, c_from)] >= 3 && cnt_[nidx(n, to)] >= 2) continue;
+        for (PinId p : nl_.net(n).pins) {
+          const CellId nb = nl_.pin(p).cell;
+          if (nb != c && movable_[static_cast<std::size_t>(nb)] &&
+              !locked_in_pass[static_cast<std::size_t>(nb)])
+            touched.push_back(nb);
         }
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
       }
-      const std::vector<CellId>& tt =
-          pre_touched != nullptr ? *pre_touched : touched;
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
       running_cut -= gain[idx(c, to)];
       apply_move(c, to);
       if (mu > 0.0) running_cost = die_cost_now();
       moves.push_back(c);
-      for (std::size_t i = 0; i < tt.size(); ++i) {
-        const CellId nb = tt[i];
+      for (CellId nb : touched) {
         const int tb = d_.tier(nb);
-        int j = 0;
         for (int u = 0; u < K_; ++u) {
           if (u == tb) continue;
-          const int ng = pre_ng != nullptr
-                             ? (*pre_ng)[i * static_cast<std::size_t>(K_ - 1) +
-                                         static_cast<std::size_t>(j)]
-                             : gain_of(nb, u);
-          ++j;
+          const int ng = gain_of(nb, u);
           const int og = gain[idx(nb, u)];
           if (ng == og) continue;
           GainBuckets& gb =
@@ -677,118 +607,10 @@ int KwayEngine::run() {
           gb.insert(ng, nb);
         }
       }
-      if (speculate) {
-        for (NetId n : nets_of(c)) net_marks.mark(n);
-        for (CellId nb : tt) cell_marks.mark(nb);
-      }
       const double j_now = running_cut + mu * running_cost;
       if (j_now < best_J) {
         best_J = j_now;
         best_prefix = moves.size();
-      }
-    };
-
-    if (!speculate) {
-      while (true) {
-        const Cand cand = scan_candidate(
-            bucket, [](CellId) { return false; },
-            [&](CellId id, int t) { return feasible_in(id, t, area_, global_); },
-            global_);
-        if (cand.c == kInvalidId) break;
-        commit_move(cand.c, cand.to, nullptr, nullptr);
-      }
-    } else {
-      exec::WorklistHooks h;
-      h.begin_round = [&] {
-        pred_area = area_;
-        pred_glob = global_;
-        pred_marks.next_epoch();
-        net_marks.next_epoch();
-        cell_marks.next_epoch();
-      };
-      h.predict = [&]() -> int {
-        const Cand cand = scan_candidate(
-            bucket, [&](CellId id) { return pred_marks.marked(id); },
-            [&](CellId id, int t) {
-              return feasible_in(id, t, pred_area, pred_glob);
-            },
-            pred_glob);
-        if (cand.c == kInvalidId) return -1;
-        pred_marks.mark(cand.c);
-        // Optimistically account the area shift so later predictions of
-        // this round see the would-be state; prediction accuracy costs
-        // wall-clock only, never results.
-        const int f = d_.tier(cand.c);
-        const double af = area_on(cand.c, f);
-        const double at = area_on(cand.c, cand.to);
-        const std::size_t r0 =
-            static_cast<std::size_t>(
-                region_[static_cast<std::size_t>(cand.c)]) *
-            static_cast<std::size_t>(K_);
-        pred_area[r0 + static_cast<std::size_t>(f)] -= af;
-        pred_area[r0 + static_cast<std::size_t>(cand.to)] += at;
-        pred_glob[static_cast<std::size_t>(f)] -= af;
-        pred_glob[static_cast<std::size_t>(cand.to)] += at;
-        return cand.c * K_ + cand.to;
-      };
-      h.evaluate = [&](int slot, int item) {
-        Slot& s = slots[static_cast<std::size_t>(slot)];
-        s.touched.clear();
-        s.ng.clear();
-        const CellId c = item / K_;
-        const int to = item % K_;
-        const int c_from = d_.tier(c);
-        for (NetId n : nets_of(c)) {
-          if (cnt_[nidx(n, c_from)] >= 3 && cnt_[nidx(n, to)] >= 2) continue;
-          for (PinId p : nl_.net(n).pins) {
-            const CellId nb = nl_.pin(p).cell;
-            if (nb != c && movable_[static_cast<std::size_t>(nb)] &&
-                !locked_in_pass[static_cast<std::size_t>(nb)])
-              s.touched.push_back(nb);
-          }
-        }
-        std::sort(s.touched.begin(), s.touched.end());
-        s.touched.erase(std::unique(s.touched.begin(), s.touched.end()),
-                        s.touched.end());
-        s.ng.reserve(s.touched.size() * static_cast<std::size_t>(K_ - 1));
-        for (CellId nb : s.touched) {
-          const int tb = d_.tier(nb);
-          for (int u = 0; u < K_; ++u)
-            if (u != tb)
-              s.ng.push_back(gain_of_with_move(nb, u, c, c_from, to));
-        }
-      };
-      h.select = [&]() -> int {
-        const Cand cand = scan_candidate(
-            bucket, [](CellId) { return false; },
-            [&](CellId id, int t) { return feasible_in(id, t, area_, global_); },
-            global_);
-        if (cand.c == kInvalidId) return -1;
-        return cand.c * K_ + cand.to;
-      };
-      h.valid = [&](int slot, int item) {
-        for (NetId n : nets_of(item / K_))
-          if (net_marks.marked(n)) return false;
-        for (CellId nb : slots[static_cast<std::size_t>(slot)].touched)
-          if (cell_marks.marked(nb)) return false;
-        return true;
-      };
-      h.commit = [&](int slot, int item) {
-        const Slot& s = slots[static_cast<std::size_t>(slot)];
-        commit_move(item / K_, item % K_, &s.touched, &s.ng);
-      };
-      h.commit_serial = [&](int item) {
-        commit_move(item / K_, item % K_, nullptr, nullptr);
-      };
-
-      const exec::WorklistStats ws = exec::run_worklist(h, wl_opt);
-      if (opt_.stats != nullptr) {
-        opt_.stats->spec_rounds += ws.rounds;
-        opt_.stats->predicted += ws.predicted;
-        opt_.stats->spec_commits += ws.spec_commits;
-        opt_.stats->serial_commits += ws.serial_commits;
-        opt_.stats->conflicts += ws.conflicts;
-        opt_.stats->mispredicts += ws.mispredicts;
       }
     }
     if (opt_.stats != nullptr)

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "exec/pool.hpp"
-#include "exec/worklist.hpp"
 #include "part/fm.hpp"
 #include "route/route.hpp"
 #include "util/log.hpp"

@@ -145,6 +145,19 @@ TEST_F(ExecPool, WorkerIndexAndRngStreams) {
   for (auto s : streams) EXPECT_GE(s, 1u);
 }
 
+TEST_F(ExecPool, OrderedGatherMatchesSerialAppend) {
+  auto fn = [](int i, std::vector<int>& out) {
+    if (i % 3 != 1) out.push_back(i * 5);
+  };
+  std::vector<int> serial;
+  for (int i = 0; i < 1000; ++i) fn(i, serial);
+  for (int workers : {1, 4}) {
+    me::Pool p(workers);
+    const auto par = me::ordered_gather<int>(p, 1000, 7, fn);
+    EXPECT_EQ(par, serial) << "pool " << workers;
+  }
+}
+
 // ---- rng streams ---------------------------------------------------------
 
 TEST(ExecRng, StreamsAreDeterministicAndIndependent) {
@@ -390,56 +403,30 @@ TEST_F(ExecFlowCache, DiskPersistsAcrossInstances) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(ExecFlowCache, PrewarmClaimsOnceThenServesHits) {
+TEST_F(ExecFlowCache, FrequencySearchRunsOneFlowPerStepAtAnyPoolSize) {
+  // The binary search evaluates exactly one candidate per step, so a
+  // fresh cache sees `iters` misses and nothing else — no flows off the
+  // search path, no joins, no bypasses — whatever the pool size, and the
+  // result is the same at every pool size.
+  unsetenv("M3D_FLOW_CACHE_DIR");  // keep the disk tier out of the counts
   const auto nl = tiny();
-  me::FlowCache cache(8);
-  const auto opt = tiny_opts();
-
-  EXPECT_TRUE(cache.prewarm(nl, mc::Config::TwoD12T, opt));   // computed
-  EXPECT_FALSE(cache.prewarm(nl, mc::Config::TwoD12T, opt));  // already there
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // The warmed entry serves get_or_run as an ordinary hit, and the result
-  // matches an independent computation of the same key.
-  const auto warmed = cache.get_or_run(nl, mc::Config::TwoD12T, opt);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  me::FlowCache fresh(8);
-  const auto direct = fresh.get_or_run(nl, mc::Config::TwoD12T, opt);
-  EXPECT_EQ(m3d::io::metrics_csv({warmed->metrics}),
-            m3d::io::metrics_csv({direct->metrics}));
-}
-
-TEST_F(ExecFlowCache, SpeculativeFrequencySearchMatchesSerial) {
-  // find_max_frequency speculates the two possible next binary-search
-  // midpoints on spare workers (claimed via prewarm, never joined), while
-  // the on-path evaluation may join or — when the evaluating thread is
-  // itself mid-flow from helping the pool — bypass an in-flight entry.
-  // Whatever interleaving occurs, the search must follow the exact serial
-  // path. This doubles as the regression test for the in-flight self-join
-  // deadlock: owners of in-flight entries never block on other entries.
-  const auto nl = tiny();
-  const auto opt = tiny_opts();
-
-  // Caches before pools: lingering speculative tasks reference the cache,
-  // and the pool destructor joins the workers running them.
-  me::FlowCache serial_cache(16);
-  me::Pool serial_pool(1);
-  const me::Ctx serial{&serial_pool, &serial_cache};
-  const double f1 = mc::find_max_frequency(nl, mc::Config::TwoD12T, opt, 0.4,
-                                           4.0, 4, 0.05, &serial);
-
-  me::FlowCache wide_cache(16);
-  me::Pool wide_pool(4);
-  const me::Ctx wide{&wide_pool, &wide_cache};
-  const double f4 = mc::find_max_frequency(nl, mc::Config::TwoD12T, opt, 0.4,
-                                           4.0, 4, 0.05, &wide);
-
-  EXPECT_EQ(f1, f4);
-  // Every key the serial search computed must resolve in the wide cache
-  // too (either the search or a speculative warm-up computed it).
-  const auto s = wide_cache.stats();
-  EXPECT_GE(s.misses, serial_cache.stats().misses);
+  constexpr int kIters = 4;
+  std::vector<double> ghz;
+  for (int workers : {1, 4}) {
+    me::Pool pool(workers);
+    me::FlowCache cache(16);
+    auto opt = tiny_opts();
+    opt.pool = &pool;
+    const me::Ctx ctx{&pool, &cache};
+    ghz.push_back(mc::find_max_frequency(nl, mc::Config::TwoD12T, opt, 0.4,
+                                         4.0, kIters, 0.05, &ctx));
+    const auto s = cache.stats();
+    EXPECT_EQ(s.misses, std::uint64_t{kIters}) << "pool " << workers;
+    EXPECT_EQ(s.hits, 0u) << "pool " << workers;
+    EXPECT_EQ(s.joins, 0u) << "pool " << workers;
+    EXPECT_EQ(s.bypasses, 0u) << "pool " << workers;
+  }
+  EXPECT_EQ(ghz[0], ghz[1]);
 }
 
 TEST_F(ExecSweep, RunFlowByteIdenticalAcrossPoolSizes) {
@@ -593,19 +580,18 @@ TEST_F(ExecPool, PendingCountsQueuedTasks) {
 }
 
 TEST_F(ExecFlowCache, StatsSnapshotAccountsUnderServiceContention) {
-  // The daemon shape: many client threads hammering prewarm / lookup /
-  // get_or_run on a small hot key set while another thread polls
-  // stats_snapshot() (which must never take the cache lock — a stats verb
-  // can't stall behind a running flow). Accounting identity at the end:
-  // every get_or_run lands in exactly one of hits/joins/misses/bypasses
-  // and every accepted prewarm is one miss.
+  // The daemon shape: many client threads hammering lookup / get_or_run
+  // on a small hot key set while another thread polls stats_snapshot()
+  // (which must never take the cache lock — a stats verb can't stall
+  // behind a running flow). Accounting identity at the end: every
+  // get_or_run lands in exactly one of hits/joins/misses/bypasses, and
+  // each hot key is computed exactly once.
   unsetenv("M3D_FLOW_CACHE_DIR");  // keep the disk tier out of the counts
   const auto a = tiny("aes", 0.04);
   const auto b = tiny("ldpc", 0.04);
   me::FlowCache cache(16);
   const auto opt = tiny_opts();
 
-  std::atomic<int> claims{0};
   std::atomic<int> gets{0};
   std::atomic<bool> stop{false};
   std::thread poller([&] {
@@ -623,14 +609,9 @@ TEST_F(ExecFlowCache, StatsSnapshotAccountsUnderServiceContention) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < 6; ++i) {
         const auto& nl = ((i + t) % 2) ? a : b;
-        if (i % 3 == 0) {
-          if (cache.prewarm(nl, mc::Config::Hetero3D, opt))
-            claims.fetch_add(1);
-        } else {
-          auto r = cache.get_or_run(nl, mc::Config::Hetero3D, opt);
-          EXPECT_NE(r, nullptr);
-          gets.fetch_add(1);
-        }
+        auto r = cache.get_or_run(nl, mc::Config::Hetero3D, opt);
+        EXPECT_NE(r, nullptr);
+        gets.fetch_add(1);
         cache.lookup(nl, mc::Config::Hetero3D, opt);  // stats-neutral
       }
     });
@@ -641,196 +622,16 @@ TEST_F(ExecFlowCache, StatsSnapshotAccountsUnderServiceContention) {
 
   const auto s = cache.stats_snapshot();
   EXPECT_EQ(s.hits + s.joins + s.misses + s.bypasses,
-            static_cast<std::uint64_t>(gets.load() + claims.load()));
+            static_cast<std::uint64_t>(gets.load()));
   EXPECT_EQ(s.bypasses, 0u);  // no nested requests in this shape
   EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(cache.size(), 2u);  // two hot keys, each computed once...
-  EXPECT_LE(s.misses, static_cast<std::uint64_t>(2 + claims.load()));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(s.misses, 2u);  // two hot keys, each computed once
 
   // stats() remains an alias of the snapshot.
   const auto alias = cache.stats();
   EXPECT_EQ(alias.hits, s.hits);
   EXPECT_EQ(alias.misses, s.misses);
-}
-
-TEST_F(ExecFlowCache, PrewarmAndLookupSameKeyNeverDeadlock) {
-  // Regression stress for the prewarm claim-or-skip path under the
-  // contention m3dd generates: every thread races to claim the same two
-  // keys; exactly one claim per key may win, everyone else must either
-  // skip (prewarm == false) or join/hit via get_or_run — and nobody may
-  // wedge waiting on themselves.
-  unsetenv("M3D_FLOW_CACHE_DIR");
-  const auto a = tiny("aes", 0.04);
-  const auto b = tiny("ldpc", 0.04);
-  me::FlowCache cache(8);
-  const auto opt = tiny_opts();
-
-  std::atomic<int> wins_a{0};
-  std::atomic<int> wins_b{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      if (cache.prewarm(a, mc::Config::TwoD12T, opt)) wins_a.fetch_add(1);
-      if (cache.prewarm(b, mc::Config::TwoD12T, opt)) wins_b.fetch_add(1);
-      auto ra = cache.get_or_run(a, mc::Config::TwoD12T, opt);
-      auto rb = cache.get_or_run(b, mc::Config::TwoD12T, opt);
-      EXPECT_NE(ra, nullptr);
-      EXPECT_NE(rb, nullptr);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(wins_a.load(), 1);
-  EXPECT_EQ(wins_b.load(), 1);
-  const auto s = cache.stats_snapshot();
-  EXPECT_EQ(s.misses, 2u);  // one claim per key; everyone else shared
-  EXPECT_EQ(s.hits + s.joins, 16u);
-  EXPECT_EQ(s.bypasses, 0u);
-  // And the shared results are the same objects every requester saw.
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-// ---- speculative worklist ------------------------------------------------
-
-#include "exec/worklist.hpp"
-
-namespace {
-
-/// Toy speculative client over n items: priority order is (prio desc,
-/// id asc), conflict neighborhood of a commit is {item, item+1 mod n}.
-/// Every hook is deterministic, so the committed sequence and checksum
-/// must be identical at any pool size.
-struct ToyWorklist {
-  int n;
-  std::vector<int> prio;
-  std::vector<char> committed;
-  me::EpochMarks marks, predicted;
-  std::vector<long long> slot_val;
-  std::vector<int> seq;
-  long long sum = 0;
-
-  explicit ToyWorklist(int n_, bool flat_priority)
-      : n(n_), prio(static_cast<std::size_t>(n_)),
-        committed(static_cast<std::size_t>(n_), 0), slot_val(64, 0) {
-    for (int i = 0; i < n; ++i)
-      prio[static_cast<std::size_t>(i)] = flat_priority ? 0 : (i * 37) % 101;
-    marks.reset(static_cast<std::size_t>(n));
-    predicted.reset(static_cast<std::size_t>(n));
-  }
-
-  template <typename Skip>
-  int best(Skip&& skip) const {
-    int bi = -1;
-    for (int i = 0; i < n; ++i) {
-      if (committed[static_cast<std::size_t>(i)] || skip(i)) continue;
-      if (bi < 0 || prio[static_cast<std::size_t>(i)] >
-                        prio[static_cast<std::size_t>(bi)])
-        bi = i;
-    }
-    return bi;
-  }
-
-  static long long eval_of(int i) { return 1000003LL * i + i * i; }
-
-  void do_commit(int item, long long v) {
-    committed[static_cast<std::size_t>(item)] = 1;
-    seq.push_back(item);
-    sum += v;
-    marks.mark(item);
-    marks.mark((item + 1) % n);
-  }
-
-  me::WorklistStats run(me::Pool* pool) {
-    me::WorklistHooks h;
-    h.begin_round = [&] {
-      marks.next_epoch();
-      predicted.next_epoch();
-    };
-    h.predict = [&]() -> int {
-      const int i = best([&](int j) { return predicted.marked(j); });
-      if (i >= 0) predicted.mark(i);
-      return i;
-    };
-    h.evaluate = [&](int slot, int item) {
-      slot_val[static_cast<std::size_t>(slot)] = eval_of(item);
-    };
-    h.select = [&] { return best([](int) { return false; }); };
-    h.valid = [&](int, int item) {
-      return !marks.marked(item) && !marks.marked((item + 1) % n);
-    };
-    h.commit = [&](int slot, int item) {
-      do_commit(item, slot_val[static_cast<std::size_t>(slot)]);
-    };
-    h.commit_serial = [&](int item) { do_commit(item, eval_of(item)); };
-    me::WorklistOptions o;
-    o.pool = pool;
-    return me::run_worklist(h, o);
-  }
-};
-
-}  // namespace
-
-using ExecWorklist = Quiet;
-
-TEST_F(ExecWorklist, CommitSequenceByteIdenticalAcrossPoolSizes) {
-  constexpr int kN = 600;
-  ToyWorklist ref(kN, /*flat_priority=*/false);
-  me::Pool p1(1);
-  const auto ref_stats = ref.run(&p1);
-  EXPECT_EQ(ref_stats.committed(), kN);
-
-  for (int workers : {2, 4, 8}) {
-    ToyWorklist t(kN, /*flat_priority=*/false);
-    me::Pool p(workers);
-    const auto st = t.run(&p);
-    EXPECT_EQ(t.seq, ref.seq) << "pool " << workers;
-    EXPECT_EQ(t.sum, ref.sum) << "pool " << workers;
-    // Accounting identities: every item commits exactly once, and every
-    // speculative evaluation is reused, invalidated, or discarded.
-    EXPECT_EQ(st.spec_commits + st.serial_commits, kN);
-    EXPECT_EQ(st.predicted, st.spec_commits + st.conflicts + st.discarded);
-  }
-}
-
-TEST_F(ExecWorklist, ConflictStormStillCommitsInPriorityOrder) {
-  // Flat priorities force ascending-id commits, and the {i, i+1}
-  // neighborhood then invalidates almost every speculative slot — the
-  // engine must degrade to serial commits without reordering anything.
-  constexpr int kN = 300;
-  ToyWorklist t(kN, /*flat_priority=*/true);
-  me::Pool p(4);
-  const auto st = t.run(&p);
-  ASSERT_EQ(static_cast<int>(t.seq.size()), kN);
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(t.seq[static_cast<std::size_t>(i)], i);
-  EXPECT_EQ(st.spec_commits + st.serial_commits, kN);
-  EXPECT_GT(st.conflicts, 0);
-}
-
-TEST_F(ExecWorklist, EpochMarksInvalidateInBulk) {
-  me::EpochMarks m;
-  m.reset(16);
-  m.next_epoch();
-  m.mark(3);
-  m.mark(15);
-  EXPECT_TRUE(m.marked(3));
-  EXPECT_TRUE(m.marked(15));
-  EXPECT_FALSE(m.marked(4));
-  m.next_epoch();
-  EXPECT_FALSE(m.marked(3));
-  EXPECT_FALSE(m.marked(15));
-}
-
-TEST_F(ExecWorklist, OrderedGatherMatchesSerialAppend) {
-  auto fn = [](int i, std::vector<int>& out) {
-    if (i % 3 != 1) out.push_back(i * 5);
-  };
-  std::vector<int> serial;
-  for (int i = 0; i < 1000; ++i) fn(i, serial);
-  for (int workers : {1, 4}) {
-    me::Pool p(workers);
-    const auto par = me::ordered_gather<int>(p, 1000, 7, fn);
-    EXPECT_EQ(par, serial) << "pool " << workers;
-  }
 }
 
 TEST_F(ExecPool, ContentionStatsAccountForEveryTask) {

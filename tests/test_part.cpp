@@ -272,7 +272,7 @@ TEST(Repartition, UnbalanceMetric) {
   EXPECT_NEAR(mp::tier_unbalance(d), 1.0, 1e-9);
 }
 
-// ---- speculative FM ------------------------------------------------------
+// ---- FM across pool sizes -----------------------------------------------
 
 #include "exec/pool.hpp"
 
@@ -288,12 +288,10 @@ constexpr double kWideScale = M3D_TEST_WIDE_SCALE;
 /// vector (the strongest equality one can assert — byte-identical
 /// assignments, not just equal cut sizes).
 std::pair<int, std::vector<int>> fm_outcome(mn::Netlist nl, me::Pool* pool,
-                                            int speculate,
                                             mp::FmStats* stats = nullptr) {
   auto d = hetero_design(std::move(nl));
   mp::FmOptions opt;
   opt.pool = pool;
-  opt.speculate = speculate;
   opt.stats = stats;
   const int cut = mp::fm_mincut(d, opt);
   std::vector<int> tiers(static_cast<std::size_t>(d.nl().cell_count()));
@@ -302,28 +300,9 @@ std::pair<int, std::vector<int>> fm_outcome(mn::Netlist nl, me::Pool* pool,
   return {cut, tiers};
 }
 
-/// One enormous-fanout hub net shared by a long gate chain: every mover
-/// shares the hub with every other mover, so each speculative round's
-/// later commits are invalidated by the first — a forced conflict storm.
-mn::Netlist hub_storm(int chain) {
-  mg::LogicFabric f("hubstorm", 7);
-  const auto hub = f.input("hub");
-  auto x = f.input("x");
-  std::vector<mn::NetId> outs;
-  for (int i = 0; i < chain; ++i) {
-    x = f.gate(mt::CellFunc::Xor2, {hub, x});
-    outs.push_back(x);
-  }
-  f.output("digest", f.xor_tree(outs));
-  auto nl = std::move(f).take();
-  mg::terminate_dangling(nl);
-  nl.validate();
-  return nl;
-}
-
 }  // namespace
 
-TEST(Fm, SpeculativeByteIdenticalAcrossPoolSizes) {
+TEST(Fm, ByteIdenticalAcrossPoolSizes) {
   const auto make_paper = [] { return mg::make_cpu({}); };
   const auto make_wide = [] {
     mg::GenOptions g;
@@ -333,51 +312,20 @@ TEST(Fm, SpeculativeByteIdenticalAcrossPoolSizes) {
 
   for (int which = 0; which < 2; ++which) {
     auto make = which == 0 ? make_paper : make_wide;
-    // Serial reference: speculation forced off.
-    const auto ref = fm_outcome(make(), nullptr, /*speculate=*/0);
+    me::Pool serial(1);
+    const auto ref = fm_outcome(make(), &serial);
     EXPECT_GT(ref.first, 0);
 
     for (int workers : {1, 2, 4, 8}) {
       me::Pool pool(workers);
       mp::FmStats stats;
-      const auto got =
-          fm_outcome(make(), &pool, /*speculate=*/1, &stats);
+      const auto got = fm_outcome(make(), &pool, &stats);
       EXPECT_EQ(got.first, ref.first) << "design " << which << " pool "
                                       << workers;
       EXPECT_EQ(got.second, ref.second)
           << "design " << which << " pool " << workers;
       EXPECT_GT(stats.moves, 0);
-      if (workers == 1) {
-        // Single-worker pools skip speculation entirely.
-        EXPECT_EQ(stats.spec_rounds, 0);
-      } else {
-        // The first prediction of every round matches the authoritative
-        // selection against identical state, so each round reuses at
-        // least one evaluation.
-        EXPECT_GT(stats.spec_rounds, 0);
-        EXPECT_GE(stats.spec_commits, stats.spec_rounds);
-        EXPECT_EQ(stats.spec_commits + stats.serial_commits, stats.moves);
-      }
     }
-  }
-}
-
-TEST(Fm, SpeculativeConflictStormCommitsDeterministically) {
-  const int chain = 3000;
-  const auto ref = fm_outcome(hub_storm(chain), nullptr, /*speculate=*/0);
-
-  for (int workers : {2, 4, 8}) {
-    me::Pool pool(workers);
-    mp::FmStats stats;
-    const auto got =
-        fm_outcome(hub_storm(chain), &pool, /*speculate=*/1, &stats);
-    EXPECT_EQ(got.first, ref.first) << "pool " << workers;
-    EXPECT_EQ(got.second, ref.second) << "pool " << workers;
-    // The storm must actually have happened — otherwise this test guards
-    // nothing — and the engine must have survived it by falling back to
-    // inline commits.
-    EXPECT_GT(stats.conflicts + stats.mispredicts, 0) << "pool " << workers;
-    EXPECT_EQ(stats.spec_commits + stats.serial_commits, stats.moves);
   }
 }
 
@@ -394,12 +342,10 @@ mn::Design stack3_design(mn::Netlist nl) {
 
 /// fm_mincut on a fresh 3-tier design; cut plus the full tier vector.
 std::pair<int, std::vector<int>> kway_outcome(mn::Netlist nl, me::Pool* pool,
-                                              int speculate,
                                               double cost_weight = 0.0) {
   auto d = stack3_design(std::move(nl));
   mp::FmOptions opt;
   opt.pool = pool;
-  opt.speculate = speculate;
   opt.cost_weight = cost_weight;
   const int cut = mp::fm_mincut(d, opt);
   std::vector<int> tiers(static_cast<std::size_t>(d.nl().cell_count()));
@@ -439,14 +385,18 @@ TEST(Kway, AreaCapsAreRespected) {
 }
 
 TEST(Kway, ByteIdenticalAcrossPoolSizes) {
-  // The ISSUE's acceptance bar: the speculative K-way engine commits the
-  // same move sequence — hence the same cut AND the same per-cell tier
-  // vector — at any pool size, with and without the cost term.
+  // The K-way engine commits the same move sequence — hence the same cut
+  // AND the same per-cell tier vector — at any pool size, with and
+  // without the cost term. The design clears the engine's 2,048-cell
+  // threshold, so pools above one compute the initial gains in parallel.
+  const auto make = [] { return clusters(640, 4); };
+  ASSERT_GE(make().cell_count(), 2048);
   for (double mu : {0.0, 2e9}) {
-    const auto ref = kway_outcome(clusters(128, 4), nullptr, 0, mu);
+    me::Pool serial(1);
+    const auto ref = kway_outcome(make(), &serial, mu);
     for (int workers : {1, 2, 4}) {
       me::Pool pool(workers);
-      const auto got = kway_outcome(clusters(128, 4), &pool, 1, mu);
+      const auto got = kway_outcome(make(), &pool, mu);
       EXPECT_EQ(got.first, ref.first) << "mu " << mu << " pool " << workers;
       EXPECT_EQ(got.second, ref.second)
           << "mu " << mu << " pool " << workers;
