@@ -124,26 +124,12 @@ void finalize(FlowResult& res, const cts::ClockTreeReport& clock,
                                 config_name(cfg));
 }
 
-/// FM area-balance target with macros split across tiers: equal plan-view
-/// occupation means the tier holding less macro area carries extra cells.
-part::FmOptions macro_aware_fm(const Design& d, part::FmOptions fm,
-                               double utilization) {
-  const double cells = d.total_std_cell_area();
-  const double mb = place::tier_macro_area(d, kBottomTier);
-  const double mt = place::tier_macro_area(d, kTopTier);
-  if (cells > 0.0 && (mb > 0.0 || mt > 0.0)) {
-    fm.target_top_share =
-        std::clamp(0.5 + utilization * 1.05 * (mb - mt) / (2.0 * cells),
-                   0.1, 0.9);
-  }
-  return fm;
-}
-
-/// FM options for the K-way cost-aware engine: forward µ, the utilization
-/// and the per-tier caps/process shares from the flow-level knobs. On a
-/// two-tier stack the macro-aware target share carries over as a
-/// tier-share pair.
-part::FmOptions kway_fm_options(const Design& d, const FlowOptions& opt) {
+/// FM options for the partition stage: µ, the utilization and the
+/// per-tier caps/process shares from the flow-level knobs. A two-tier
+/// stack without explicit shares gets the macro-aware pair {1 − t, t}:
+/// with macros split across tiers, equal plan-view occupation means the
+/// tier holding less macro area carries extra cells.
+part::FmOptions partition_fm_options(const Design& d, const FlowOptions& opt) {
   part::FmOptions fm = opt.fm;
   fm.cost_weight = opt.part_cost_weight;
   fm.utilization = opt.utilization;
@@ -160,9 +146,14 @@ part::FmOptions kway_fm_options(const Design& d, const FlowOptions& opt) {
     if (!any_cap) fm.tier_area_cap_um2.clear();
   }
   if (d.num_tiers() == 2 && fm.tier_share.empty()) {
-    const double tts =
-        macro_aware_fm(d, opt.fm, opt.utilization).target_top_share;
-    fm.tier_share = {1.0 - tts, tts};
+    double top = 0.5;
+    const double cells = d.total_std_cell_area();
+    const double mb = place::tier_macro_area(d, kBottomTier);
+    const double mt = place::tier_macro_area(d, kTopTier);
+    if (cells > 0.0 && (mb > 0.0 || mt > 0.0))
+      top = std::clamp(
+          0.5 + opt.utilization * 1.05 * (mb - mt) / (2.0 * cells), 0.1, 0.9);
+    fm.tier_share = {1.0 - top, top};
   }
   return fm;
 }
@@ -225,14 +216,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   if (!ckpt.done(flow::Stage::Partition)) {
     if (d.num_tiers() >= 2) {
       util::TraceSpan span("partition", nl.name());
-      // Default two-tier stacks keep the historical macro-aware FM path
-      // (byte-identical artifacts); explicit stacks or a cost weight
-      // engage the K-way cost-aware engine via the FmOptions knobs.
-      const bool kway = !opt.tiers.empty() || opt.part_cost_weight > 0.0 ||
-                        d.num_tiers() != 2;
-      const part::FmOptions fm =
-          kway ? kway_fm_options(d, opt)
-               : macro_aware_fm(d, opt.fm, opt.utilization);
+      const part::FmOptions fm = partition_fm_options(d, opt);
       if (cfg == Config::Hetero3D && d.num_tiers() == 2) {
         // Pseudo-3-D knows only the 12-track bottom technology. Partition
         // with timing awareness (unless ablated), then restore utilization:

@@ -53,8 +53,8 @@ const char* config_name(Config c);
 bool config_is_3d(Config c);
 
 /// One tier of an explicit N-tier stack, bottom first. The design-space
-/// explorer and the K-way partitioner use these to override a
-/// configuration's built-in two-library mapping.
+/// explorer and the partitioner use these to override a configuration's
+/// built-in two-library mapping.
 struct TierSpec {
   /// Library flavor: "12T" (fast/large) or "9T" (slow/small).
   std::string tech = "12T";
@@ -62,7 +62,7 @@ struct TierSpec {
   /// design-space sweep); 1.0 keeps the stock library.
   double vdd_scale = 1.0;
   /// Hard standard-cell area cap for this tier in µm² (0 = uncapped),
-  /// enforced by the K-way partitioner.
+  /// enforced by the partitioner.
   double area_cap_um2 = 0.0;
   /// This tier's wafer-cost shares for the cost-aware objective.
   cost::TierProcess process;
@@ -111,16 +111,15 @@ struct FlowOptions {
 
   /// Explicit stack overriding the configuration's library mapping: one
   /// entry per tier, bottom first. Empty keeps the Config-defined stack
-  /// (the entire pre-existing flow surface). With a stack of height ≥ 2
-  /// the partition stage runs the K-way cost-aware engine; the
-  /// heterogeneity-specific stages (timing partition, repartition ECO)
-  /// stay gated to exactly-two-tier designs.
+  /// (the entire pre-existing flow surface). The partition stage applies
+  /// the per-tier caps and process shares; the heterogeneity-specific
+  /// stages (timing partition, repartition ECO) stay gated to
+  /// exactly-two-tier designs.
   std::vector<TierSpec> tiers;
 
   /// µ: weight of the die-cost term inside the partition objective
   /// J = cut + µ · die_cost (see part::FmOptions::cost_weight). Zero —
-  /// the default — keeps partitioning pure min-cut and (on two-tier
-  /// stacks) byte-identical to the historical engine.
+  /// the default — keeps partitioning pure min-cut.
   double part_cost_weight = 0.0;
 
   /// Stage-level checkpoint/restart (see core/checkpoint.hpp): when this

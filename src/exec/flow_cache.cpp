@@ -79,12 +79,11 @@ void mix_sta(Hasher& h, const sta::StaOptions& o) {
 }
 
 void mix_fm(Hasher& h, const part::FmOptions& o) {
-  h.mix(o.target_top_share);
   h.mix(o.balance_tol);
   h.mix(o.max_passes);
   h.mix(o.bins);
   h.mix(o.seed);
-  // K-way / cost-aware knobs. cost_model stays unmixed: it is a borrowed
+  // Per-tier and cost-aware knobs. cost_model stays unmixed: it is a borrowed
   // pointer whose assumptions are mirrored in tier_process and the
   // flow-level TierSpecs, which are mixed.
   h.mix(o.cost_weight);

@@ -2,17 +2,26 @@
 /// \file fm.hpp
 /// \brief Fiduccia–Mattheyses min-cut tier partitioning with area balance,
 ///        plus the placement-driven bin-based variant used by pseudo-3-D
-///        flows.
+///        flows. One engine serves every stack height: moves are (cell,
+///        target tier) pairs, and an optional die-cost term joins the cut
+///        in the objective (FmOptions::cost_weight).
 ///
 /// The bin-based variant enforces the area balance *per placement bin*
 /// instead of globally: each bin of the pseudo-3-D placement must split
-/// close to 50/50 between tiers, so folding the footprint in half does not
-/// disturb the optimized x/y placement — this is the partitioning step of
-/// Shrunk-2-D/Compact-2-D/Pin-3-D that the paper builds on.
+/// close to its target shares between tiers, so folding the footprint
+/// does not disturb the optimized x/y placement — this is the
+/// partitioning step of Shrunk-2-D/Compact-2-D/Pin-3-D that the paper
+/// builds on.
 ///
 /// Area accounting is heterogeneity-aware: a cell's area is evaluated in
 /// the library of the tier it would occupy, so a 12-track cell "shrinks"
 /// when hypothetically moved to the 9-track tier.
+///
+/// Balance: on two tiers a move is feasible when the top tier's share of
+/// the region lands within balance_tol of its target. On three or more
+/// tiers both affected tiers must land within balance_tol of their
+/// targets, or strictly reduce their deviation, so an out-of-balance
+/// start can converge. fm.cpp gives the measured reason for each rule.
 
 #include <vector>
 
@@ -38,11 +47,10 @@ struct FmStats {
 
 /// Partitioning knobs.
 struct FmOptions {
-  double target_top_share = 0.5;  ///< desired top-tier share of cell area
-  double balance_tol = 0.10;      ///< allowed deviation from the target
-  int max_passes = 8;             ///< FM passes (each pass visits all cells)
-  int bins = 8;                   ///< bin grid per axis (bin-based variant)
-  unsigned seed = 1;              ///< initial-assignment seed
+  double balance_tol = 0.10;  ///< allowed deviation from a target share
+  int max_passes = 8;         ///< FM passes (each pass visits all cells)
+  int bins = 8;               ///< bin grid per axis (bin-based variant)
+  unsigned seed = 1;          ///< initial-assignment seed
   /// Worker pool for the per-pass initial gain computation; nullptr means
   /// exec::Pool::global(). Results are identical for any pool size (gains
   /// are integers computed independently per cell, and the move loop is
@@ -51,14 +59,8 @@ struct FmOptions {
   /// When non-null, per-run counters are accumulated here.
   FmStats* stats = nullptr;
 
-  // ---- N-tier / cost-aware knobs ---------------------------------------
-  // Any of these engages the K-way engine; leaving them all at their
-  // defaults on a 2-tier design keeps the historical 2-tier engine (and
-  // its byte-identical move sequences).
-
   /// Per-tier target area shares, bottom first (normalized internally).
-  /// Empty means uniform 1/num_tiers — which on two tiers matches
-  /// target_top_share = 0.5.
+  /// Empty means uniform 1/num_tiers.
   std::vector<double> tier_share;
   /// Optional hard per-tier standard-cell area caps in µm² (0 = uncapped).
   /// Enforced on the whole-design tier totals, on top of the per-region

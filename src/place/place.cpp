@@ -500,7 +500,11 @@ struct LegalRow {
       const double gap_lo = occ_[i].hi;
       const double gap_hi = occ_[i + 1].lo;
       if (gap_hi - gap_lo < w - 1e-9) return false;
-      const double x = std::clamp(want_lo, gap_lo, gap_hi - w);
+      // A gap that passes the fit test can still be up to 1e-9 narrower
+      // than the cell, so gap_hi - w may lie below gap_lo. std::clamp
+      // requires lo <= hi; this is its libstdc++ body without that
+      // precondition, so such a cell starts at gap_hi - w, as before.
+      const double x = std::min(std::max(want_lo, gap_lo), gap_hi - w);
       const double cost = std::abs(x - want_lo);
       if (cost < best_cost) {
         best_cost = cost;

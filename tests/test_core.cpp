@@ -6,6 +6,7 @@
 
 #include "core/flow.hpp"
 #include "gen/designs.hpp"
+#include "io/reports.hpp"
 #include "part/fm.hpp"
 #include "place/place.hpp"
 #include "tech/library_factory.hpp"
@@ -140,6 +141,32 @@ TEST_F(CoreFlow, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.metrics.total_power_mw, b.metrics.total_power_mw);
   EXPECT_DOUBLE_EQ(a.metrics.wirelength_m, b.metrics.wirelength_m);
   EXPECT_EQ(a.metrics.mivs, b.metrics.mivs);
+}
+
+TEST_F(CoreFlow, ExplicitTwelveTrackStackMatchesThreeDTwelveT) {
+  // An explicit {12T, 12T} stack is the 3D-12T configuration spelled out:
+  // both must take the same partitioning path and land on the same tiers
+  // and metrics.
+  for (unsigned seed : {1u, 7u}) {
+    mg::GenOptions g;
+    g.scale = 0.05;
+    g.seed = seed;
+    const auto nl = mg::make_aes(g);
+    mc::TierSpec t12;
+    t12.tech = "12T";
+    mc::FlowOptions stacked = fast_opts(1.2);
+    stacked.tiers = {t12, t12};
+    const auto a = mc::run_flow(nl, mc::Config::ThreeD12T, fast_opts(1.2));
+    const auto b = mc::run_flow(nl, mc::Config::ThreeD12T, stacked);
+    ASSERT_EQ(a.design.nl().cell_count(), b.design.nl().cell_count());
+    int differ = 0;
+    for (mn::CellId c = 0; c < a.design.nl().cell_count(); ++c)
+      differ += a.design.tier(c) != b.design.tier(c);
+    EXPECT_EQ(differ, 0) << "seed " << seed;
+    EXPECT_EQ(m3d::io::metrics_csv({a.metrics}),
+              m3d::io::metrics_csv({b.metrics}))
+        << "seed " << seed;
+  }
 }
 
 TEST_F(CoreFlow, TighterPeriodLowersSlack) {

@@ -307,6 +307,40 @@ TEST_F(ExecFlowCache, CornerSpecsNeverShareAnEntry) {
   EXPECT_EQ(res1->metrics.wns_worst_corner_ns, res1->metrics.wns_ns);
 }
 
+TEST_F(ExecFlowCache, PartitionOptionsNeverShareAnEntry) {
+  // Every FmOptions field that shapes a partition is load-bearing for the
+  // key, both in the partition stage's options and in the timing
+  // partition's residual bin FM. Vector fields start populated so each
+  // tweak changes an element, not just a length.
+  auto base = tiny_opts();
+  for (m3d::part::FmOptions* fm : {&base.fm, &base.timing_part.fm}) {
+    fm->tier_share = {0.5, 0.5};
+    fm->tier_area_cap_um2 = {0.0, 0.0};
+    fm->tier_process = {m3d::cost::TierProcess{}, m3d::cost::TierProcess{}};
+  }
+  using Tweak = std::function<void(m3d::part::FmOptions&)>;
+  const std::vector<std::pair<const char*, Tweak>> tweaks = {
+      {"tier_share", [](auto& o) { o.tier_share[1] = 0.6; }},
+      {"balance_tol", [](auto& o) { o.balance_tol += 0.05; }},
+      {"max_passes", [](auto& o) { o.max_passes += 1; }},
+      {"bins", [](auto& o) { o.bins += 1; }},
+      {"seed", [](auto& o) { o.seed += 1; }},
+      {"cost_weight", [](auto& o) { o.cost_weight = 1e4; }},
+      {"tier_area_cap_um2", [](auto& o) { o.tier_area_cap_um2[1] = 500.0; }},
+      {"tier_process", [](auto& o) { o.tier_process[1].feol_fraction = 0.2; }},
+  };
+  const auto h0 = me::FlowCache::options_hash(base);
+  for (const auto& [field, tweak] : tweaks) {
+    auto a = base;
+    tweak(a.fm);
+    EXPECT_NE(me::FlowCache::options_hash(a), h0) << "fm." << field;
+    auto b = base;
+    tweak(b.timing_part.fm);
+    EXPECT_NE(me::FlowCache::options_hash(b), h0)
+        << "timing_part.fm." << field;
+  }
+}
+
 TEST_F(ExecFlowCache, EvictsLeastRecentlyUsed) {
   const auto nl = tiny();
   me::FlowCache cache(2);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 
 #include "gen/designs.hpp"
 #include "gen/fabric.hpp"
@@ -402,6 +404,90 @@ TEST(Kway, ByteIdenticalAcrossPoolSizes) {
           << "mu " << mu << " pool " << workers;
     }
   }
+}
+
+// ---- Pinned partitions --------------------------------------------------
+
+namespace {
+
+/// FNV-1a over the full tier vector.
+std::uint64_t tier_digest(const mn::Design& d) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (mn::CellId c = 0; c < d.nl().cell_count(); ++c) {
+    h ^= static_cast<std::uint64_t>(d.tier(c));
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// bin_fm_partition with default options on aes (seed 1) placed with
+/// default PlaceOptions. `legal` places with place_design; without it the
+/// partition sees the overlapping global placement, as in the flow. With
+/// `lock`, every fourth logic cell is pinned to the bottom tier first, as
+/// timing partitioning pins critical cells.
+std::uint64_t pinned_partition(
+    std::vector<std::shared_ptr<const mt::TechLib>> libs, double scale,
+    bool legal, bool lock) {
+  mg::GenOptions g;
+  g.scale = scale;
+  g.seed = 1;
+  mn::Design d(mg::make_aes(g), std::move(libs));
+  mpl::PlaceOptions popt;
+  if (legal) {
+    mpl::place_design(d, popt);
+  } else {
+    mpl::init_floorplan(d, popt);
+    mpl::global_place(d, popt);
+  }
+  std::vector<char> locked(static_cast<std::size_t>(d.nl().cell_count()), 0);
+  if (lock) {
+    int i = 0;
+    for (mn::CellId c = 0; c < d.nl().cell_count(); ++c) {
+      const auto& cc = d.nl().cell(c);
+      if (!cc.is_comb() && !cc.is_sequential()) continue;
+      if (i++ % 4 != 0) continue;
+      d.set_tier(c, mn::kBottomTier);
+      locked[static_cast<std::size_t>(c)] = 1;
+    }
+  }
+  const int cut = mp::bin_fm_partition(d, {}, &locked);
+  EXPECT_EQ(cut, mp::cut_size(d));
+  return tier_digest(d);
+}
+
+}  // namespace
+
+TEST(Fm, PinnedPartitions) {
+  // Tier-vector digests recorded while two-tier stacks still ran their
+  // own FM engine, before it was folded into the K-way one; the folded
+  // engine must reproduce them. The cases are chosen so that each balance
+  // rule fm.cpp documents (no escape and a top-share-only test on two
+  // tiers, tier-order region totals, the escape on three tiers) moves at
+  // least one digest when changed. A change here moves the flows built on
+  // the partition: it needs a golden regeneration, not just new digests.
+  const auto t9 = mt::make_9track();
+  const auto t12 = mt::make_12track();
+  struct Case {
+    const char* name;
+    std::vector<std::shared_ptr<const mt::TechLib>> libs;
+    double scale;
+    bool legal, lock;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"3D-9T", {t9, t9}, 0.05, true, false, 0xf9f6f1e263a64ef8u},
+      {"3D-9T locked", {t9, t9}, 0.05, true, true, 0x18231b4fdbed26f5u},
+      {"Hetero-3D", {t12, t9}, 0.05, true, false, 0xc3ba02928e02075cu},
+      {"Hetero-3D locked", {t12, t9}, 0.05, true, true, 0xa0d1cb9c9f7f19bdu},
+      {"12T/9T/9T", {t12, t9, t9}, 0.05, true, false, 0xd9fe3fc2dfdfd649u},
+      {"12T/9T/9T locked", {t12, t9, t9}, 0.05, true, true,
+       0x8ad6a2c98f3fcc91u},
+      {"Hetero-3D, scale 0.125, global placement", {t12, t9}, 0.125, false,
+       false, 0x39934b7cc2e9dafau},
+  };
+  for (const Case& k : cases)
+    EXPECT_EQ(pinned_partition(k.libs, k.scale, k.legal, k.lock), k.digest)
+        << k.name;
 }
 
 TEST(Kway, CostWeightNeverWorsensDieCost) {
