@@ -10,18 +10,6 @@ namespace m3d::exec {
 
 namespace {
 
-/// Number of FlowCache computations live on this thread's call stack.
-/// Non-zero means the thread is inside run_flow for some claimed entry
-/// (possibly picked up while *helping* its pool) — such a thread must
-/// never block on another in-flight entry (see the header's deadlock
-/// note), so get_or_run consults this before joining.
-thread_local int t_compute_depth = 0;
-
-struct ComputeDepthGuard {
-  ComputeDepthGuard() { ++t_compute_depth; }
-  ~ComputeDepthGuard() { --t_compute_depth; }
-};
-
 /// FNV-1a-style 64-bit accumulator with a SplitMix64 finisher per word —
 /// cheap, deterministic across platforms, and good enough for cache keys
 /// (a collision needs two *different* 64-bit digests to collide, and keys
@@ -233,7 +221,6 @@ FlowCache::ResultPtr FlowCache::get_or_run(const netlist::Netlist& nl,
 
   std::promise<ResultPtr> promise;
   std::shared_future<ResultPtr> existing;
-  bool bypass = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
@@ -243,19 +230,10 @@ FlowCache::ResultPtr FlowCache::get_or_run(const netlist::Netlist& nl,
         it->second.last_used = ++use_counter_;
         util::trace_instant("flow_cache_hit");
         existing = it->second.future;
-      } else if (t_compute_depth == 0) {
+      } else {
         stats_.joins.fetch_add(1, std::memory_order_relaxed);
         util::trace_instant("flow_cache_join");
         existing = it->second.future;
-      } else {
-        // This thread is already computing an entry (it got here by
-        // helping its pool mid-run_flow). Joining could wait on itself —
-        // the in-flight owner may be this very thread lower in the same
-        // stack, or another owner symmetrically waiting on us. Compute
-        // uncached instead; determinism makes the result identical.
-        stats_.bypasses.fetch_add(1, std::memory_order_relaxed);
-        util::trace_instant("flow_cache_bypass");
-        bypass = true;
       }
     } else {
       stats_.misses.fetch_add(1, std::memory_order_relaxed);
@@ -268,20 +246,14 @@ FlowCache::ResultPtr FlowCache::get_or_run(const netlist::Netlist& nl,
   // Ready entries return immediately; in-flight ones block until the
   // computing thread resolves the promise (flows are coarse enough that
   // parking this thread is fine — other workers keep the pool busy, and
-  // owners never block here, so every in-flight entry resolves).
+  // an owner waits only on chunks of its own loops, so every in-flight
+  // entry resolves).
   if (existing.valid()) return existing.get();
-
-  if (bypass) {
-    ResultPtr result = disk_load(key, cfg, opt);
-    if (result) return result;
-    return std::make_shared<core::FlowResult>(core::run_flow(nl, cfg, opt));
-  }
 
   // Compute outside the lock; concurrent same-key requesters join on the
   // shared future. The disk tier is consulted first: a persisted entry
   // from an earlier process deserializes in a fraction of a flow run.
   try {
-    ComputeDepthGuard nested;
     ResultPtr result = disk_load(key, cfg, opt);
     const bool from_disk = result != nullptr;
     bool wrote_disk = false;
@@ -353,7 +325,6 @@ FlowCacheStats FlowCache::stats_snapshot() const {
   s.hits = stats_.hits.load(std::memory_order_relaxed);
   s.joins = stats_.joins.load(std::memory_order_relaxed);
   s.misses = stats_.misses.load(std::memory_order_relaxed);
-  s.bypasses = stats_.bypasses.load(std::memory_order_relaxed);
   s.evictions = stats_.evictions.load(std::memory_order_relaxed);
   s.disk_hits = stats_.disk_hits.load(std::memory_order_relaxed);
   s.disk_writes = stats_.disk_writes.load(std::memory_order_relaxed);

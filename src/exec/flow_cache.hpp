@@ -19,15 +19,10 @@
 /// others block on a shared future of the same entry. Distinct keys never
 /// block each other.
 ///
-/// Deadlock safety: a thread that is itself computing a cache entry may
-/// re-enter get_or_run *nested* — run_flow helps its pool during
-/// parallel_for, and the task it picks up can request a flow. Such a
-/// nested request must never block on an in-flight entry: the owner may be
-/// this very thread lower in the same stack (a self-join no one can
-/// resolve), or another owner doing the same thing in the opposite
-/// direction. Nested requests therefore *bypass* in-flight entries and
-/// compute the flow directly, uncached — flows are deterministic, so the
-/// bypass result is identical to the entry it declined to wait for.
+/// Progress: an entry's owner runs the flow on its own thread, and inside
+/// it waits only on chunks of its own parallel_for loops that have already
+/// started (Pool::parallel_for never runs a foreign task), so an owner can
+/// never be parked on another entry and every joiner's future resolves.
 ///
 /// Eviction: LRU over completed entries, bounded by `capacity` entries
 /// (default M3D_FLOW_CACHE_CAP or 64). In-flight entries are never
@@ -62,8 +57,7 @@ struct FlowCacheStats {
   std::uint64_t hits = 0;        ///< served from a completed entry
   std::uint64_t joins = 0;       ///< attached to an in-flight computation
   std::uint64_t misses = 0;      ///< computed here
-  std::uint64_t bypasses = 0;    ///< nested request computed uncached
-                                 ///  instead of joining an in-flight entry
+  std::uint64_t bypasses = 0;    ///< always 0; kept for existing readers
   std::uint64_t evictions = 0;
   std::uint64_t disk_hits = 0;   ///< deserialized from M3D_FLOW_CACHE_DIR
   std::uint64_t disk_writes = 0; ///< persisted to M3D_FLOW_CACHE_DIR
@@ -153,7 +147,6 @@ class FlowCache {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> joins{0};
     std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> bypasses{0};
     std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> disk_hits{0};
     std::atomic<std::uint64_t> disk_writes{0};

@@ -1,5 +1,6 @@
 #include "exec/pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <deque>
 #include <string>
@@ -147,41 +148,47 @@ void Pool::parallel_for(int begin, int end,
     for (int i = begin; i < end; ++i) fn(i);
     return;
   }
+  // The caller and up to size() helper tasks claim chunks from one shared
+  // index. The state outlives the call: a helper that starts after the
+  // loop returned finds the index used up and leaves without touching
+  // `fn`, which lives in the caller's frame.
   struct State {
-    std::atomic<int> remaining;
-    std::atomic<int> caller_chunks{0};
-    std::thread::id caller;
+    std::atomic<int> next{0};      ///< next unclaimed chunk
+    std::atomic<int> finished{0};  ///< chunks ended, failed ones too
     std::mutex err_mu;
     std::exception_ptr error;
   };
   auto st = std::make_shared<State>();
-  st->remaining.store(n_chunks);
-  st->caller = std::this_thread::get_id();
-  for (int c = 0; c < n_chunks; ++c) {
-    const int lo = begin + c * grain;
-    const int hi = std::min(end, lo + grain);
-    post([st, lo, hi, &fn] {
+  const auto run_chunks = [st, begin, end, grain, n_chunks, &fn] {
+    int ran = 0;
+    for (int c; (c = st->next.fetch_add(1)) < n_chunks; ++ran) {
+      const int lo = begin + c * grain;
+      const int hi = std::min(end, lo + grain);
       try {
         for (int i = lo; i < hi; ++i) fn(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(st->err_mu);
         if (!st->error) st->error = std::current_exception();
       }
-      if (std::this_thread::get_id() == st->caller)
-        st->caller_chunks.fetch_add(1, std::memory_order_relaxed);
-      st->remaining.fetch_sub(1);
-    });
-  }
-  help_until([&] { return st->remaining.load() == 0; });
+      if (st->finished.fetch_add(1) + 1 == n_chunks)
+        st->finished.notify_one();
+    }
+    return ran;
+  };
+  const int helpers = std::min(size(), n_chunks - 1);
+  for (int h = 0; h < helpers; ++h) post(run_chunks);
+  const int caller_chunks = run_chunks();
+  // The index is used up: wait only for chunks already started on other
+  // threads, never running a task this loop did not post.
+  for (int f; (f = st->finished.load()) < n_chunks;) st->finished.wait(f);
   if (util::trace_enabled()) {
     // Chunk-occupancy telemetry: how much of this parallel_for the pool
-    // actually absorbed vs. the caller executing its own chunks while
-    // helping. caller share ~1.0 on a saturated pool means the sweep ran
-    // essentially serial. Cumulative steal count rides along so trace
-    // viewers get all contention tracks without a second hook point.
+    // actually absorbed vs. the caller running chunks itself. caller
+    // share ~1.0 on a saturated pool means the loop ran essentially
+    // serial. Cumulative steal count rides along so trace viewers get all
+    // contention tracks without a second hook point.
     pf_chunks_total_.fetch_add(n_chunks, std::memory_order_relaxed);
-    pf_chunks_caller_.fetch_add(st->caller_chunks.load(),
-                                std::memory_order_relaxed);
+    pf_chunks_caller_.fetch_add(caller_chunks, std::memory_order_relaxed);
     util::trace_counter(
         "pool_pf_chunks",
         static_cast<double>(pf_chunks_total_.load(std::memory_order_relaxed)));

@@ -1,7 +1,7 @@
 #pragma once
 /// \file pool.hpp
-/// \brief Work-stealing thread pool with a futures-based submit API and a
-///        cooperative (helping) wait.
+/// \brief Work-stealing thread pool with a futures-based submit API, a
+///        cooperative (helping) wait and an own-chunk parallel_for.
 ///
 /// The pool is the execution substrate for every parallel sweep in the
 /// repository: flow fan-outs (bench::run_sweep), the exec::TaskGraph
@@ -12,11 +12,14 @@
 ///    and pops its own work LIFO (cache-warm, depth-first) and steals FIFO
 ///    from victims when dry (breadth-first, takes the oldest/biggest
 ///    tasks). External threads submit round-robin across workers.
-///  * **Helping, not blocking.** `wait(future)` and `parallel_for` execute
-///    pending tasks while they wait. A task may therefore submit subtasks
-///    and wait on them without deadlock even on a single-worker pool —
-///    nested parallelism (a sweep task running a flow whose kernels
-///    themselves fan out) just works.
+///  * **Helping waits, own-chunk loops.** `wait`, `get`, `help_until` and
+///    `TaskGraph::run` execute pending tasks while they wait, so a task
+///    may submit subtasks and wait on them without deadlock even on a
+///    single-worker pool. `parallel_for` runs only its own chunks: its
+///    caller never picks up a foreign task, so a kernel loop inside one
+///    flow can never start a sibling flow in its frame, and nested loops
+///    (a sweep task running a flow whose kernels fan out) still finish
+///    with no worker free, because the caller can run every chunk itself.
 ///  * **Determinism discipline.** The pool never provides randomness or
 ///    ordering guarantees to tasks; results must depend only on task
 ///    inputs (see rng.hpp's concurrency guarantee). Workers register the
@@ -103,9 +106,12 @@ class Pool {
     return fut.get();
   }
 
-  /// Run fn(i) for i in [begin, end), distributing across the pool; the
-  /// calling thread participates. Rethrows the first task exception after
-  /// all iterations finished (or were abandoned by their chunk failing).
+  /// Run fn(i) for i in [begin, end) in chunks of `grain`. The caller and
+  /// at most size() helper tasks claim chunks from one shared index; once
+  /// it is used up the caller waits only for chunks already started on
+  /// other threads, and runs no other task meanwhile. Rethrows the first
+  /// chunk exception after every claimed chunk ended (a failing chunk
+  /// abandons the rest of its own iterations).
   void parallel_for(int begin, int end, const std::function<void(int)>& fn,
                     int grain = 1);
 

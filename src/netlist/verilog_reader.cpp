@@ -1,6 +1,7 @@
 #include "netlist/verilog_reader.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <vector>
 
@@ -78,6 +79,18 @@ class Lexer {
   int line_ = 1;
 };
 
+/// The whole of `digits` as an int. Every numeric token goes through here,
+/// so a malformed or out-of-range one is a util::Error naming `token`,
+/// never a std::stoi exception.
+int to_int(const std::string& digits, const std::string& token) {
+  int v = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, v);
+  M3D_CHECK_MSG(ec == std::errc() && ptr == end,
+                "bad number '" << digits << "' in '" << token << "'");
+  return v;
+}
+
 /// Try to interpret an instance type as FUNC_Xd.
 bool parse_std_type(const std::string& type, tech::CellFunc* func,
                     int* drive) {
@@ -91,7 +104,7 @@ bool parse_std_type(const std::string& type, tech::CellFunc* func,
   for (int f = 0; f <= static_cast<int>(tech::CellFunc::Dff); ++f) {
     if (fname == tech::func_name(static_cast<tech::CellFunc>(f))) {
       *func = static_cast<tech::CellFunc>(f);
-      *drive = std::stoi(dstr);
+      *drive = to_int(dstr, type);
       return true;
     }
   }
@@ -219,11 +232,11 @@ class Reader {
       if (pin == "CK") {
         nl.connect(net_of(net), nl.clock_pin(c));
       } else if (pin[0] == 'A') {
-        nl.connect(net_of(net), nl.input_pin(c, std::stoi(pin.substr(1))));
+        nl.connect(net_of(net), nl.input_pin(c, to_int(pin.substr(1), pin)));
       } else if (pin == "Z") {
         nl.connect(net_of(net), nl.output_pin(c, 0));
       } else if (pin[0] == 'Z') {
-        nl.connect(net_of(net), nl.output_pin(c, std::stoi(pin.substr(1))));
+        nl.connect(net_of(net), nl.output_pin(c, to_int(pin.substr(1), pin)));
       } else {
         M3D_CHECK_MSG(false, "unknown pin '" << pin << "' on " << inst);
       }

@@ -1,7 +1,10 @@
 #include "tech/liberty.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
@@ -137,6 +140,19 @@ std::string liberty_string(const TechLib& lib) {
 
 namespace {
 
+/// The whole of `text` as a finite double. Every numeric token goes
+/// through here, so a malformed or out-of-range one is a util::Error
+/// naming it and `where` it appeared, never a std::stod exception.
+double to_number(const std::string& text, const std::string& where) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  M3D_CHECK_MSG(!text.empty() && end == text.c_str() + text.size() &&
+                    errno != ERANGE && std::isfinite(v),
+                "bad number '" << text << "' in " << where);
+  return v;
+}
+
 struct Token {
   enum Kind { Ident, Number, String, Punct, End } kind = End;
   std::string text;
@@ -242,7 +258,7 @@ struct Group {
   }
   double num(const std::string& name, double dflt = 0.0) const {
     const auto* v = find(name);
-    return v != nullptr && !v->empty() ? std::stod((*v)[0]) : dflt;
+    return v != nullptr && !v->empty() ? to_number((*v)[0], name) : dflt;
   }
 };
 
@@ -348,7 +364,7 @@ std::vector<double> parse_number_list(const std::vector<std::string>& args) {
       std::size_t b = item.find_first_not_of(" \t\n\\");
       std::size_t e = item.find_last_not_of(" \t\n\\");
       if (b == std::string::npos) continue;
-      out.push_back(std::stod(item.substr(b, e - b + 1)));
+      out.push_back(to_number(item.substr(b, e - b + 1), "a number list"));
     }
   }
   return out;
@@ -438,8 +454,12 @@ TechLib parse_liberty(const std::string& text) {
         const std::string related = timing.attr("related_pin", "A0");
         M3D_CHECK_MSG(related.size() >= 2 && related[0] == 'A',
                       "unexpected related_pin '" << related << "'");
-        const int idx = std::stoi(related.substr(1));
-        M3D_CHECK(idx >= 0 && idx < c.input_count());
+        const double input = to_number(related.substr(1), "related_pin");
+        M3D_CHECK_MSG(input >= 0 && input < c.input_count() &&
+                          input == std::floor(input),
+                      "related_pin '" << related << "' names no input of "
+                                      << c.name);
+        const int idx = static_cast<int>(input);
         TimingArc& arc = c.arcs[static_cast<std::size_t>(idx)];
         arc.input_index = idx;
         arc.inverting = timing.attr("timing_sense") != "positive_unate";

@@ -1,7 +1,8 @@
 // Tests for the m3d::exec subsystem: work-stealing pool (stress, nested
-// submission, exceptions), task-graph dependency order, flow-cache
-// hit/join/eviction behaviour, sweep determinism across thread counts,
-// per-worker rng streams, and the chrome-trace sink.
+// submission and loops, own-chunk parallel_for, exceptions), task-graph
+// dependency order, flow-cache hit/join/eviction behaviour, sweep
+// determinism across thread counts, per-worker rng streams, and the
+// chrome-trace sink.
 
 #include <gtest/gtest.h>
 
@@ -94,6 +95,60 @@ TEST_F(ExecPool, ParallelForCoversRangeExactlyOnce) {
   pool.parallel_for(0, 1000, [&](int i) { hits[static_cast<size_t>(i)]++; },
                     7);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST_F(ExecPool, NestedParallelForCoversRangeExactlyOnce) {
+  // Loops started inside pool tasks, and loops inside their chunks (a
+  // sweep task running a flow whose kernels fan out), finish even when
+  // every worker is inside such a loop: each caller can run all of its
+  // own chunks.
+  constexpr int kTasks = 8, kRows = 10, kCols = 100;
+  for (int threads : {1, 4}) {
+    me::Pool pool(threads);
+    std::vector<std::atomic<int>> hits(kTasks * kRows * kCols);
+    std::vector<std::future<void>> tasks;
+    for (int t = 0; t < kTasks; ++t)
+      tasks.push_back(pool.submit([&, t] {
+        pool.parallel_for(0, kRows, [&, t](int r) {
+          pool.parallel_for(0, kCols, [&, t, r](int c) {
+            hits[static_cast<size_t>((t * kRows + r) * kCols + c)]++;
+          }, 3);
+        });
+      }));
+    for (auto& f : tasks) pool.get(std::move(f));
+    int wrong = 0;
+    for (const auto& h : hits) wrong += h.load() != 1;
+    EXPECT_EQ(wrong, 0) << "pool " << threads;
+  }
+}
+
+TEST_F(ExecPool, ParallelForNeverRunsForeignTasks) {
+  // A loop's caller runs only that loop's chunks. With both workers
+  // parked and one foreign task queued, a top-level loop must finish on
+  // the caller alone and leave the foreign task queued.
+  me::Pool pool(2);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> parked{0};
+  std::vector<std::future<void>> blockers;
+  for (int w = 0; w < pool.size(); ++w)
+    blockers.push_back(pool.submit([&] {
+      parked.fetch_add(1);
+      opened.wait();
+    }));
+  while (parked.load() < pool.size()) std::this_thread::yield();
+
+  std::atomic<bool> foreign_ran{false};
+  auto foreign = pool.submit([&] { foreign_ran.store(true); });
+  std::vector<std::atomic<int>> hits(64);
+  pool.parallel_for(0, 64, [&](int i) { hits[static_cast<size_t>(i)]++; });
+  EXPECT_FALSE(foreign_ran.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  gate.set_value();
+  pool.get(std::move(foreign));
+  for (auto& b : blockers) pool.get(std::move(b));
+  EXPECT_TRUE(foreign_ran.load());
 }
 
 TEST_F(ExecPool, NestedSubmissionDoesNotDeadlock) {
@@ -376,6 +431,32 @@ TEST_F(ExecFlowCache, ConcurrentSameKeyComputesOnce) {
   EXPECT_EQ(s.hits + s.joins, 7u);
 }
 
+TEST_F(ExecFlowCache, SameKeyFanOutOnKernelPoolComputesEachKeyOnce) {
+  // Four configs, each requested twice by pool tasks whose flows fan
+  // their kernels out onto that same pool. A kernel loop never runs a
+  // sibling request, so each key is computed once and its second request
+  // hits or joins, at any pool size.
+  unsetenv("M3D_FLOW_CACHE_DIR");  // keep the disk tier out of the counts
+  const auto nl = tiny("netcard", kWideScale);
+  for (int workers : {1, 2, 4}) {
+    me::Pool pool(workers);
+    me::FlowCache cache(16);
+    auto opt = tiny_opts();
+    opt.pool = &pool;
+    std::vector<std::future<me::FlowCache::ResultPtr>> futures;
+    for (mc::Config cfg : {mc::Config::TwoD12T, mc::Config::TwoD9T,
+                           mc::Config::ThreeD12T, mc::Config::Hetero3D})
+      for (int request = 0; request < 2; ++request)
+        futures.push_back(pool.submit(
+            [&, cfg] { return cache.get_or_run(nl, cfg, opt); }));
+    for (auto& f : futures) EXPECT_NE(pool.get(std::move(f)), nullptr);
+    const auto s = cache.stats();
+    EXPECT_EQ(s.misses, 4u) << "pool " << workers;
+    EXPECT_EQ(s.hits + s.joins, 4u) << "pool " << workers;
+    EXPECT_EQ(s.bypasses, 0u) << "pool " << workers;
+  }
+}
+
 TEST_F(ExecFlowCache, FingerprintSeparatesNetlists) {
   const auto a = tiny("aes", 0.04);
   const auto b = tiny("ldpc", 0.04);
@@ -474,7 +555,9 @@ TEST_F(ExecSweep, RunFlowByteIdenticalAcrossPoolSizes) {
   auto o4 = tiny_opts();
   o4.pool = &wide;
   const auto a = mc::run_flow(nl, mc::Config::Hetero3D, o1);
+  const auto posted = wide.stats().posted;
   const auto b = mc::run_flow(nl, mc::Config::Hetero3D, o4);
+  EXPECT_GT(wide.stats().posted, posted);  // the wide run fanned out
   EXPECT_EQ(m3d::io::metrics_csv({a.metrics}),
             m3d::io::metrics_csv({b.metrics}));
   ASSERT_EQ(a.design.nl().cell_count(), b.design.nl().cell_count());
@@ -673,10 +756,12 @@ TEST_F(ExecPool, ContentionStatsAccountForEveryTask) {
   std::atomic<int> ran{0};
   p.parallel_for(0, 500, [&](int) { ran.fetch_add(1); }, /*grain=*/1);
   EXPECT_EQ(ran.load(), 500);
-  // parallel_for returns only after every chunk executed, and each
-  // executed task was popped exactly once (locally or via a steal).
+  // The loop posts at most one helper per worker; a helper that starts
+  // after the chunks ran out leaves at once. Once none is queued, each
+  // posted task was popped exactly once (locally or via a steal).
+  EXPECT_LE(p.stats().posted, p.size());
+  while (p.pending() != 0) std::this_thread::yield();
   const auto s = p.stats();
-  EXPECT_EQ(s.posted, 500);
   EXPECT_EQ(s.posted, s.local_pops + s.steals);
 }
 

@@ -260,3 +260,72 @@ TEST(Verilog, HandwrittenModuleParses) {
   EXPECT_EQ(gate.func, m3d::tech::CellFunc::Xor2);
   EXPECT_EQ(gate.drive, 2);
 }
+
+// ------------------------------------------------------- numeric tokens
+
+namespace {
+
+/// `text` with the token that follows `anchors` (found one after another)
+/// up to the next ',', ';' or '"' replaced by `value`.
+std::string with_token(const std::string& text,
+                       const std::vector<std::string>& anchors,
+                       const std::string& value) {
+  std::size_t pos = 0;
+  for (const auto& a : anchors) {
+    pos = text.find(a, pos);
+    if (pos == std::string::npos) {
+      ADD_FAILURE() << "no '" << a << "' in the text";
+      return text;
+    }
+    pos += a.size();
+  }
+  const std::size_t end = text.find_first_of(",;\"", pos);
+  return text.substr(0, pos) + value + text.substr(end);
+}
+
+/// Parsing must fail with a util::Error whose message names `token`; any
+/// other exception escapes the test body and fails it.
+template <typename Parse>
+void expect_error_naming(Parse parse, const std::string& text,
+                         const std::string& token) {
+  try {
+    parse(text);
+    ADD_FAILURE() << "parsed despite '" << token << "'";
+  } catch (const m3d::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+        << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(Interchange, MalformedNumericTokensAreTypedErrors) {
+  const auto verilog = [](const std::string& instance) {
+    return "module m (input a, output z);\n"
+           "  wire n;\n  wire o;\n  assign n = a;\n  " +
+           instance + "\n  assign z = o;\nendmodule\n";
+  };
+  const auto parse_v = [](const std::string& t) { mn::parse_verilog(t); };
+  ASSERT_NO_THROW(parse_v(verilog("INV_X1 u (.A0(n), .Z(o));")));
+  expect_error_naming(parse_v, verilog("INV_X1 u (.Ax(n), .Z(o));"), "Ax");
+  expect_error_naming(parse_v, verilog("INV_X1 u (.A99999999999(n), .Z(o));"),
+                      "A99999999999");
+  expect_error_naming(parse_v, verilog("RAM u (.A0(n), .Zq(o));"), "Zq");
+  expect_error_naming(parse_v, verilog("INV_X99999999999 u (.A0(n), .Z(o));"),
+                      "INV_X99999999999");
+
+  const std::string lib = mt::liberty_string(*mt::make_12track());
+  const auto parse_l = [](const std::string& t) { mt::parse_liberty(t); };
+  ASSERT_NO_THROW(parse_l(lib));
+  expect_error_naming(parse_l, with_token(lib, {"capacitance : "}, "abc"),
+                      "abc");
+  expect_error_naming(parse_l, with_token(lib, {"values (", "\""}, "x"),
+                      "'x'");
+  expect_error_naming(parse_l, with_token(lib, {"values (", "\""}, "1e999"),
+                      "1e999");
+  expect_error_naming(parse_l, with_token(lib, {"related_pin : \"A"}, "x"),
+                      "'x'");
+  expect_error_naming(
+      parse_l, with_token(lib, {"related_pin : \"A"}, "99999999999"),
+      "A99999999999");
+}

@@ -322,6 +322,10 @@ TEST(Fm, ByteIdenticalAcrossPoolSizes) {
       me::Pool pool(workers);
       mp::FmStats stats;
       const auto got = fm_outcome(make(), &pool, &stats);
+      if (workers > 1) {  // the multi-worker runs fanned out
+        EXPECT_GT(pool.stats().posted, 0)
+            << "design " << which << " pool " << workers;
+      }
       EXPECT_EQ(got.first, ref.first) << "design " << which << " pool "
                                       << workers;
       EXPECT_EQ(got.second, ref.second)
@@ -399,6 +403,10 @@ TEST(Kway, ByteIdenticalAcrossPoolSizes) {
     for (int workers : {1, 2, 4}) {
       me::Pool pool(workers);
       const auto got = kway_outcome(make(), &pool, mu);
+      if (workers > 1) {  // the multi-worker runs fanned out
+        EXPECT_GT(pool.stats().posted, 0) << "mu " << mu << " pool "
+                                          << workers;
+      }
       EXPECT_EQ(got.first, ref.first) << "mu " << mu << " pool " << workers;
       EXPECT_EQ(got.second, ref.second)
           << "mu " << mu << " pool " << workers;

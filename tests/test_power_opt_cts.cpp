@@ -317,10 +317,11 @@ void expect_identical_report(const mcts::ClockTreeReport& a,
 TEST(Cts, ByteIdenticalAcrossPoolSizes) {
   // Build the tree on three copies of the same placed design with
   // different pools: the netlist (names, ids, connectivity), placement,
-  // latencies, and report must all come out bitwise equal.
-  auto d0 = placed("netcard", 0.06, /*hetero=*/true);
-  auto d1 = placed("netcard", 0.06, /*hetero=*/true);
-  auto d4 = placed("netcard", 0.06, /*hetero=*/true);
+  // latencies, and report must all come out bitwise equal. At this scale
+  // the tree has enough clock nets for annotate's pooled pre-route.
+  auto d0 = placed("netcard", 0.2, /*hetero=*/true);
+  auto d1 = placed("netcard", 0.2, /*hetero=*/true);
+  auto d4 = placed("netcard", 0.2, /*hetero=*/true);
   mex::Pool serial(1), wide(4);
 
   mcts::CtsOptions o0;  // no pool at all
@@ -330,7 +331,9 @@ TEST(Cts, ByteIdenticalAcrossPoolSizes) {
   o4.pool = &wide;
   const auto r0 = mcts::build_clock_tree(d0, o0);
   const auto r1 = mcts::build_clock_tree(d1, o1);
+  auto posted = wide.stats().posted;
   const auto r4 = mcts::build_clock_tree(d4, o4);
+  EXPECT_GT(wide.stats().posted, posted);  // the wide build fanned out
 
   expect_identical_report(r0, r1);
   expect_identical_report(r0, r4);
@@ -345,7 +348,9 @@ TEST(Cts, ByteIdenticalAcrossPoolSizes) {
 
   // annotate_clock_latencies on its own must agree too.
   const auto a1 = mcts::annotate_clock_latencies(d1, &serial);
+  posted = wide.stats().posted;
   const auto a4 = mcts::annotate_clock_latencies(d4, &wide);
+  EXPECT_GT(wide.stats().posted, posted);
   expect_identical_report(a1, a4);
 }
 
@@ -361,7 +366,9 @@ TEST(Power, ByteIdenticalAcrossPoolSizes) {
   o4.pool = &wide;
   const auto p0 = mpw::analyze_power(d, &routes, 1.0, o0);
   const auto p1 = mpw::analyze_power(d, &routes, 1.0, o1);
+  const auto posted = wide.stats().posted;
   const auto p4 = mpw::analyze_power(d, &routes, 1.0, o4);
+  EXPECT_GT(wide.stats().posted, posted);  // the wide run fanned out
 
   for (const auto* p : {&p1, &p4}) {
     ASSERT_EQ(p0.switching_mw, p->switching_mw);

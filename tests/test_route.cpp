@@ -227,16 +227,20 @@ TEST(Route, ByteIdenticalAcrossPoolSizes) {
 
   const auto base = mr::route_design(d);  // no pool at all
   const auto r1 = mr::route_design(d, {&serial});
+  auto posted = wide.stats().posted;
   const auto r4 = mr::route_design(d, {&wide});
+  EXPECT_GT(wide.stats().posted, posted);  // the wide run fanned out
   expect_identical(base, r1);
   expect_identical(base, r4);
 
   ASSERT_EQ(mr::total_hpwl(d), mr::total_hpwl(d, {&serial}));
+  posted = wide.stats().posted;
   ASSERT_EQ(mr::total_hpwl(d), mr::total_hpwl(d, {&wide}));
+  EXPECT_GT(wide.stats().posted, posted);
 }
 
 TEST(Route, UpdateRoutesByteIdenticalAcrossPoolSizes) {
-  auto d = placed_wide("aes", kWideScale);
+  auto d = placed_wide("netcard", kWideScale);
   mex::Pool serial(1), wide(4);
 
   auto est0 = mr::route_design(d);
@@ -244,9 +248,10 @@ TEST(Route, UpdateRoutesByteIdenticalAcrossPoolSizes) {
   auto est4 = est0;
 
   // Flip a spread of cells across tiers and patch each estimate with a
-  // different pool; all three must stay bitwise equal.
+  // different pool; all three must stay bitwise equal. Every fourth cell
+  // dirties more than kParallelMinNets nets, so the wide patch fans out.
   std::vector<mn::CellId> moved;
-  for (mn::CellId c = 0; c < d.nl().cell_count(); c += 97) {
+  for (mn::CellId c = 0; c < d.nl().cell_count(); c += 4) {
     const auto& cc = d.nl().cell(c);
     if (!cc.is_comb() && !cc.is_sequential()) continue;
     d.set_tier(c, 1 - d.tier(c));
@@ -256,7 +261,9 @@ TEST(Route, UpdateRoutesByteIdenticalAcrossPoolSizes) {
 
   mr::update_routes_for_cells(d, moved, &est0);
   mr::update_routes_for_cells(d, moved, &est1, {&serial});
+  const auto posted = wide.stats().posted;
   mr::update_routes_for_cells(d, moved, &est4, {&wide});
+  EXPECT_GT(wide.stats().posted, posted);  // the wide update fanned out
   expect_identical(est0, est1);
   expect_identical(est0, est4);
 }

@@ -609,7 +609,9 @@ TEST(Sta, ByteIdenticalAcrossPoolSizes) {
   ms::Sta a(d, &routes, o1);
   ms::Sta b(d, &routes, o4);
   a.run();
+  const auto posted = wide.stats().posted;
   b.run();
+  EXPECT_GT(wide.stats().posted, posted);  // the wide run fanned out
   expect_identical(a.result(), b.result(), d);
 
   // And the incremental path under both pools after the same move set.
@@ -645,7 +647,9 @@ TEST(Sta, RetimeBigBatchByteIdenticalAcrossPoolSizes) {
   for (std::size_t i = 0; i < cells.size(); i += 3) moved.push_back(cells[i]);
   for (mn::CellId c : moved) d.set_tier(c, 1 - d.tier(c));
   mr::update_routes_for_cells(d, moved, &routes);
+  auto posted = wide.stats().posted;
   expect_identical(a.retime(moved), b.retime(moved), d);
+  EXPECT_GT(wide.stats().posted, posted);  // the batch retime fanned out
 
   ms::Sta fresh(d, &routes, o4);
   expect_identical(fresh.run(), b.result(), d);
@@ -656,7 +660,9 @@ TEST(Sta, RetimeBigBatchByteIdenticalAcrossPoolSizes) {
   for (std::size_t i = 1; i < cells.size(); i += 3)
     if (resize_step(d, cells[i], i % 2 == 0)) resized.push_back(cells[i]);
   ASSERT_GT(resized.size(), cells.size() / 4);
+  posted = wide.stats().posted;
   expect_identical(a.retime(resized), b.retime(resized), d);
+  EXPECT_GT(wide.stats().posted, posted);
   ms::Sta fresh_resized(d, &routes, o4);
   expect_identical(fresh_resized.run(), b.result(), d);
   ASSERT_EQ(ms::timing_fingerprint(fresh_resized.result()),
@@ -742,7 +748,11 @@ TEST(Sta, CornerSweepByteIdenticalAcrossPoolSizes) {
     o.pool = p;
     o.corners = spec;
     engines.emplace_back(d, &routes, o);
+    const auto posted = p->stats().posted;
     engines.back().run();
+    if (p != &serial) {  // the multi-worker runs fanned out
+      EXPECT_GT(p->stats().posted, posted) << p->size() << " workers";
+    }
   }
   for (std::size_t i = 1; i < engines.size(); ++i) {
     expect_identical(engines[i].result(), engines[0].result(), d);

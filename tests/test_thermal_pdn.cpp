@@ -27,16 +27,18 @@ struct FlowCase {
   mc::FlowResult flow;
   mp::PowerReport pw;
 
-  explicit FlowCase(mc::Config cfg, const char* which = "netcard")
-      : flow(make(cfg, which)),
+  explicit FlowCase(mc::Config cfg, const char* which = "netcard",
+                    double scale = 0.08)
+      : flow(make(cfg, which, scale)),
         pw(mp::analyze_power(flow.design,
                              nullptr,  // pin-cap-only power is fine here
                              1.0 / flow.design.clock_period_ns())) {}
 
-  static mc::FlowResult make(mc::Config cfg, const char* which) {
+  static mc::FlowResult make(mc::Config cfg, const char* which,
+                             double scale) {
     m3d::util::set_log_level(m3d::util::LogLevel::Silent);
     mg::GenOptions g;
-    g.scale = 0.08;
+    g.scale = scale;
     mc::FlowOptions o;
     o.clock_period_ns = 1.1;
     o.opt.max_sizing_rounds = 1;
@@ -158,18 +160,24 @@ TEST(Pdn, DenserBumpsReduceDrop) {
 
 namespace mex = m3d::exec;
 
+/// Above 4096 nets and cells, so the power map scatters in several chunks
+/// and the wide pool really fans out.
+constexpr double kPoolScale = 0.12;
+
 TEST(Thermal, PowerMapByteIdenticalAcrossPoolSizes) {
-  FlowCase r(mc::Config::Hetero3D);
+  FlowCase r(mc::Config::Hetero3D, "netcard", kPoolScale);
   mex::Pool serial(1), wide(4);
   const auto m0 = mth::power_map_w(r.flow.design, r.pw, 12);
   const auto m1 = mth::power_map_w(r.flow.design, r.pw, 12, &serial);
+  const auto posted = wide.stats().posted;
   const auto m4 = mth::power_map_w(r.flow.design, r.pw, 12, &wide);
+  EXPECT_GT(wide.stats().posted, posted);  // the wide run fanned out
   ASSERT_EQ(m0, m1);
   ASSERT_EQ(m0, m4);
 }
 
 TEST(Thermal, SolveByteIdenticalAcrossPoolSizes) {
-  FlowCase r(mc::Config::Hetero3D);
+  FlowCase r(mc::Config::Hetero3D, "netcard", kPoolScale);
   mex::Pool serial(1), wide(4);
   mth::ThermalOptions o0;
   mth::ThermalOptions o1;
@@ -178,7 +186,9 @@ TEST(Thermal, SolveByteIdenticalAcrossPoolSizes) {
   o4.pool = &wide;
   const auto t0 = mth::analyze_thermal(r.flow.design, r.pw, o0);
   const auto t1 = mth::analyze_thermal(r.flow.design, r.pw, o1);
+  const auto posted = wide.stats().posted;
   const auto t4 = mth::analyze_thermal(r.flow.design, r.pw, o4);
+  EXPECT_GT(wide.stats().posted, posted);  // the wide run fanned out
   for (const auto* t : {&t1, &t4}) {
     ASSERT_EQ(t0.max_temp_c, t->max_temp_c);
     ASSERT_EQ(t0.avg_temp_c, t->avg_temp_c);
