@@ -19,7 +19,6 @@
 // M3D_FLOW_CACHE_DIR is set the run goes through a FlowCache instance and
 // the stderr stats line lets CI assert warm-run disk hits.
 
-#include <bit>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -31,31 +30,6 @@
 #include "gen/designs.hpp"
 #include "io/reports.hpp"
 #include "util/log.hpp"
-
-namespace {
-
-// splitmix64 digest over the mutable per-cell state — the same mixing the
-// flow-cache keys use. Two designs with equal hashes here (plus equal
-// netlist fingerprints) are byte-identical placements.
-std::uint64_t design_state_hash(const m3d::netlist::Design& d) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    std::uint64_t z = h ^ v;
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    h = z ^ (z >> 31);
-  };
-  for (m3d::netlist::CellId c = 0; c < d.nl().cell_count(); ++c) {
-    mix(static_cast<std::uint64_t>(d.tier(c)));
-    mix(std::bit_cast<std::uint64_t>(d.pos(c).x));
-    mix(std::bit_cast<std::uint64_t>(d.pos(c).y));
-    mix(std::bit_cast<std::uint64_t>(d.clock_latency(c)));
-  }
-  return h;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace m3d;
@@ -91,7 +65,7 @@ int main(int argc, char** argv) {
     std::fputs(io::metrics_csv({res.metrics}).c_str(), stdout);
     std::printf("netlist_fp %016" PRIx64 "\n",
                 exec::FlowCache::fingerprint(res.design.nl()));
-    std::printf("state_hash %016" PRIx64 "\n", design_state_hash(res.design));
+    std::printf("state_hash %016" PRIx64 "\n", netlist::state_digest(res.design));
     std::printf("repart iters=%d moved=%d undone=%d\n", res.repart.iterations,
                 res.repart.cells_moved, res.repart.moves_undone);
     std::printf("opt upsized=%d downsized=%d buffers=%d\n",

@@ -1,16 +1,11 @@
 #include "core/checkpoint.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "exec/flow_cache.hpp"
@@ -21,11 +16,6 @@
 namespace m3d::flow {
 
 namespace {
-
-constexpr std::uint64_t kMagic = 0x4d3344434b505431ull;  // "M3DCKPT1"
-// v2: arena/SoA netlist core — checkpoints written before the storage
-// rework are refused rather than resumed against a different core.
-constexpr std::uint32_t kVersion = 2;
 
 const char* const kStageNames[kStageCount] = {
     "synth",       "place",     "partition",
@@ -38,57 +28,6 @@ const char* const kStageNames[kStageCount] = {
 /// the same stage. Iterations are bounded far below 999 (max_iters ~12).
 int order_value(int stage, int iter) {
   return stage * 1000 + (iter == 0 ? 999 : std::min(iter, 998));
-}
-
-/// Payload checksum: splitmix64 rounds over 8-byte words plus the length
-/// — the same mixing the flow-cache keys use. Detects the truncation and
-/// bit-rot cases the property tests inject.
-std::uint64_t checksum(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    std::uint64_t z = h ^ v;
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    h = z ^ (z >> 31);
-  };
-  mix(bytes.size());
-  std::uint64_t word = 0;
-  int n = 0;
-  for (unsigned char c : bytes) {
-    word = (word << 8) | c;
-    if (++n == 8) {
-      mix(word);
-      word = 0;
-      n = 0;
-    }
-  }
-  if (n > 0) mix(word);
-  return h;
-}
-
-void write_clock_report(io::BinWriter& w, const cts::ClockTreeReport& c) {
-  w.i32(c.buffer_count);
-  w.i32(c.buffer_count_tier[0]);
-  w.i32(c.buffer_count_tier[1]);
-  w.f64(c.buffer_area_um2);
-  w.f64(c.wirelength_um);
-  w.f64(c.max_latency_ns);
-  w.f64(c.min_latency_ns);
-  w.f64(c.max_skew_ns);
-  w.i32(c.sink_count);
-}
-
-void read_clock_report(io::BinReader& r, cts::ClockTreeReport& c) {
-  c.buffer_count = r.i32();
-  c.buffer_count_tier[0] = r.i32();
-  c.buffer_count_tier[1] = r.i32();
-  c.buffer_area_um2 = r.f64();
-  c.wirelength_um = r.f64();
-  c.max_latency_ns = r.f64();
-  c.min_latency_ns = r.f64();
-  c.max_skew_ns = r.f64();
-  c.sink_count = r.i32();
 }
 
 void write_eco_state(io::BinWriter& w, const part::EcoIterState& st) {
@@ -206,7 +145,13 @@ Checkpoint::Checkpoint(std::string dir, const netlist::Netlist& nl,
   if (active()) {
     netlist_fp_ = exec::FlowCache::fingerprint(nl);
     opt_hash_ = exec::FlowCache::options_hash(opt);
-    tiers_ = opt.tiers;
+    opt_ = opt;
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%016llx-c%d-%016llx-",
+                  static_cast<unsigned long long>(netlist_fp_),
+                  static_cast<int>(cfg_),
+                  static_cast<unsigned long long>(opt_hash_));
+    prefix_ = buf;
   }
   if (const char* s = std::getenv("M3D_FAULT_AT")) {
     if (*s != '\0') {
@@ -221,12 +166,9 @@ Checkpoint::Checkpoint(std::string dir, const netlist::Netlist& nl,
 }
 
 std::string Checkpoint::file_for(int stage, int iter) const {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%016llx-c%d-%016llx-s%02d-i%03d.m3dckpt",
-                static_cast<unsigned long long>(netlist_fp_),
-                static_cast<int>(cfg_),
-                static_cast<unsigned long long>(opt_hash_), stage, iter);
-  return dir_ + "/" + buf;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "s%02d-i%03d.m3dckpt", stage, iter);
+  return dir_ + "/" + prefix_ + buf;
 }
 
 void Checkpoint::maybe_inject_fault(Stage s, int iter) const {
@@ -242,78 +184,36 @@ void Checkpoint::maybe_inject_fault(Stage s, int iter) const {
 }
 
 void Checkpoint::write_boundary(Stage s, int iter, const core::FlowResult& res,
-                                const cts::ClockTreeReport& clock,
                                 const part::EcoIterState* eco) {
   if (!active()) return;
   util::TraceSpan span("checkpoint_write",
                        std::string(stage_name(s)) +
                            (iter > 0 ? ":" + std::to_string(iter)
                                      : std::string()));
-  std::ostringstream payload(std::ios::binary);
-  {
-    io::BinWriter w{payload};
-    const netlist::Design& d = res.design;
-    io::write_netlist(w, d.nl());
-    w.u64(exec::FlowCache::fingerprint(d.nl()));
-    io::write_design_state(w, d);
-    io::write_flow_stats(w, res);
-    write_clock_report(w, clock);
-    w.u8(eco ? 1 : 0);
-    if (eco) write_eco_state(w, *eco);
-  }
-  const std::string bytes = payload.str();
-
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  const std::string path = file_for(static_cast<int>(s), iter);
-  const std::string tmp = path + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      util::log_warn("checkpoint: cannot open ", tmp, ", skipping boundary");
-      return;
-    }
-    io::BinWriter w{os};
-    w.u64(kMagic);
-    w.u32(kVersion);
-    w.u64(netlist_fp_);
-    w.i32(static_cast<int>(cfg_));
-    w.u64(opt_hash_);
-    w.i32(static_cast<int>(s));
-    w.i32(iter);
-    w.f64(eco ? eco->wns : res.opt.wns_after);
-    w.f64(eco ? eco->tns : res.repart.tns_after);
-    w.u64(bytes.size());
-    w.u64(checksum(bytes));
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os.good()) {
-      util::log_warn("checkpoint: short write to ", tmp, ", dropping it");
-      std::filesystem::remove(tmp, ec);
-      return;
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    util::log_warn("checkpoint: cannot publish ", path, ": ", ec.message());
-    std::filesystem::remove(tmp, ec);
-    return;
-  }
-  util::trace_counter("checkpoint_bytes", static_cast<double>(bytes.size()));
+  std::string payload;
+  io::BinWriter w{payload};
+  io::write_snapshot(w, res);
+  w.f64(eco ? eco->wns : res.opt.wns_after);
+  w.f64(eco ? eco->tns : res.repart.tns_after);
+  w.u8(eco ? 1 : 0);
+  if (eco) write_eco_state(w, *eco);
+  const io::StateKey key{netlist_fp_, static_cast<int>(cfg_), opt_hash_,
+                         static_cast<int>(s), iter};
+  if (io::write_state_file(file_for(key.stage, iter), key, payload))
+    util::trace_counter("checkpoint_bytes",
+                        static_cast<double>(payload.size()));
 }
 
-void Checkpoint::save(Stage s, const core::FlowResult& res,
-                      const cts::ClockTreeReport& clock) {
-  write_boundary(s, 0, res, clock, nullptr);
+void Checkpoint::save(Stage s, const core::FlowResult& res) {
+  write_boundary(s, 0, res, nullptr);
   maybe_inject_fault(s, 0);
   maybe_interrupt(s, 0);
 }
 
 void Checkpoint::save_iter(Stage s, const core::FlowResult& res,
-                           const cts::ClockTreeReport& clock,
                            const part::EcoIterState& st) {
   M3D_CHECK(s == Stage::RepartEco || s == Stage::RepartFixup);
-  write_boundary(s, st.partial.iterations, res, clock, &st);
+  write_boundary(s, st.partial.iterations, res, &st);
   maybe_inject_fault(s, st.partial.iterations);
   maybe_interrupt(s, st.partial.iterations);
 }
@@ -330,74 +230,41 @@ void Checkpoint::maybe_interrupt(Stage s, int iter) const {
   throw Interrupted(s, iter);
 }
 
-bool Checkpoint::load_file(const Candidate& c, core::FlowResult& res,
-                           cts::ClockTreeReport& clock) {
-  std::ifstream is(c.path, std::ios::binary);
-  if (!is) return false;
-  try {
-    io::BinReader r{is};
-    if (r.u64() != kMagic || r.u32() != kVersion) return false;
-    if (r.u64() != netlist_fp_ || r.i32() != static_cast<int>(cfg_) ||
-        r.u64() != opt_hash_)
-      return false;
-    if (r.i32() != c.stage || r.i32() != c.iter) return false;
-    const double wns_at = r.f64();
-    const double tns_at = r.f64();
-    const std::uint64_t size = r.u64();
-    const std::uint64_t sum = r.u64();
-    M3D_CHECK_MSG(size <= (1ull << 32), "checkpoint payload too large");
-    std::string bytes(static_cast<std::size_t>(size), '\0');
-    if (size > 0) r.raw(bytes.data(), bytes.size());
-    is.peek();
-    if (!is.eof()) return false;  // trailing garbage: not our write
-    if (checksum(bytes) != sum) return false;
-
-    std::istringstream ps(bytes, std::ios::binary);
-    io::BinReader pr{ps};
-    netlist::Netlist nl = io::read_netlist(pr);
-    if (exec::FlowCache::fingerprint(nl) != pr.u64()) return false;
-    nl.validate();
-
-    core::FlowOptions ropt;
-    ropt.tiers = tiers_;
-    res.design = core::design_for_flow(nl, cfg_, ropt);
-    io::read_design_state(pr, res.design);
-    io::read_flow_stats(pr, res);
-    read_clock_report(pr, clock);
-    eco_state_valid_ = pr.u8() != 0;
-    if (eco_state_valid_) read_eco_state(pr, eco_state_);
-
-    util::trace_counter("checkpoint_resume_wns_ns", wns_at);
-    util::trace_counter("checkpoint_resume_tns_ns", tns_at);
-    return true;
-  } catch (const std::exception& e) {
-    util::log_warn("checkpoint: invalid file ", c.path, " (", e.what(), ")");
-    return false;
-  }
+void Checkpoint::load_file(const Candidate& c, core::FlowResult& res) {
+  const io::StateKey key{netlist_fp_, static_cast<int>(cfg_), opt_hash_,
+                         c.stage, c.iter};
+  const std::optional<std::string> payload = io::read_state_file(c.path, key);
+  M3D_CHECK_MSG(payload, c.path << ": cannot open");
+  io::BinReader r{*payload};
+  core::FlowResult loaded = io::read_snapshot(r, cfg_, opt_);
+  const double wns_at = r.f64();
+  const double tns_at = r.f64();
+  const bool has_eco = r.u8() != 0;
+  part::EcoIterState eco;
+  if (has_eco) read_eco_state(r, eco);
+  r.expect_end();
+  // Nothing is restored until the whole file decoded.
+  res = std::move(loaded);
+  eco_state_valid_ = has_eco;
+  eco_state_ = eco;
+  util::trace_counter("checkpoint_resume_wns_ns", wns_at);
+  util::trace_counter("checkpoint_resume_tns_ns", tns_at);
 }
 
-bool Checkpoint::resume(core::FlowResult& res, cts::ClockTreeReport& clock) {
-  if (!active()) return false;
-  util::TraceSpan span("checkpoint_resume", nl_name_);
-
-  // This run's boundaries, newest first. The filename prefix carries the
-  // full run key, so concurrent runs of different flows share a
-  // directory without seeing each other's files.
-  char prefix[64];
-  std::snprintf(prefix, sizeof prefix, "%016llx-c%d-%016llx-",
-                static_cast<unsigned long long>(netlist_fp_),
-                static_cast<int>(cfg_),
-                static_cast<unsigned long long>(opt_hash_));
+std::vector<Checkpoint::Candidate> Checkpoint::scan() const {
+  // The filename prefix carries the full run key, so concurrent runs of
+  // different flows share a directory without seeing each other's files.
   std::vector<Candidate> cands;
   std::error_code ec;
   for (std::filesystem::directory_iterator it(dir_, ec), end;
        !ec && it != end; it.increment(ec)) {
     const std::string name = it->path().filename().string();
-    int stage = -1, iter = -1;
-    if (name.rfind(prefix, 0) != 0) continue;
-    if (std::sscanf(name.c_str() + std::strlen(prefix), "s%d-i%d.m3dckpt",
-                    &stage, &iter) != 2)
-      continue;
+    if (name.rfind(prefix_, 0) != 0) continue;
+    const char* rest = name.c_str() + prefix_.size();
+    int stage = -1, iter = -1, used = 0;
+    if (std::sscanf(rest, "s%d-i%d.m3dckpt%n", &stage, &iter, &used) != 2 ||
+        rest[used] != '\0')
+      continue;  // not a boundary file (e.g. a publisher's temporary)
     if (stage < 0 || stage >= kStageCount || iter < 0) continue;
     cands.push_back({it->path().string(), stage, iter});
   }
@@ -405,21 +272,26 @@ bool Checkpoint::resume(core::FlowResult& res, cts::ClockTreeReport& clock) {
                                            const Candidate& b) {
     return order_value(a.stage, a.iter) > order_value(b.stage, b.iter);
   });
+  return cands;
+}
 
-  for (const Candidate& c : cands) {
-    if (load_file(c, res, clock)) {
-      resume_stage_ = c.stage;
-      resume_iter_ = c.iter;
-      util::log_info("checkpoint: resuming ", config_name(cfg_), " on ",
-                     nl_name_, " from ",
-                     stage_name(static_cast<Stage>(c.stage)),
-                     c.iter > 0 ? ":" + std::to_string(c.iter)
-                                : std::string());
-      return true;
+bool Checkpoint::resume(core::FlowResult& res) {
+  if (!active()) return false;
+  util::TraceSpan span("checkpoint_resume", nl_name_);
+  for (const Candidate& c : scan()) {
+    try {
+      load_file(c, res);
+    } catch (const util::Error& e) {
+      util::log_warn("checkpoint: discarding invalid boundary (", e.what(),
+                     "), falling back to the previous checkpoint");
+      continue;
     }
-    util::log_warn(
-        "checkpoint: discarding invalid boundary ", c.path,
-        ", falling back to the previous checkpoint");
+    resume_stage_ = c.stage;
+    resume_iter_ = c.iter;
+    util::log_info("checkpoint: resuming ", config_name(cfg_), " on ",
+                   nl_name_, " from ", stage_name(static_cast<Stage>(c.stage)),
+                   c.iter > 0 ? ":" + std::to_string(c.iter) : std::string());
+    return true;
   }
   return false;
 }
@@ -441,14 +313,7 @@ void Checkpoint::finish() {
   if (const char* s = std::getenv("M3D_CHECKPOINT_KEEP"))
     if (*s != '\0') return;
   std::error_code ec;
-  for (int stage = 0; stage < kStageCount; ++stage) {
-    std::filesystem::remove(file_for(stage, 0), ec);
-    for (int iter = 1; iter <= 998; ++iter) {
-      // Iteration files only exist for the ECO stages; stop probing a
-      // stage at the first gap (iterations are written contiguously).
-      if (!std::filesystem::remove(file_for(stage, iter), ec)) break;
-    }
-  }
+  for (const Candidate& c : scan()) std::filesystem::remove(c.path, ec);
 }
 
 }  // namespace m3d::flow

@@ -11,15 +11,11 @@
 /// repartition-ECO iteration — so an interrupted run restarts from the
 /// last boundary instead of from scratch.
 ///
-/// What a checkpoint holds (see io/flow_state.hpp for the records):
-///  * the current netlist as a replayable build script + its fingerprint,
-///  * the mutable design state (floorplan, clock binding, per-cell tier /
-///    position / clock latency — latencies stored, not re-derived,
-///    because mid-flow they are deliberately stale w.r.t. placement),
-///  * the accumulated per-stage result structs of core::FlowResult,
-///  * the last ClockTreeReport (finalize feeds it to collect_metrics),
-///  * for ECO-iteration checkpoints, the loop state (part::EcoIterState)
-///    including an sta::timing_fingerprint of the incremental engine.
+/// What a checkpoint holds: the io::flow_state snapshot of the flow so far
+/// (netlist, design state, per-stage results, last ClockTreeReport), the
+/// WNS/TNS at the boundary and, for ECO-iteration boundaries, the loop
+/// state (part::EcoIterState) including an sta::timing_fingerprint of the
+/// incremental engine.
 ///
 /// Because every stage is a deterministic function of (design state,
 /// options) — RNG streams are seeded from options, never carried across
@@ -27,16 +23,15 @@
 /// at any worker-pool size. The property tests in tests/test_checkpoint.cpp
 /// kill the flow at every boundary and assert exactly that.
 ///
-/// File format & robustness:
+/// Files & robustness:
 ///  * one file per boundary under the checkpoint directory
 ///    (M3D_CHECKPOINT_DIR or core::FlowOptions::checkpoint_dir), named
-///    <netlist-fp>-c<cfg>-<opt-hash>-s<stage>-i<iter>.m3dckpt;
-///  * header = magic, version, run key (netlist fingerprint / config /
-///    options hash), stage, iteration, WNS/TNS at the boundary, payload
-///    size and a 64-bit payload checksum; writes are atomic
-///    (temp file + rename), like the flow-cache disk tier;
+///    <netlist-fp>-c<cfg>-<opt-hash>-s<stage>-i<iter>.m3dckpt, in the
+///    io::flow_state envelope (magic, version, run key + stage/iteration,
+///    payload size and checksum) that the flow-cache disk tier uses too,
+///    published atomically;
 ///  * resume picks the newest boundary whose file validates end to end
-///    (magic, version, key, checksum, netlist replay fingerprint).
+///    (envelope, netlist replay fingerprint, no unread payload bytes).
 ///    Anything invalid — corrupted, truncated, version-mismatched —
 ///    degrades to the next older checkpoint, and ultimately to a cold
 ///    start: a damaged checkpoint can cost time, never correctness
@@ -65,7 +60,6 @@
 #include <vector>
 
 #include "core/flow.hpp"
-#include "cts/cts.hpp"
 #include "part/repartition.hpp"
 
 /// The checkpoint/fault layer sits *beside* core::run_flow (which calls
@@ -157,9 +151,9 @@ class Checkpoint {
   bool active() const { return !dir_.empty(); }
 
   /// Scan the directory for this run's checkpoints and restore the
-  /// newest valid one into (res, clock). Invalid files degrade to the
-  /// next older boundary. Returns true when something was restored.
-  bool resume(core::FlowResult& res, cts::ClockTreeReport& clock);
+  /// newest valid one into `res`. Invalid files degrade to the next older
+  /// boundary. Returns true when something was restored.
+  bool resume(core::FlowResult& res);
 
   /// Did the restored checkpoint already complete stage `s`?
   bool done(Stage s) const;
@@ -171,13 +165,11 @@ class Checkpoint {
   /// Write the stage-completion boundary (iter 0), then fire a matching
   /// kill point. A failed write is logged and swallowed: checkpointing
   /// must never fail a healthy flow.
-  void save(Stage s, const core::FlowResult& res,
-            const cts::ClockTreeReport& clock);
+  void save(Stage s, const core::FlowResult& res);
 
   /// Write an ECO-iteration boundary (iter = st.partial.iterations >= 1)
   /// for stage RepartEco or RepartFixup, then fire a matching kill point.
   void save_iter(Stage s, const core::FlowResult& res,
-                 const cts::ClockTreeReport& clock,
                  const part::EcoIterState& st);
 
   /// The flow completed: delete this run's checkpoint files (unless
@@ -194,11 +186,10 @@ class Checkpoint {
     int iter = 0;
   };
 
+  std::vector<Candidate> scan() const;  ///< this run's files, newest first
   void write_boundary(Stage s, int iter, const core::FlowResult& res,
-                      const cts::ClockTreeReport& clock,
                       const part::EcoIterState* eco);
-  bool load_file(const Candidate& c, core::FlowResult& res,
-                 cts::ClockTreeReport& clock);
+  void load_file(const Candidate& c, core::FlowResult& res);
   std::string file_for(int stage, int iter) const;
   void maybe_inject_fault(Stage s, int iter) const;
   void maybe_interrupt(Stage s, int iter) const;
@@ -208,10 +199,10 @@ class Checkpoint {
   std::string nl_name_;
   std::uint64_t netlist_fp_ = 0;
   std::uint64_t opt_hash_ = 0;
-  // Explicit tier stack of the run being checkpointed: load_file must
-  // rebuild the Design with the same libraries the flow started from,
-  // not the configuration's default two-library mapping.
-  std::vector<core::TierSpec> tiers_;
+  std::string prefix_;  // "<netlist-fp>-c<cfg>-<opt-hash>-" of every file
+  // The run's options: load_file rebuilds the Design from their tier
+  // stack, as the flow did when it started.
+  core::FlowOptions opt_;
 
   // Environment-armed kill point (M3D_FAULT_AT), parsed at construction.
   bool env_fault_armed_ = false;

@@ -103,27 +103,6 @@ FlowOptions with_corners(FlowOptions o) {
   return o;
 }
 
-/// Final analysis common to all flows: route, time, power, metrics. The
-/// signoff STA sweeps the flow's corner spec, so the metrics carry the
-/// guard-banded WNS and the timing yield.
-void finalize(FlowResult& res, const cts::ClockTreeReport& clock,
-              const std::string& nl_name, Config cfg,
-              const tech::CornerSpec& corners, exec::Pool* pool) {
-  util::TraceSpan span("finalize", nl_name);
-  Design& d = res.design;
-  const auto routes = route::route_design(d, {pool});
-  sta::StaOptions sopt;
-  sopt.pool = pool;
-  sopt.corners = corners;
-  const auto timing = sta::run_sta(d, &routes, sopt);
-  power::PowerOptions popt;
-  popt.pool = pool;
-  const auto pw =
-      power::analyze_power(d, &routes, 1.0 / d.clock_period_ns(), popt);
-  res.metrics = collect_metrics(d, routes, timing, pw, clock, nl_name,
-                                config_name(cfg));
-}
-
 /// FM options for the partition stage: µ, the utilization and the
 /// per-tier caps/process shares from the flow-level knobs. A two-tier
 /// stack without explicit shares gets the macro-aware pair {1 − t, t}:
@@ -160,6 +139,25 @@ part::FmOptions partition_fm_options(const Design& d, const FlowOptions& opt) {
 
 }  // namespace
 
+void finalize(FlowResult& res, Config cfg, const FlowOptions& opt) {
+  // The signoff STA sweeps the flow's corner spec, so the metrics carry
+  // the guard-banded WNS and the timing yield.
+  const Design& d = res.design;
+  const std::string& name = d.nl().name();
+  util::TraceSpan span("finalize", name);
+  const auto routes = route::route_design(d, {opt.pool});
+  sta::StaOptions sopt;
+  sopt.pool = opt.pool;
+  sopt.corners = opt.sta_corners;
+  const auto timing = sta::run_sta(d, &routes, sopt);
+  power::PowerOptions popt;
+  popt.pool = opt.pool;
+  const auto pw =
+      power::analyze_power(d, &routes, 1.0 / d.clock_period_ns(), popt);
+  res.metrics = collect_metrics(d, routes, timing, pw, res.clock, name,
+                                config_name(cfg));
+}
+
 FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   const FlowOptions opt = with_corners(with_pool(opt_in));
   util::TraceSpan flow_span(
@@ -171,7 +169,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
 
   // Stage-level checkpoint/restart (core/checkpoint.hpp). Inactive without
   // a directory; with one, every completed stage below lands on disk and
-  // resume() fast-forwards `res`, `clock` and the design past the stages a
+  // resume() fast-forwards `res` (design included) past the stages a
   // previous (interrupted) identical invocation already ran. Each stage is
   // a deterministic function of (design state, options) — RNG streams are
   // seeded from options, never carried across stages — so the resumed run
@@ -180,8 +178,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
                             ? opt.checkpoint_dir
                             : flow::Checkpoint::default_dir(),
                         nl, cfg, opt);
-  cts::ClockTreeReport clock;
-  ckpt.resume(res, clock);
+  ckpt.resume(res);
   Design& d = res.design;
 
   place::PlaceOptions popt = opt.place;
@@ -199,7 +196,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       synth.routed = false;
       res.opt = opt::optimize_timing(d, synth);
     }
-    ckpt.save(flow::Stage::Synth, res, clock);
+    ckpt.save(flow::Stage::Synth, res);
   }
 
   // ---- pseudo-3-D / 2-D placement stage ----------------------------------
@@ -209,7 +206,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       place::init_floorplan(d, popt);
       place::global_place(d, popt);
     }
-    ckpt.save(flow::Stage::Place, res, clock);
+    ckpt.save(flow::Stage::Place, res);
   }
 
   // ---- tier partitioning (3-D) + legalization ------------------------------
@@ -248,7 +245,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       }
     }
     place::legalize(d);
-    ckpt.save(flow::Stage::Partition, res, clock);
+    ckpt.save(flow::Stage::Partition, res);
   }
 
   // ---- post-placement timing optimization ---------------------------------
@@ -272,7 +269,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     // Sizing changed cell area; restore the utilization target.
     place::rescale_to_utilization(d, opt.utilization);
     place::legalize(d);
-    ckpt.save(flow::Stage::PostPlaceOpt, res, clock);
+    ckpt.save(flow::Stage::PostPlaceOpt, res);
   }
 
   // ---- clock tree ----------------------------------------------------------
@@ -290,9 +287,9 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       util::TraceSpan span("cts", nl.name());
       cts::build_clock_tree(d, copt);
       place::legalize(d);
-      clock = cts::annotate_clock_latencies(d, copt.pool);
+      res.clock = cts::annotate_clock_latencies(d, copt.pool);
     }
-    ckpt.save(flow::Stage::Cts, res, clock);
+    ckpt.save(flow::Stage::Cts, res);
   }
 
   // ---- post-CTS optimization ----------------------------------------------
@@ -313,9 +310,9 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       const auto fix = opt::optimize_timing(d, post);
       res.opt.cells_upsized += fix.cells_upsized;
       place::legalize(d);
-      clock = cts::annotate_clock_latencies(d, copt.pool);
+      res.clock = cts::annotate_clock_latencies(d, copt.pool);
     }
-    ckpt.save(flow::Stage::PostCtsOpt, res, clock);
+    ckpt.save(flow::Stage::PostCtsOpt, res);
   }
 
   // ---- repartitioning ECO (hetero only; the engine is two-tier) -----------
@@ -327,10 +324,10 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       hooks.resume = ckpt.eco_resume(flow::Stage::RepartEco);
       hooks.after_iteration = [&](const Design&,
                                   const part::EcoIterState& st) {
-        ckpt.save_iter(flow::Stage::RepartEco, res, clock, st);
+        ckpt.save_iter(flow::Stage::RepartEco, res, st);
       };
       res.repart = part::repartition_eco(d, opt.repart, &hooks);
-      ckpt.save(flow::Stage::RepartEco, res, clock);
+      ckpt.save(flow::Stage::RepartEco, res);
     }
     // Counter-move: park slack-rich bottom cells on the 9-track tier so
     // the fast die does not balloon the footprint (and the slow die does
@@ -350,7 +347,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       place::rescale_to_utilization(d, opt.utilization);
       place::legalize(d);
       cts::annotate_clock_latencies(d, copt.pool);
-      ckpt.save(flow::Stage::Rebalance, res, clock);
+      ckpt.save(flow::Stage::Rebalance, res);
     }
     // Final ECO pass at settled positions: pull back anything the
     // migration or the rescale shake-up turned critical.
@@ -362,17 +359,17 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
         hooks.resume = ckpt.eco_resume(flow::Stage::RepartFixup);
         hooks.after_iteration = [&](const Design&,
                                     const part::EcoIterState& st) {
-          ckpt.save_iter(flow::Stage::RepartFixup, res, clock, st);
+          ckpt.save_iter(flow::Stage::RepartFixup, res, st);
         };
         part::repartition_eco(d, fixup, &hooks);
         place::legalize(d);
       }
-      clock = cts::annotate_clock_latencies(d, copt.pool);
-      ckpt.save(flow::Stage::RepartFixup, res, clock);
+      res.clock = cts::annotate_clock_latencies(d, copt.pool);
+      ckpt.save(flow::Stage::RepartFixup, res);
     }
   }
 
-  finalize(res, clock, nl.name(), cfg, opt.sta_corners, opt.pool);
+  finalize(res, cfg, opt);
   ckpt.finish();
   util::log_info("=== ", config_name(cfg), " done: wns ",
                  res.metrics.wns_ns, " ns, power ",

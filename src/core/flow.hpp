@@ -139,13 +139,17 @@ struct FlowResult {
   part::TimingPartitionResult timing_part;
   part::RepartitionResult repart;
   opt::OptResult opt;
+  /// Report of the last clock-latency annotation that run_flow keeps (CTS,
+  /// post-CTS opt, the final repartition pass); finalize feeds it to
+  /// collect_metrics.
+  cts::ClockTreeReport clock;
 
   FlowResult(netlist::Design d) : design(std::move(d)) {}
 };
 
 /// Construct the Design (tier count + libraries) for a configuration —
-/// exactly the mapping run_flow starts from. Exposed so the disk flow
-/// cache can rebuild a Design to deserialize cached state into.
+/// exactly the mapping run_flow starts from, and the one io::read_snapshot
+/// rebuilds persisted flow state into (through design_for_flow).
 netlist::Design design_for_config(const netlist::Netlist& nl, Config cfg);
 
 /// Like design_for_config, but honoring FlowOptions::tiers when set: the
@@ -157,6 +161,13 @@ netlist::Design design_for_flow(const netlist::Netlist& nl, Config cfg,
 /// Run the complete RTL-to-"GDS" flow for one configuration.
 FlowResult run_flow(const netlist::Netlist& nl, Config cfg,
                     const FlowOptions& opt = {});
+
+/// The analysis that ends run_flow: route, signoff STA over
+/// opt.sta_corners, power and collect_metrics over res.design and
+/// res.clock, with kernels on opt.pool. The disk flow cache runs it on a
+/// restored snapshot, so a loaded result carries the metrics of the run
+/// that stored it.
+void finalize(FlowResult& res, Config cfg, const FlowOptions& opt);
 
 /// Binary-search the maximum achievable frequency for a configuration:
 /// highest frequency whose flow lands with |WNS| below `wns_budget_frac`

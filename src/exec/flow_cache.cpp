@@ -1,50 +1,16 @@
 #include "exec/flow_cache.hpp"
 
-#include <bit>
 #include <cstdlib>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/trace.hpp"
 
 namespace m3d::exec {
 
 namespace {
 
-/// FNV-1a-style 64-bit accumulator with a SplitMix64 finisher per word —
-/// cheap, deterministic across platforms, and good enough for cache keys
-/// (a collision needs two *different* 64-bit digests to collide, and keys
-/// also separate by config and netlist fingerprint).
-struct Hasher {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void mix(std::uint64_t v) {
-    // splitmix64 round over (h ^ v).
-    std::uint64_t z = h ^ v;
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    h = z ^ (z >> 31);
-  }
-  void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void mix(unsigned v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(bool v) { mix(static_cast<std::uint64_t>(v ? 1 : 0)); }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(std::string_view s) {
-    mix(static_cast<std::uint64_t>(s.size()));
-    std::uint64_t word = 0;
-    int n = 0;
-    for (unsigned char c : s) {
-      word = (word << 8) | c;
-      if (++n == 8) {
-        mix(word);
-        word = 0;
-        n = 0;
-      }
-    }
-    if (n > 0) mix(word);
-  }
-};
+using util::Hasher;
 
 void mix_corners(Hasher& h, const tech::CornerSpec& c) {
   h.mix(c.count);

@@ -30,14 +30,13 @@
 /// evicted result stays alive for holders.
 ///
 /// Disk tier: when M3D_FLOW_CACHE_DIR names a directory, every computed
-/// flow is also persisted there (one file per key, written atomically via
-/// temp-file + rename) and a memory miss first tries to deserialize the
-/// keyed file — so sweeps survive process restarts and parallel drivers
-/// share work. The file stores the result netlist as a replayable build
-/// script plus the design state; metrics are recomputed on load from the
-/// restored design (flows are deterministic, so they match the original
-/// run exactly). A load that fails validation (bad magic/version/key or a
-/// fingerprint mismatch after replay) falls back to computing.
+/// flow is also persisted there (one file per key, published atomically)
+/// and a memory miss first tries to load the keyed file — so sweeps
+/// survive process restarts and parallel drivers share work. The file is
+/// the io::flow_state snapshot of the finished flow in its checksummed
+/// envelope; loading runs core::finalize on the restored design, so the
+/// metrics match the original run exactly (flows are deterministic). A
+/// file that fails any check is a miss: the flow reruns and rewrites it.
 ///
 /// NOTE: flow_cache.cpp is compiled into m3d_core (it calls run_flow);
 /// the header lives with the rest of the exec subsystem it belongs to.
@@ -130,12 +129,9 @@ class FlowCache {
 
   void evict_locked();
 
-  // Disk tier (flow_cache_disk.cpp). disk_load returns nullptr on any
-  // miss/validation failure; disk_store returns whether a file landed.
-  // The loader re-runs the signoff analysis on the restored design, so it
-  // needs the flow options both for the corner spec (multi-corner metrics)
-  // and for the tier stack (an explicit FlowOptions::tiers rebuilds a
-  // different Design than the config's default mapping).
+  // Disk tier (flow_cache_disk.cpp). disk_load returns nullptr on a miss
+  // or an invalid file; it needs `opt` to rebuild the Design (tier stack)
+  // and to run core::finalize. disk_store returns whether a file landed.
   ResultPtr disk_load(const Key& key, core::Config cfg,
                       const core::FlowOptions& opt) const;
   bool disk_store(const Key& key, const core::FlowResult& res) const;

@@ -1,40 +1,20 @@
 /// \file flow_cache_disk.cpp
 /// \brief Disk tier of exec::FlowCache (see flow_cache.hpp).
 ///
-/// File format (binary, host-endian — the cache directory is a local
-/// working directory, not an interchange format):
-///   magic, version, key (netlist fingerprint / config / options hash),
-///   then the io::flow_state records: the *result* netlist as a replayable
-///   build script, its fingerprint (integrity check after replay), the
-///   design state and the small per-stage result structs. The same records
-///   back the flow::Checkpoint stage-restart files — one serializer, two
-///   consumers (see io/flow_state.hpp).
-///
-/// Metrics are NOT stored: the loader rebuilds the Design for the config,
-/// re-annotates clock latencies and re-runs the same final analysis
-/// (route → STA → power → collect_metrics) that run_flow's finalize uses.
-/// Flows are deterministic functions of the design state, so the loaded
-/// result is identical to the original run's. Any validation failure —
-/// bad magic/version, key mismatch, truncated file, fingerprint mismatch,
-/// or an exception while replaying — makes the loader return null and the
-/// caller recompute; a cache file can go stale, never wrong.
-///
-/// Writes are atomic: temp file in the same directory, then rename.
+/// One file per key, `<netlist-fp>-c<cfg>-<opt-hash>.m3dflow`: the
+/// io::flow_state snapshot of the finished flow at stage flow::kStageCount,
+/// in the envelope the checkpoint layer uses too. Loading replays it and
+/// runs core::finalize, the analysis that ends run_flow; flows are
+/// deterministic, so the result equals the original run's. Any validation
+/// failure is a miss: a cache file can go stale, never wrong.
 
-#include <unistd.h>
-
-#include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <cstdlib>
 #include <string>
 
-#include "cts/cts.hpp"
+#include "core/checkpoint.hpp"
 #include "exec/flow_cache.hpp"
 #include "io/flow_state.hpp"
-#include "power/power.hpp"
-#include "route/route.hpp"
-#include "sta/sta.hpp"
 #include "util/log.hpp"
 #include "util/trace.hpp"
 
@@ -42,19 +22,11 @@ namespace m3d::exec {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4d33444643414348ull;  // "M3DFCACH"
-// v2: shared io::flow_state records; the design state grew per-cell clock
-// latencies. v3: arena/SoA netlist core — cached payloads written by the
-// old AoS code must not be trusted against the rebuilt fingerprints.
-// Old files fail the version check and recompute (stale, never wrong).
-constexpr std::uint32_t kVersion = 3;
-
-std::string key_file(const std::string& dir, std::uint64_t fp, int config,
-                     std::uint64_t opt_hash) {
+std::string entry_path(const std::string& dir, const io::StateKey& k) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%016llx-c%d-%016llx.m3dflow",
-                static_cast<unsigned long long>(fp), config,
-                static_cast<unsigned long long>(opt_hash));
+                static_cast<unsigned long long>(k.netlist_fp), k.config,
+                static_cast<unsigned long long>(k.opt_hash));
   return dir + "/" + buf;
 }
 
@@ -71,44 +43,21 @@ FlowCache::ResultPtr FlowCache::disk_load(
     const core::FlowOptions& opt) const {
   const std::string dir = disk_dir();
   if (dir.empty()) return nullptr;
-  std::ifstream is(key_file(dir, key.netlist_fp, key.config, key.opt_hash),
-                   std::ios::binary);
-  if (!is) return nullptr;
+  const io::StateKey skey{key.netlist_fp, key.config, key.opt_hash,
+                          flow::kStageCount, 0};
   try {
-    io::BinReader r{is};
-    if (r.u64() != kMagic || r.u32() != kVersion) return nullptr;
-    if (r.u64() != key.netlist_fp || r.i32() != key.config ||
-        r.u64() != key.opt_hash)
-      return nullptr;
-
-    netlist::Netlist nl = io::read_netlist(r);
-    if (fingerprint(nl) != r.u64()) return nullptr;
-    nl.validate();
-
+    const auto payload = io::read_state_file(entry_path(dir, skey), skey);
+    if (!payload) return nullptr;
+    io::BinReader r{*payload};
     auto res = std::make_shared<core::FlowResult>(
-        core::design_for_flow(nl, cfg, opt));
-    netlist::Design& d = res->design;
-    io::read_design_state(r, d);
-    io::read_flow_stats(r, *res);
-
-    // Re-derive the metrics exactly as run_flow's finalize does. For a
-    // *finished* flow the stored clock latencies equal the re-annotated
-    // ones (the flow always ends on a fresh annotate), so re-annotating
-    // here only recovers the ClockTreeReport that collect_metrics needs.
-    const auto clock = cts::annotate_clock_latencies(d);
-    const auto routes = route::route_design(d);
-    sta::StaOptions sopt;
-    sopt.corners = opt.sta_corners;
-    const auto timing = sta::run_sta(d, &routes, sopt);
-    const auto pw =
-        power::analyze_power(d, &routes, 1.0 / d.clock_period_ns());
-    res->metrics = core::collect_metrics(d, routes, timing, pw, clock,
-                                         d.nl().name(), config_name(cfg));
+        io::read_snapshot(r, cfg, opt));
+    r.expect_end();
+    core::finalize(*res, cfg, opt);
     util::trace_instant("flow_cache_disk_hit");
     return res;
-  } catch (const std::exception& e) {
-    util::log_warn("flow cache: discarding unreadable disk entry (",
-                   e.what(), ")");
+  } catch (const util::Error& e) {
+    util::log_warn("flow cache: discarding invalid disk entry (", e.what(),
+                   ")");
     return nullptr;
   }
 }
@@ -117,37 +66,13 @@ bool FlowCache::disk_store(const Key& key,
                            const core::FlowResult& res) const {
   const std::string dir = disk_dir();
   if (dir.empty()) return false;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path =
-      key_file(dir, key.netlist_fp, key.config, key.opt_hash);
-  const std::string tmp = path + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    io::BinWriter w{os};
-    w.u64(kMagic);
-    w.u32(kVersion);
-    w.u64(key.netlist_fp);
-    w.i32(key.config);
-    w.u64(key.opt_hash);
-
-    const netlist::Design& d = res.design;
-    io::write_netlist(w, d.nl());
-    w.u64(fingerprint(d.nl()));
-    io::write_design_state(w, d);
-    io::write_flow_stats(w, res);
-    os.flush();
-    if (!os.good()) {
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  const io::StateKey skey{key.netlist_fp, key.config, key.opt_hash,
+                          flow::kStageCount, 0};
+  std::string payload;
+  io::BinWriter w{payload};
+  io::write_snapshot(w, res);
+  if (!io::write_state_file(entry_path(dir, skey), skey, payload))
     return false;
-  }
   util::trace_instant("flow_cache_disk_write");
   return true;
 }

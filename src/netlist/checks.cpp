@@ -49,33 +49,13 @@ void check_placement(const Design& d, const CheckOptions& opt,
     }
   }
 
-  // Same-tier overlaps (sweep by x per tier).
-  for (int tier = 0; tier < d.num_tiers(); ++tier) {
-    std::vector<CellId> cells;
-    for (CellId c = 0; c < nl.cell_count(); ++c)
-      if (!nl.cell(c).is_port() && d.tier(c) == tier) cells.push_back(c);
-    std::sort(cells.begin(), cells.end(), [&](CellId a, CellId b) {
-      return d.pos(a).x < d.pos(b).x;
-    });
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellId a = cells[i];
-      const double ax1 = d.pos(a).x + d.cell_width(a) / 2.0;
-      for (std::size_t j = i + 1; j < cells.size(); ++j) {
-        const CellId b = cells[j];
-        if (d.pos(b).x - d.cell_width(b) / 2.0 >= ax1 - 1e-9) break;
-        const double oy =
-            std::min(d.pos(a).y + d.cell_height(a) / 2.0,
-                     d.pos(b).y + d.cell_height(b) / 2.0) -
-            std::max(d.pos(a).y - d.cell_height(a) / 2.0,
-                     d.pos(b).y - d.cell_height(b) / 2.0);
-        if (oy > 1e-6)
-          add(out, CheckSeverity::Error, "placement.overlap",
-              std::string(nl.cell(a).name) + " overlaps " +
-                  std::string(nl.cell(b).name),
-              a);
-      }
-    }
-  }
+  for_each_overlap(d, [&](CellId a, CellId b, double, double oy) {
+    if (oy > 1e-6)
+      add(out, CheckSeverity::Error, "placement.overlap",
+          std::string(nl.cell(a).name) + " overlaps " +
+              std::string(nl.cell(b).name),
+          a);
+  });
 }
 
 void check_electrical(const Design& d, const CheckOptions& opt,
@@ -146,6 +126,79 @@ void check_dangling(const Design& d, std::vector<CheckViolation>& out) {
 }
 
 }  // namespace
+
+void for_each_overlap(
+    const Design& d,
+    const std::function<void(CellId a, CellId b, double ox, double oy)>& fn) {
+  const auto& nl = d.nl();
+  const util::Rect fp = d.floorplan();
+  struct Box {
+    CellId cell;
+    double x0, x1, y0, y1;
+  };
+  struct Link {
+    int next;  // previous entry of the same bucket, -1 ends the chain
+    std::size_t box;
+  };
+  std::vector<Box> box;
+  std::vector<int> head;
+  std::vector<Link> chain;
+  for (int tier = 0; tier < d.num_tiers(); ++tier) {
+    box.clear();
+    for (CellId c = 0; c < nl.cell_count(); ++c) {
+      if (nl.cell(c).is_port() || d.tier(c) != tier) continue;
+      const util::Point p = d.pos(c);
+      const double w2 = d.cell_width(c) / 2.0;
+      const double h2 = d.cell_height(c) / 2.0;
+      box.push_back({c, p.x - w2, p.x + w2, p.y - h2, p.y + h2});
+    }
+    if (box.size() < 2) continue;
+
+    const double area = std::max(1e-6, fp.width() * fp.height());
+    const double bs = std::max(
+        1e-3, std::sqrt(2.0 * area / static_cast<double>(box.size())));
+    const int nx = std::max(1, static_cast<int>(std::ceil(fp.width() / bs)));
+    const int ny = std::max(1, static_cast<int>(std::ceil(fp.height() / bs)));
+    // Monotone in the coordinate, so a box's buckets contain the bucket of
+    // every point inside it — in particular its intersection corners.
+    const auto bucket_x = [&](double x) {
+      const int i = static_cast<int>(std::floor((x - fp.xlo) / bs));
+      return std::min(nx - 1, std::max(0, i));
+    };
+    const auto bucket_y = [&](double y) {
+      const int i = static_cast<int>(std::floor((y - fp.ylo) / bs));
+      return std::min(ny - 1, std::max(0, i));
+    };
+
+    head.assign(static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny),
+                -1);
+    chain.clear();
+    for (std::size_t i = 0; i < box.size(); ++i) {
+      const Box& a = box[i];
+      const int ix0 = bucket_x(a.x0), ix1 = bucket_x(a.x1);
+      const int iy0 = bucket_y(a.y0), iy1 = bucket_y(a.y1);
+      for (int iy = iy0; iy <= iy1; ++iy)
+        for (int ix = ix0; ix <= ix1; ++ix) {
+          int& first = head[static_cast<std::size_t>(iy) *
+                                static_cast<std::size_t>(nx) +
+                            static_cast<std::size_t>(ix)];
+          // Compare against every earlier cell in this bucket, then link.
+          for (int e = first; e != -1; e = chain[e].next) {
+            const Box& o = box[chain[e].box];
+            const double cx = std::max(a.x0, o.x0);
+            const double cy = std::max(a.y0, o.y0);
+            const double ox = std::min(a.x1, o.x1) - cx;
+            const double oy = std::min(a.y1, o.y1) - cy;
+            if (ox > 1e-9 && oy > 1e-9 && bucket_x(cx) == ix &&
+                bucket_y(cy) == iy)
+              fn(o.cell, a.cell, ox, oy);
+          }
+          chain.push_back({first, i});
+          first = static_cast<int>(chain.size()) - 1;
+        }
+    }
+  }
+}
 
 std::vector<CheckViolation> run_checks(const Design& d,
                                        const CheckOptions& opt) {

@@ -1,5 +1,7 @@
 #include "netlist/design.hpp"
 
+#include "util/hash.hpp"
+
 namespace m3d::netlist {
 
 Design::Design(Netlist nl, std::shared_ptr<const tech::TechLib> bottom_lib,
@@ -133,6 +135,17 @@ double Design::density() const {
   const double si = silicon_area();
   if (si <= 0.0) return 0.0;
   return (total_std_cell_area() + total_macro_area()) / si;
+}
+
+std::uint64_t state_digest(const Design& d) {
+  util::Hasher h;
+  for (CellId c = 0; c < d.nl().cell_count(); ++c) {
+    h.mix(static_cast<std::uint64_t>(d.tier(c)));
+    h.mix(d.pos(c).x);
+    h.mix(d.pos(c).y);
+    h.mix(d.clock_latency(c));
+  }
+  return h.h;
 }
 
 }  // namespace m3d::netlist

@@ -9,6 +9,7 @@
 /// technology remap.
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -122,5 +123,11 @@ class Design {
   NetId clock_net_ = kInvalidId;
   std::vector<double> clock_latency_;
 };
+
+/// util::Hasher digest of every cell's tier, exact position bits and clock
+/// latency, in cell order. With equal netlist fingerprints, equal digests
+/// mean byte-identical placements; m3dd's result digest and the
+/// checkpoint_restart example print it.
+std::uint64_t state_digest(const Design& d);
 
 }  // namespace m3d::netlist

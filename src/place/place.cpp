@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exec/pool.hpp"
+#include "netlist/checks.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
@@ -801,82 +802,14 @@ void rescale_to_utilization(Design& d, double utilization) {
 }
 
 double max_overlap_um2(const Design& d) {
-  const auto& nl = d.nl();
-  // Grid-bucket sweep per tier: every cell's bounding box is registered in
-  // each grid bucket it touches, and only cells sharing a bucket are
-  // compared. Any overlapping pair shares at least one bucket, so the pair
-  // set examined is exactly the set of candidate pairs the old sorted
-  // pairwise sweep saw — and max() over the same pair overlaps is
-  // order-independent, so the result is bit-identical to the O(k^2) scan
-  // (asserted by PlaceScale.GridOverlapMatchesBruteForce).
+  // netlist::for_each_overlap visits every overlapping same-tier pair, and
+  // max() over the pair overlaps is order-independent, so the result is
+  // bit-identical to an all-pairs scan (asserted by
+  // PlaceScale.GridOverlapMatchesBruteForce).
   double worst = 0.0;
-  const auto fp = d.floorplan();
-  std::vector<CellId> cells;
-  std::vector<int> bucket_of_start;  // per cell: first bucket-entry index
-  std::vector<int> head, next;       // bucket chains (cell entry lists)
-  for (int tier = 0; tier < d.num_tiers(); ++tier) {
-    cells.clear();
-    for (CellId c = 0; c < nl.cell_count(); ++c)
-      if (!nl.cell(c).is_port() && d.tier(c) == tier) cells.push_back(c);
-    if (cells.size() < 2) continue;
-
-    // Aim for ~2 cells per bucket on a uniformly spread placement.
-    const double area = std::max(1e-6, fp.width() * fp.height());
-    const double bs = std::max(
-        1e-3, std::sqrt(2.0 * area / static_cast<double>(cells.size())));
-    const int nx = std::max(
-        1, static_cast<int>(std::ceil(fp.width() / bs)));
-    const int ny = std::max(
-        1, static_cast<int>(std::ceil(fp.height() / bs)));
-    const auto bucket_x = [&](double x) {
-      const int i = static_cast<int>(std::floor((x - fp.xlo) / bs));
-      return std::min(nx - 1, std::max(0, i));
-    };
-    const auto bucket_y = [&](double y) {
-      const int i = static_cast<int>(std::floor((y - fp.ylo) / bs));
-      return std::min(ny - 1, std::max(0, i));
-    };
-
-    head.assign(static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny),
-                -1);
-    next.clear();
-    bucket_of_start.clear();
-    // Insert in cells[] order; chains are walked newest-first, but only
-    // the set of co-bucketed pairs matters (see above).
-    struct Box {
-      double x0, x1, y0, y1;
-    };
-    std::vector<Box> box(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellId c = cells[i];
-      const Point p = d.pos(c);
-      const double w2 = d.cell_width(c) / 2.0;
-      const double h2 = d.cell_height(c) / 2.0;
-      box[i] = {p.x - w2, p.x + w2, p.y - h2, p.y + h2};
-    }
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const int ix0 = bucket_x(box[i].x0), ix1 = bucket_x(box[i].x1);
-      const int iy0 = bucket_y(box[i].y0), iy1 = bucket_y(box[i].y1);
-      for (int iy = iy0; iy <= iy1; ++iy)
-        for (int ix = ix0; ix <= ix1; ++ix) {
-          const std::size_t b = static_cast<std::size_t>(iy) *
-                                    static_cast<std::size_t>(nx) +
-                                static_cast<std::size_t>(ix);
-          // Compare against everything already in this bucket, then link.
-          for (int e = head[b]; e != -1; e = next[static_cast<std::size_t>(e)]) {
-            const std::size_t j = bucket_of_start[static_cast<std::size_t>(e)];
-            const double ox =
-                std::min(box[i].x1, box[j].x1) - std::max(box[i].x0, box[j].x0);
-            const double oy =
-                std::min(box[i].y1, box[j].y1) - std::max(box[i].y0, box[j].y0);
-            if (ox > 1e-9 && oy > 1e-9) worst = std::max(worst, ox * oy);
-          }
-          next.push_back(head[b]);
-          bucket_of_start.push_back(static_cast<int>(i));
-          head[b] = static_cast<int>(next.size()) - 1;
-        }
-    }
-  }
+  netlist::for_each_overlap(d, [&](CellId, CellId, double ox, double oy) {
+    worst = std::max(worst, ox * oy);
+  });
   return worst;
 }
 

@@ -1,6 +1,5 @@
 #include "service/protocol.hpp"
 
-#include <bit>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -127,27 +126,12 @@ netlist::Netlist JobSpec::make_netlist() const {
 }
 
 std::string result_digest(const core::FlowResult& res) {
-  // The same splitmix64 walk over tier/position/latency bits that
-  // examples/checkpoint_restart digests — equal digest + equal spec means
-  // a byte-identical design state.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    std::uint64_t z = h ^ v;
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    h = z ^ (z >> 31);
-  };
+  // Equal digest + equal spec means a byte-identical design state.
   const netlist::Design& d = res.design;
-  for (netlist::CellId c = 0; c < d.nl().cell_count(); ++c) {
-    mix(static_cast<std::uint64_t>(d.tier(c)));
-    mix(std::bit_cast<std::uint64_t>(d.pos(c).x));
-    mix(std::bit_cast<std::uint64_t>(d.pos(c).y));
-    mix(std::bit_cast<std::uint64_t>(d.clock_latency(c)));
-  }
   char buf[64];
   std::snprintf(buf, sizeof buf, "%016" PRIx64 "-%016" PRIx64,
-                exec::FlowCache::fingerprint(d.nl()), h);
+                exec::FlowCache::fingerprint(d.nl()),
+                netlist::state_digest(d));
   return buf;
 }
 

@@ -71,9 +71,9 @@ struct JobSpec {
 const char* config_token(core::Config c);
 bool parse_config(std::string_view s, core::Config* out);
 
-/// One-line digest of a flow result: netlist fingerprint plus a splitmix
-/// hash over every cell's tier / exact position bits / clock latency —
-/// the same state digest examples/checkpoint_restart prints. Equal
+/// One-line digest of a flow result: netlist fingerprint plus
+/// netlist::state_digest (every cell's tier / exact position bits / clock
+/// latency), the state digest examples/checkpoint_restart prints. Equal
 /// digests (for equal specs) mean byte-identical outcomes.
 std::string result_digest(const core::FlowResult& res);
 

@@ -17,6 +17,7 @@
 #include "core/checkpoint.hpp"
 #include "io/reports.hpp"
 #include "util/log.hpp"
+#include "util/publish.hpp"
 #include "util/trace.hpp"
 
 namespace m3d::service {
@@ -555,19 +556,18 @@ void Server::journal_compact() {
     std::filesystem::remove(path, ec);
     return;
   }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    for (const Job& job : open) {
-      Json rec = Json::object();
-      rec["ev"] = Json("submit");
-      rec["id"] = Json(job.id);
-      rec["client"] = Json(job.client);
-      rec["spec"] = job.spec.to_json();
-      os << rec.dump() << "\n";
-    }
+  std::string text;
+  for (const Job& job : open) {
+    Json rec = Json::object();
+    rec["ev"] = Json("submit");
+    rec["id"] = Json(job.id);
+    rec["client"] = Json(job.client);
+    rec["spec"] = job.spec.to_json();
+    text += rec.dump() + "\n";
   }
-  std::filesystem::rename(tmp, path, ec);
+  // A failed publish keeps the old journal, which still lists every open
+  // job (replay skips the finished ones).
+  util::publish_file(path, text);
 }
 
 // ---- config reload -------------------------------------------------------

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 
 #include "exec/pool.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/trace.hpp"
 
 namespace m3d::sta {
@@ -1304,36 +1304,28 @@ std::vector<CriticalPath> StaResult::worst_paths(int n) const {
 }
 
 std::uint64_t timing_fingerprint(const StaResult& r) {
-  // FNV-style accumulator with a splitmix64 round per word (the same
-  // mixing the flow-cache keys use); exact double bits, no tolerance.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    std::uint64_t z = h ^ v;
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    h = z ^ (z >> 31);
-  };
-  mix(std::bit_cast<std::uint64_t>(r.wns()));
-  mix(std::bit_cast<std::uint64_t>(r.tns()));
-  mix(std::bit_cast<std::uint64_t>(r.whs()));
-  mix(static_cast<std::uint64_t>(r.endpoint_count()));
+  // Exact double bits, no tolerance.
+  util::Hasher h;
+  h.mix(r.wns());
+  h.mix(r.tns());
+  h.mix(r.whs());
+  h.mix(static_cast<std::uint64_t>(r.endpoint_count()));
   for (const PinId p : r.endpoints_by_slack()) {
-    mix(static_cast<std::uint64_t>(p));
-    mix(std::bit_cast<std::uint64_t>(r.pin_slack(p)));
+    h.mix(static_cast<std::uint64_t>(p));
+    h.mix(r.pin_slack(p));
   }
   // Multi-corner results additionally pin down every lane's aggregate —
   // guard-banded ECO decisions depend on the non-nominal corners, so two
   // interchangeable timing views must agree on them too. Single-corner
   // digests are untouched for checkpoint compatibility.
   if (r.corner_count() > 1) {
-    mix(static_cast<std::uint64_t>(r.corner_count()));
+    h.mix(static_cast<std::uint64_t>(r.corner_count()));
     for (int k = 0; k < r.corner_count(); ++k) {
-      mix(std::bit_cast<std::uint64_t>(r.corner_wns(k)));
-      mix(std::bit_cast<std::uint64_t>(r.corner_tns(k)));
+      h.mix(r.corner_wns(k));
+      h.mix(r.corner_tns(k));
     }
   }
-  return h;
+  return h.h;
 }
 
 }  // namespace m3d::sta

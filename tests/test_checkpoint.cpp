@@ -18,8 +18,10 @@
 #include "exec/flow_cache.hpp"
 #include "exec/pool.hpp"
 #include "gen/designs.hpp"
+#include "io/flow_state.hpp"
 #include "io/reports.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/trace.hpp"
 
 namespace fs = std::filesystem;
@@ -27,6 +29,7 @@ namespace mc = m3d::core;
 namespace me = m3d::exec;
 namespace mf = m3d::flow;
 namespace mg = m3d::gen;
+namespace mio = m3d::io;
 namespace mn = m3d::netlist;
 namespace mu = m3d::util;
 
@@ -291,6 +294,104 @@ TEST_F(CheckpointTest, VersionMismatchRecomputes) {
   }
   const auto recomputed = mc::run_flow(nl, mc::Config::Hetero3D, opt);
   expect_flow_equal(ref, recomputed);
+}
+
+TEST_F(CheckpointTest, OversizedPayloadFieldIsRejectedWithoutAllocating) {
+  // A size field far beyond the bytes in the file must be rejected by
+  // comparison, not by trying to allocate it; resume then starts cold.
+  const auto nl = tiny();
+  auto opt = tiny_opts();
+  const auto ref = mc::run_flow(nl, mc::Config::Hetero3D, opt);
+
+  opt.checkpoint_dir = dir_;
+  mf::fault_arm(mf::Stage::Cts);
+  EXPECT_THROW(mc::run_flow(nl, mc::Config::Hetero3D, opt),
+               mf::FaultInjected);
+
+  // Envelope bytes 40–47: after magic 8, version 4, netlist fingerprint 8,
+  // config 4, options hash 8, stage 4 and iteration 4.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::size_t patched = 0;
+  for (const auto& e : fs::directory_iterator(dir_)) {
+    const std::string name = e.path().filename().string();
+    int stage = -1, iter = -1;
+    ASSERT_EQ(std::sscanf(name.c_str() + name.rfind("-s"),
+                          "-s%d-i%d.m3dckpt", &stage, &iter),
+              2);
+    {
+      std::fstream f(e.path(),
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(40);
+      f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
+    }
+    const mio::StateKey key{me::FlowCache::fingerprint(nl),
+                            static_cast<int>(mc::Config::Hetero3D),
+                            me::FlowCache::options_hash(opt), stage, iter};
+    EXPECT_THROW(mio::read_state_file(e.path().string(), key), mu::Error);
+    ++patched;
+  }
+  EXPECT_GE(patched, 5u);
+  const auto cold = mc::run_flow(nl, mc::Config::Hetero3D, opt);
+  expect_flow_equal(ref, cold);
+}
+
+TEST(FlowState, SnapshotRoundTripsAndMutationsFailTyped) {
+  // The one snapshot decoder, below the envelope checksum: a clean payload
+  // decodes to the same state, and every byte-level mutation or
+  // truncation either decodes or throws util::Error — no other exception,
+  // no unbounded allocation, no sanitizer report. (Mutations of bytes the
+  // netlist fingerprint does not cover may decode; in a file, the
+  // envelope checksum rejects those.)
+  mu::set_log_level(mu::LogLevel::Silent);
+  const auto nl = tiny("cpu", 0.02);
+  const auto opt = tiny_opts();
+  const auto res = mc::run_flow(nl, mc::Config::Hetero3D, opt);
+  std::string payload;
+  mio::BinWriter w{payload};
+  mio::write_snapshot(w, res);
+  {
+    mio::BinReader r{payload};
+    const auto back = mio::read_snapshot(r, mc::Config::Hetero3D, opt);
+    r.expect_end();
+    EXPECT_EQ(me::FlowCache::fingerprint(back.design.nl()),
+              me::FlowCache::fingerprint(res.design.nl()));
+    EXPECT_EQ(mn::state_digest(back.design), mn::state_digest(res.design));
+    EXPECT_EQ(back.repart.cells_moved, res.repart.cells_moved);
+    EXPECT_EQ(back.clock.buffer_count, res.clock.buffer_count);
+    EXPECT_EQ(back.clock.max_skew_ns, res.clock.max_skew_ns);
+  }
+
+#ifdef M3D_TEST_SANITIZED
+  constexpr int kMutations = 300;
+#else
+  constexpr int kMutations = 1500;
+#endif
+  mu::Rng rng(18);
+  const int last = static_cast<int>(payload.size()) - 1;
+  int decoded = 0, rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string m = payload;
+    if (i % 10 == 0) {
+      m.resize(static_cast<std::size_t>(rng.uniform_int(0, last)));
+    } else {
+      const int at = rng.uniform_int(0, last);
+      const int n = std::min(rng.uniform_int(1, 4), last + 1 - at);
+      for (int k = 0; k < n; ++k)
+        m[static_cast<std::size_t>(at + k)] ^=
+            static_cast<char>(rng.uniform_int(1, 255));
+    }
+    try {
+      mio::BinReader r{m};
+      mio::read_snapshot(r, mc::Config::Hetero3D, opt);
+      ++decoded;
+    } catch (const mu::Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " escaped as " << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kMutations);
+  EXPECT_GT(rejected, kMutations / 2);
 }
 
 // ---- pool-size cross-resume (satellite: run under TSan too) ---------------

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/flow.hpp"
 #include "gen/designs.hpp"
 #include "netlist/checks.hpp"
@@ -28,11 +32,69 @@ mc::FlowResult flow(mc::Config cfg = mc::Config::Hetero3D) {
   return mc::run_flow(mg::make_netcard(g), cfg, o);
 }
 
+// The cpu 2D-12T output at the same scale and period.
+mc::FlowResult cpu_2d_flow() {
+  m3d::util::set_log_level(m3d::util::LogLevel::Silent);
+  mg::GenOptions g;
+  g.scale = 0.06;
+  mc::FlowOptions o;
+  o.clock_period_ns = 1.2;
+  return mc::run_flow(mg::make_design("cpu", g), mc::Config::TwoD12T, o);
+}
+
 bool has_rule(const std::vector<mn::CheckViolation>& v,
               const std::string& rule) {
   for (const auto& x : v)
     if (x.rule == rule) return true;
   return false;
+}
+
+// All-pairs reference: every same-tier pair of non-port cells whose boxes
+// overlap by more than min_x in x and min_y in y, as (lower id, higher id).
+std::vector<std::pair<mn::CellId, mn::CellId>> all_pairs_overlaps(
+    const mn::Design& d, double min_x, double min_y) {
+  const auto& nl = d.nl();
+  std::vector<std::pair<mn::CellId, mn::CellId>> out;
+  for (mn::CellId a = 0; a < nl.cell_count(); ++a) {
+    if (nl.cell(a).is_port()) continue;
+    for (mn::CellId b = a + 1; b < nl.cell_count(); ++b) {
+      if (nl.cell(b).is_port() || d.tier(a) != d.tier(b)) continue;
+      const double ox =
+          std::min(d.pos(a).x + d.cell_width(a) / 2.0,
+                   d.pos(b).x + d.cell_width(b) / 2.0) -
+          std::max(d.pos(a).x - d.cell_width(a) / 2.0,
+                   d.pos(b).x - d.cell_width(b) / 2.0);
+      const double oy =
+          std::min(d.pos(a).y + d.cell_height(a) / 2.0,
+                   d.pos(b).y + d.cell_height(b) / 2.0) -
+          std::max(d.pos(a).y - d.cell_height(a) / 2.0,
+                   d.pos(b).y - d.cell_height(b) / 2.0);
+      if (ox > min_x && oy > min_y) out.emplace_back(a, b);
+    }
+  }
+  return out;
+}
+
+// The placement.overlap findings against the all-pairs reference at the
+// checker's thresholds: one finding per overlapping pair, each naming the
+// pair's lower cell id. Also checks for_each_overlap at its own
+// thresholds: every overlapping pair exactly once.
+void expect_overlaps_match_all_pairs(const mn::Design& d) {
+  const auto ref = all_pairs_overlaps(d, 1e-9, 1e-6);
+  std::vector<mn::CellId> want, got;
+  for (const auto& [a, b] : ref) want.push_back(a);
+  for (const auto& x : mn::run_checks(d))
+    if (x.rule == "placement.overlap") got.push_back(x.cell);
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+
+  std::vector<std::pair<mn::CellId, mn::CellId>> visited;
+  mn::for_each_overlap(d, [&](mn::CellId a, mn::CellId b, double, double) {
+    visited.emplace_back(a, b);
+  });
+  std::sort(visited.begin(), visited.end());
+  EXPECT_EQ(visited, all_pairs_overlaps(d, 1e-9, 1e-9));
 }
 
 }  // namespace
@@ -70,6 +132,36 @@ TEST(Checks, DetectsOverlap) {
   d.set_pos(b, d.pos(a));
   const auto v = mn::run_checks(d);
   EXPECT_TRUE(has_rule(v, "placement.overlap")) << mn::check_report(v);
+}
+
+TEST(Checks, OverlapRuleMatchesAllPairsScan) {
+  // cpu's macros are wider than any standard cell; a sweep that stops at
+  // the first cell clearing the current cell's right edge never reaches a
+  // wider cell whose centre lies further right. The flow output carries
+  // macro-macro overlaps that only an exact scan finds.
+  auto r = cpu_2d_flow();
+  auto& d = r.design;
+  EXPECT_GT(m3d::place::max_overlap_um2(d), 0.0);
+  expect_overlaps_match_all_pairs(d);
+
+  // A comb cell dropped inside a macro, left of the macro's centre.
+  mn::CellId macro = mn::kInvalidId, comb = mn::kInvalidId;
+  for (mn::CellId c = 0; c < d.nl().cell_count(); ++c) {
+    if (macro == mn::kInvalidId && d.nl().cell(c).is_macro()) macro = c;
+    if (comb == mn::kInvalidId && d.nl().cell(c).is_comb()) comb = c;
+  }
+  ASSERT_NE(macro, mn::kInvalidId);
+  ASSERT_NE(comb, mn::kInvalidId);
+  ASSERT_EQ(d.tier(macro), d.tier(comb));
+  d.set_pos(comb, {d.pos(macro).x - d.cell_width(macro) / 4.0,
+                   d.pos(macro).y});
+  bool injected = false;
+  for (const auto& x : mn::run_checks(d))
+    injected |= x.rule == "placement.overlap" &&
+                x.message.find(std::string(d.nl().cell(comb).name)) !=
+                    std::string::npos;
+  EXPECT_TRUE(injected);
+  expect_overlaps_match_all_pairs(d);
 }
 
 TEST(Checks, DetectsOutsideDieAndOffRow) {

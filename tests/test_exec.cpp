@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -18,11 +19,13 @@
 #include <vector>
 
 #include "common.hpp"  // bench helpers (run_sweep determinism test)
+#include "core/checkpoint.hpp"
 #include "core/flow.hpp"
 #include "exec/flow_cache.hpp"
 #include "exec/pool.hpp"
 #include "exec/task_graph.hpp"
 #include "gen/designs.hpp"
+#include "io/flow_state.hpp"
 #include "io/reports.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -513,6 +516,108 @@ TEST_F(ExecFlowCache, DiskPersistsAcrossInstances) {
   EXPECT_EQ(third.stats().disk_writes, 1u);  // rewrote a good entry
   EXPECT_EQ(m3d::io::metrics_csv({computed->metrics}),
             m3d::io::metrics_csv({recomputed->metrics}));
+
+  unsetenv("M3D_FLOW_CACHE_DIR");
+  std::filesystem::remove_all(dir);
+}
+
+namespace {
+
+std::string read_bytes(const std::filesystem::path& p) {
+  std::ifstream is(p, std::ios::binary);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+void write_bytes(const std::filesystem::path& p, const std::string& bytes) {
+  std::ofstream os(p, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// The single entry of a disk-cache directory.
+std::filesystem::path only_entry(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    files.push_back(e.path());
+  EXPECT_EQ(files.size(), 1u);
+  return files.empty() ? std::filesystem::path() : files.front();
+}
+
+void expect_same_positions(const mc::FlowResult& a, const mc::FlowResult& b) {
+  ASSERT_EQ(a.design.nl().cell_count(), b.design.nl().cell_count());
+  for (mn::CellId c = 0; c < a.design.nl().cell_count(); ++c) {
+    ASSERT_EQ(a.design.tier(c), b.design.tier(c)) << "cell " << c;
+    ASSERT_EQ(a.design.pos(c).x, b.design.pos(c).x) << "cell " << c;
+    ASSERT_EQ(a.design.pos(c).y, b.design.pos(c).y) << "cell " << c;
+  }
+}
+
+}  // namespace
+
+TEST_F(ExecFlowCache, DiskEntryWithFlippedDesignStateByteIsAMiss) {
+  // The netlist fingerprint covers only the netlist; the design state
+  // after it is the checksum's job. Flip the low-order byte of the last
+  // cell's y: a fresh instance must recompute, never serve the moved cell.
+  const std::string dir = ::testing::TempDir() + "m3d_flow_cache_flip";
+  std::filesystem::remove_all(dir);
+  setenv("M3D_FLOW_CACHE_DIR", dir.c_str(), 1);
+
+  const auto nl = tiny("aes", 0.05);
+  const auto opt = tiny_opts();
+  me::FlowCache first(8);
+  const auto computed = first.get_or_run(nl, mc::Config::Hetero3D, opt);
+  ASSERT_EQ(first.stats().disk_writes, 1u);
+
+  const auto path = only_entry(dir);
+  std::string bytes = read_bytes(path);
+  const mn::Design& d = computed->design;
+  const double y = d.pos(d.nl().cell_count() - 1).y;
+  const std::string bits(reinterpret_cast<const char*>(&y), sizeof y);
+  const std::size_t at = bytes.rfind(bits);  // the last cell's record
+  ASSERT_NE(at, std::string::npos);
+  bytes[at] = static_cast<char>(bytes[at] ^ 1);  // host-endian low byte
+  write_bytes(path, bytes);
+
+  me::FlowCache second(8);
+  const auto loaded = second.get_or_run(nl, mc::Config::Hetero3D, opt);
+  EXPECT_EQ(second.stats().disk_hits, 0u);
+  EXPECT_EQ(second.stats().disk_writes, 1u);
+  expect_same_positions(*computed, *loaded);
+
+  unsetenv("M3D_FLOW_CACHE_DIR");
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ExecFlowCache, DiskEntryWithOversizedPayloadFieldIsAMiss) {
+  // A size field far beyond the bytes in the file must be rejected by
+  // comparison, not by trying to allocate it.
+  const std::string dir = ::testing::TempDir() + "m3d_flow_cache_size";
+  std::filesystem::remove_all(dir);
+  setenv("M3D_FLOW_CACHE_DIR", dir.c_str(), 1);
+
+  const auto nl = tiny("aes", 0.05);
+  const auto opt = tiny_opts();
+  me::FlowCache first(8);
+  const auto computed = first.get_or_run(nl, mc::Config::Hetero3D, opt);
+
+  // Envelope bytes 40–47: after magic 8, version 4, netlist fingerprint 8,
+  // config 4, options hash 8, stage 4 and iteration 4.
+  const auto path = only_entry(dir);
+  std::string bytes = read_bytes(path);
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + 40, &huge, sizeof huge);
+  write_bytes(path, bytes);
+  const m3d::io::StateKey key{
+      me::FlowCache::fingerprint(nl), static_cast<int>(mc::Config::Hetero3D),
+      me::FlowCache::options_hash(opt), m3d::flow::kStageCount, 0};
+  EXPECT_THROW(m3d::io::read_state_file(path.string(), key), mu::Error);
+
+  me::FlowCache second(8);
+  const auto loaded = second.get_or_run(nl, mc::Config::Hetero3D, opt);
+  EXPECT_EQ(second.stats().disk_hits, 0u);
+  EXPECT_EQ(second.stats().disk_writes, 1u);
+  expect_same_positions(*computed, *loaded);
 
   unsetenv("M3D_FLOW_CACHE_DIR");
   std::filesystem::remove_all(dir);

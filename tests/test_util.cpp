@@ -1,13 +1,22 @@
 // Unit tests for the util module: RNG determinism and distribution sanity,
-// geometry primitives, stats helpers, table formatting, check macros.
+// geometry primitives, stats helpers, table formatting, check macros, the
+// file publisher.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
+#include <csignal>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/geom.hpp"
+#include "util/log.hpp"
+#include "util/publish.hpp"
 #include "util/quantile.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -257,4 +266,61 @@ TEST(Table, AlignsColumnsAndFormats) {
 TEST(Table, IntegerFormat) {
   EXPECT_EQ(mu::TextTable::integer(12345), "12345");
   EXPECT_EQ(mu::TextTable::integer(-7), "-7");
+}
+
+namespace {
+
+std::string slurp(const std::filesystem::path& p) {
+  std::ifstream is(p, std::ios::binary);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+std::size_t entries(const std::filesystem::path& dir) {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+TEST(Publish, ReplacesFileAndLeavesNoTemporary) {
+  const std::filesystem::path dir =
+      ::testing::TempDir() + "m3d_publish_replace";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "sub" / "state.bin").string();
+  ASSERT_TRUE(mu::publish_file(path, "first"));  // creates the directory
+  ASSERT_TRUE(mu::publish_file(path, "second"));
+  EXPECT_EQ(slurp(path), "second");
+  EXPECT_EQ(entries(dir / "sub"), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Publish, ShortWriteKeepsThePreviousFile) {
+  // A file-size limit stands in for a full disk: the temporary's write
+  // comes up short, and the previous content must survive untouched.
+  mu::set_log_level(mu::LogLevel::Silent);
+  const std::filesystem::path dir = ::testing::TempDir() + "m3d_publish_short";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "jobs.jsonl").string();
+  ASSERT_TRUE(mu::publish_file(path, "old journal\n"));
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit small = saved;
+  small.rlim_cur = 4096;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  const bool published = mu::publish_file(path, std::string(1 << 20, 'x'));
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(published);
+  EXPECT_EQ(slurp(path), "old journal\n");
+  EXPECT_EQ(entries(dir), 1u);  // the temporary was removed
+  std::filesystem::remove_all(dir);
 }
