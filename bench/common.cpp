@@ -57,8 +57,10 @@ core::FlowOptions flow_options_for(const std::string& netlist_name,
 }
 
 double target_period_ns(const netlist::Netlist& nl, const exec::Ctx* ctx) {
+  core::FlowOptions o = flow_options_for(nl.name(), 1.0);
+  if (ctx) o.pool = ctx->pool;  // the search's kernels run on ctx's pool
   const double f = core::find_max_frequency(
-      nl, core::Config::TwoD12T, flow_options_for(nl.name(), 1.0), 0.4, 4.0,
+      nl, core::Config::TwoD12T, o, 0.4, 4.0,
       /*iters=*/6, /*wns_budget_frac=*/0.05, ctx);
   return 1.0 / f;
 }
@@ -69,8 +71,9 @@ exec::FlowCache::ResultPtr run_config_cached(const netlist::Netlist& nl,
                                              const exec::Ctx* ctx) {
   const exec::Ctx defaults;
   if (!ctx) ctx = &defaults;
-  return ctx->cache_or_global().get_or_run(
-      nl, cfg, flow_options_for(nl.name(), period_ns));
+  core::FlowOptions o = flow_options_for(nl.name(), period_ns);
+  o.pool = ctx->pool;  // the flow's kernels run on ctx's pool
+  return ctx->cache_or_global().get_or_run(nl, cfg, o);
 }
 
 core::FlowResult run_config(const netlist::Netlist& nl, core::Config cfg,

@@ -48,12 +48,14 @@ core::FlowOptions flow_options_for(const std::string& netlist_name,
 /// implementation to its maximum achievable frequency (WNS within ~7 % of
 /// the period) and use that as the iso-performance target for every other
 /// configuration of the same netlist. Returns the target period (ns).
-/// `ctx` selects the pool/cache (nullptr = process-wide defaults).
+/// `ctx` selects the cache and the pool the flows' kernels run on
+/// (nullptr = process-wide defaults).
 double target_period_ns(const netlist::Netlist& nl,
                         const exec::Ctx* ctx = nullptr);
 
 /// Run one configuration at the given period, memoized in the context's
-/// flow cache (a repeated (netlist, config, period) run is a lookup).
+/// flow cache (a repeated (netlist, config, period) run is a lookup), with
+/// its kernels on the context's pool.
 exec::FlowCache::ResultPtr run_config_cached(const netlist::Netlist& nl,
                                              core::Config cfg,
                                              double period_ns,
@@ -83,7 +85,9 @@ struct SweepOptions {
   /// Period for every run (>0), or 0 for the paper's per-netlist
   /// iso-performance target (12-track 2-D maximum frequency).
   double fixed_period_ns = 0.0;
-  int threads = 0;                    ///< >0: private pool of that size
+  /// >0: private pool of that size for the sweep's tasks and the flows'
+  /// kernels alike.
+  int threads = 0;
   exec::FlowCache* cache = nullptr;   ///< nullptr → FlowCache::global()
 };
 

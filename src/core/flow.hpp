@@ -90,12 +90,13 @@ struct FlowOptions {
   bool path_based_criticality = false;
   int path_based_paths = 100;
 
-  /// Worker pool for the parallel kernels inside every stage (STA level
-  /// propagation, placement relaxation/spreading, FM gain initialization);
-  /// nullptr means exec::Pool::global(). Propagated into every nested
-  /// options struct that carries its own pool, unless that struct already
-  /// names one. Flow results are byte-identical for any pool size, so pool
-  /// fields are deliberately NOT part of exec::FlowCache::options_hash.
+  /// Worker pool for the parallel kernels inside every stage (placement,
+  /// FM gains, STA, routing, CTS, power, the ECO scans); nullptr means
+  /// exec::Pool::global(), as it does for every kernel. Propagated into
+  /// every nested options struct that carries its own pool, unless that
+  /// struct already names one. Flow results are byte-identical for any
+  /// pool size, so pool fields are deliberately NOT part of
+  /// exec::FlowCache::options_hash.
   exec::Pool* pool = nullptr;
 
   /// Multi-corner signoff: when sta_corners.count > 1, the repartition

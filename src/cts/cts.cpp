@@ -138,12 +138,9 @@ class TreeBuilder {
         has_next[static_cast<std::size_t>(2 * i)] = 1;
         has_next[static_cast<std::size_t>(2 * i + 1)] = 1;
       };
-      const int items = static_cast<int>(level.size());
-      if (opt_.pool != nullptr && opt_.pool->size() > 1 && items > 1) {
-        opt_.pool->parallel_for(0, items, expand, /*grain=*/1);
-      } else {
-        for (int i = 0; i < items; ++i) expand(i);
-      }
+      exec::pool_or_global(opt_.pool)
+          .parallel_for(0, static_cast<int>(level.size()), expand,
+                        /*grain=*/1);
       std::vector<Split> compact;
       compact.reserve(next.size());
       for (std::size_t i = 0; i < next.size(); ++i)
@@ -393,8 +390,9 @@ ClockTreeReport annotate_clock_latencies(Design& d, exec::Pool* pool) {
   const auto& miv = d.lib(kBottomTier).miv();
 
   // Pre-route every driven clock net — the expensive part of the walk — as
-  // a pooled gather (one net per slot); the DFS below then only looks
-  // routes up, so its latency arithmetic runs in the exact serial order.
+  // a pooled gather in fixed 128-net chunks (one net per slot); the DFS
+  // below then only looks routes up, so its latency arithmetic runs in the
+  // exact serial order.
   std::vector<NetId> clock_nets;
   std::vector<int> route_index(static_cast<std::size_t>(nl.net_count()), -1);
   for (NetId n = 0; n < nl.net_count(); ++n) {
@@ -406,27 +404,18 @@ ClockTreeReport annotate_clock_latencies(Design& d, exec::Pool* pool) {
   }
   std::vector<route::NetRoute> clock_routes(clock_nets.size());
   {
-    constexpr int kChunk = 64;
+    constexpr int kChunk = 128;
     const int count = static_cast<int>(clock_nets.size());
-    auto route_chunk = [&](int lo, int hi, route::RouteScratch& scratch) {
-      for (int i = lo; i < hi; ++i)
-        clock_routes[static_cast<std::size_t>(i)] = route::route_net(
-            d, clock_nets[static_cast<std::size_t>(i)], scratch);
-    };
-    if (pool != nullptr && pool->size() > 1 && count >= 2 * kChunk) {
-      const int chunks = (count + kChunk - 1) / kChunk;
-      pool->parallel_for(
-          0, chunks,
-          [&](int c) {
-            route::RouteScratch scratch;
-            route_chunk(c * kChunk, std::min(count, (c + 1) * kChunk),
-                        scratch);
-          },
-          /*grain=*/1);
-    } else {
-      route::RouteScratch scratch;
-      route_chunk(0, count, scratch);
-    }
+    exec::pool_or_global(pool).parallel_for(
+        0, (count + kChunk - 1) / kChunk,
+        [&](int c) {
+          route::RouteScratch scratch;
+          const int hi = std::min(count, (c + 1) * kChunk);
+          for (int i = c * kChunk; i < hi; ++i)
+            clock_routes[static_cast<std::size_t>(i)] = route::route_net(
+                d, clock_nets[static_cast<std::size_t>(i)], scratch);
+        },
+        /*grain=*/1);
   }
 
   // Iterative DFS over (net, arrival-at-driver-output).

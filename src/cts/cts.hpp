@@ -51,9 +51,9 @@ struct CtsOptions {
   bool balance_skew = true;
   int max_pad_buffers = 40;  ///< per-leaf padding budget
   /// Worker pool for the bisection planning and the clock-net routing
-  /// sweeps; nullptr builds serially. The built tree is bitwise identical
-  /// at any pool size (each subtree owns a precomputed counter range), so
-  /// this field must stay out of exec::FlowCache::options_hash.
+  /// sweeps; nullptr means exec::Pool::global(). The built tree is bitwise
+  /// identical at any pool size (each subtree owns a precomputed counter
+  /// range), so this field must stay out of exec::FlowCache::options_hash.
   exec::Pool* pool = nullptr;
 };
 
@@ -77,8 +77,9 @@ ClockTreeReport build_clock_tree(Design& d, const CtsOptions& opt = {});
 
 /// Recompute per-sink clock latencies from the current netlist + placement
 /// and store them in the design. Returns updated metrics. The clock nets
-/// are pre-routed in parallel on `pool` (the tree walk itself is serial);
-/// results are byte-identical at any pool size.
+/// are pre-routed in parallel on `pool` (exec::Pool::global() when null;
+/// the tree walk itself is serial); results are byte-identical at any
+/// pool size.
 ClockTreeReport annotate_clock_latencies(Design& d,
                                          exec::Pool* pool = nullptr);
 

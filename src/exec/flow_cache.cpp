@@ -1,8 +1,7 @@
 #include "exec/flow_cache.hpp"
 
-#include <cstdlib>
-
 #include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/hash.hpp"
 #include "util/trace.hpp"
 
@@ -165,10 +164,8 @@ std::uint64_t FlowCache::options_hash(const core::FlowOptions& o) {
 }
 
 std::size_t FlowCache::default_capacity() {
-  if (const char* s = std::getenv("M3D_FLOW_CACHE_CAP")) {
-    const long n = std::atol(s);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
+  if (const auto n = util::env_int("M3D_FLOW_CACHE_CAP"); n && *n > 0)
+    return static_cast<std::size_t>(*n);
   return 64;
 }
 

@@ -95,7 +95,8 @@ class FlowCache {
   /// Process-wide cache used by core::find_max_frequency and the benches.
   static FlowCache& global();
 
-  /// M3D_FLOW_CACHE_CAP if set and positive, else 64.
+  /// M3D_FLOW_CACHE_CAP if set and positive, else 64. A malformed value
+  /// throws util::Error (util::env_int).
   static std::size_t default_capacity();
 
   /// M3D_FLOW_CACHE_DIR, or empty when disk persistence is disabled.
@@ -162,7 +163,7 @@ struct Ctx {
   Pool* pool = nullptr;
   FlowCache* cache = nullptr;
 
-  Pool& pool_or_global() const { return pool ? *pool : Pool::global(); }
+  Pool& pool_or_global() const { return exec::pool_or_global(pool); }
   FlowCache& cache_or_global() const {
     return cache ? *cache : FlowCache::global();
   }

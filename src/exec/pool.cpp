@@ -1,11 +1,11 @@
 #include "exec/pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <string>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -43,10 +43,7 @@ Pool::~Pool() {
 }
 
 int Pool::default_threads() {
-  if (const char* s = std::getenv("M3D_THREADS")) {
-    const int n = std::atoi(s);
-    if (n > 0) return n;
-  }
+  if (const auto n = util::env_int("M3D_THREADS"); n && *n > 0) return *n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -144,7 +141,7 @@ void Pool::parallel_for(int begin, int end,
   if (begin >= end) return;
   if (grain < 1) grain = 1;
   const int n_chunks = (end - begin + grain - 1) / grain;
-  if (n_chunks == 1) {
+  if (n_chunks == 1 || size() == 1) {
     for (int i = begin; i < end; ++i) fn(i);
     return;
   }

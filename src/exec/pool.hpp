@@ -20,6 +20,11 @@
 ///    flow can never start a sibling flow in its frame, and nested loops
 ///    (a sweep task running a flow whose kernels fan out) still finish
 ///    with no worker free, because the caller can run every chunk itself.
+///  * **One rule for kernel loops.** `parallel_for` alone decides whether
+///    a loop is worth the pool: a range of one chunk, or a pool of one
+///    worker, runs inline on the caller and posts nothing. Kernels pick a
+///    chunk size and call it unconditionally, and `pool_or_global` is the
+///    one place a null `Pool*` is resolved (to `Pool::global()`).
 ///  * **Determinism discipline.** The pool never provides randomness or
 ///    ordering guarantees to tasks; results must depend only on task
 ///    inputs (see rng.hpp's concurrency guarantee). Workers register the
@@ -106,12 +111,15 @@ class Pool {
     return fut.get();
   }
 
-  /// Run fn(i) for i in [begin, end) in chunks of `grain`. The caller and
-  /// at most size() helper tasks claim chunks from one shared index; once
-  /// it is used up the caller waits only for chunks already started on
-  /// other threads, and runs no other task meanwhile. Rethrows the first
-  /// chunk exception after every claimed chunk ended (a failing chunk
-  /// abandons the rest of its own iterations).
+  /// Run fn(i) for i in [begin, end) in chunks of `grain`. A range of one
+  /// chunk, or a pool of one worker, runs inline on the caller in index
+  /// order and posts nothing (the first exception propagates at once).
+  /// Otherwise the caller and at most size() helper tasks claim chunks
+  /// from one shared index; once it is used up the caller waits only for
+  /// chunks already started on other threads, and runs no other task
+  /// meanwhile. Rethrows the first chunk exception after every claimed
+  /// chunk ended (a failing chunk abandons the rest of its own
+  /// iterations).
   void parallel_for(int begin, int end, const std::function<void(int)>& fn,
                     int grain = 1);
 
@@ -129,7 +137,8 @@ class Pool {
   /// Process-wide shared pool (sized on first use).
   static Pool& global();
 
-  /// M3D_THREADS if set and positive, else hardware_concurrency().
+  /// M3D_THREADS if set and positive, else hardware_concurrency(). A
+  /// malformed value throws util::Error (util::env_int).
   static int default_threads();
 
  private:
@@ -155,20 +164,22 @@ class Pool {
   std::condition_variable idle_cv_;
 };
 
+/// The pool a kernel runs on: `pool`, or Pool::global() when it is null.
+/// Every `Pool*` option in the repository means this, and this is the
+/// only place the null case is resolved.
+inline Pool& pool_or_global(Pool* pool) {
+  return pool != nullptr ? *pool : Pool::global();
+}
+
 /// Deterministic parallel gather: runs `fn(i, out)` for i in [0, n) where
-/// each chunk appends to its own vector, then concatenates the chunk
-/// results in ascending chunk order — byte-identical to the serial
-/// append loop at any pool size. Falls back to the serial loop below the
-/// chunk threshold or on a single-worker pool.
+/// each chunk of `grain` items appends to its own vector, then
+/// concatenates the chunk results in ascending chunk order —
+/// byte-identical to the serial append loop at any pool size.
 template <typename T, typename Fn>
 std::vector<T> ordered_gather(Pool& pool, int n, int grain, Fn&& fn) {
   std::vector<T> out;
   if (n <= 0) return out;
   const int n_chunks = (n + grain - 1) / grain;
-  if (n_chunks <= 1 || pool.size() <= 1) {
-    for (int i = 0; i < n; ++i) fn(i, out);
-    return out;
-  }
   std::vector<std::vector<T>> parts(static_cast<std::size_t>(n_chunks));
   pool.parallel_for(
       0, n_chunks,

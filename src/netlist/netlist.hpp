@@ -19,8 +19,7 @@
 ///    in the fixed order [non-clock inputs][clock?][outputs], so the
 ///    per-cell pin "lists" are just (offset, counts) into pin-id space —
 ///    `input_pins_of` / `output_pins_of` / `clock_pin` are O(1) arithmetic,
-///    and there is no index to rebuild (ensure_pin_index is a no-op kept
-///    for source compatibility).
+///    and there is no index to rebuild.
 ///  - A net's pin list is a (offset, count, capacity) run inside one shared
 ///    PinId arena. connect() grows a run by power-of-two reallocation at
 ///    the arena tail (dovecot-style bulk allocation: dead runs are
@@ -290,13 +289,9 @@ class Netlist {
   std::vector<PinId> input_pins(CellId c) const;
 
   // ---- pin CSR -----------------------------------------------------------
-  // The per-cell pin CSR *is* the storage now — there is no cache and
-  // nothing to rebuild. ensure_pin_index() remains as a no-op so call
-  // sites that froze the old lazily-built index before parallel reads
-  // keep compiling (and stay correct: reads are always safe when the
-  // netlist is not being mutated).
-
-  void ensure_pin_index() const {}
+  // The per-cell pin CSR *is* the storage — there is no cache and nothing
+  // to rebuild, so reads are safe from any thread while the netlist is not
+  // being mutated.
 
   /// Non-clock input pins of a cell (input_pins() order, no allocation).
   PinSpan input_pins_of(CellId c) const {

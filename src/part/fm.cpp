@@ -198,7 +198,8 @@ struct GainBuckets {
   bool empty() const { return total == 0; }
 };
 
-constexpr int kParallelMin = 2048;
+/// Cells per parallel_for chunk of the initial gain computation.
+constexpr int kGainChunk = 2048;
 
 /// FM over `num_regions` balance domains (one for whole-design FM, a
 /// placement bin each for the bin-based variant) on a stack of K >= 2
@@ -675,8 +676,7 @@ int KwayEngine::run() {
   double cost = mu > 0.0 ? die_cost_now() : 0.0;
   double J = cut + mu * cost;
 
-  exec::Pool& pool =
-      opt_.pool != nullptr ? *opt_.pool : exec::Pool::global();
+  exec::Pool& pool = exec::pool_or_global(opt_.pool);
   const int nc = nl_.cell_count();
   const bool tracing = util::trace_enabled();
 
@@ -699,18 +699,16 @@ int KwayEngine::run() {
 
     // Initial gains: independent integers over frozen counts, each cell
     // writing only its own K−1 slots — pool-parallel equals serial.
-    const auto fill_gains = [&](CellId c) {
-      if (!movable_[static_cast<std::size_t>(c)]) return;
-      const int f = d_.tier(c);
-      for (int u = 0; u < K_; ++u)
-        if (u != f) gain[idx(c, u)] = gain_of(c, u);
-    };
-    if (nc >= kParallelMin && pool.size() > 1) {
-      pool.parallel_for(0, nc, [&](int ci) { fill_gains(ci); },
-                        /*grain=*/256);
-    } else {
-      for (CellId c = 0; c < nc; ++c) fill_gains(c);
-    }
+    pool.parallel_for(
+        0, nc,
+        [&](int ci) {
+          const CellId c = ci;
+          if (!movable_[static_cast<std::size_t>(c)]) return;
+          const int f = d_.tier(c);
+          for (int u = 0; u < K_; ++u)
+            if (u != f) gain[idx(c, u)] = gain_of(c, u);
+        },
+        kGainChunk);
     for (CellId c = 0; c < nc; ++c) {
       if (!movable_[static_cast<std::size_t>(c)]) continue;
       const int f = d_.tier(c);

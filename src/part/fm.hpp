@@ -51,10 +51,11 @@ struct FmOptions {
   int max_passes = 8;         ///< FM passes (each pass visits all cells)
   int bins = 8;               ///< bin grid per axis (bin-based variant)
   unsigned seed = 1;          ///< initial-assignment seed
-  /// Worker pool for the per-pass initial gain computation; nullptr means
-  /// exec::Pool::global(). Results are identical for any pool size (gains
-  /// are integers computed independently per cell, and the move loop is
-  /// serial), so this field is excluded from flow-cache option hashes.
+  /// Worker pool for the per-pass initial gain computation (2,048-cell
+  /// chunks); nullptr means exec::Pool::global(). Results are identical
+  /// for any pool size (gains are integers computed independently per
+  /// cell, and the move loop is serial), so this field is excluded from
+  /// flow-cache option hashes.
   exec::Pool* pool = nullptr;
   /// When non-null, per-run counters are accumulated here.
   FmStats* stats = nullptr;

@@ -27,8 +27,7 @@ template <typename Keep>
 std::vector<std::pair<double, CellId>> bottom_slack_cands(
     const Design& d, const sta::StaResult& timing, exec::Pool& pool,
     Keep&& keep) {
-  constexpr int kParallelMin = 2048;
-  constexpr int kGrain = 2048;
+  constexpr int kChunk = 2048;
   const int nc = d.nl().cell_count();
   auto scan = [&](int ci, std::vector<std::pair<double, CellId>>& out) {
     const CellId c = ci;
@@ -39,13 +38,8 @@ std::vector<std::pair<double, CellId>> bottom_slack_cands(
     if (!keep(c, s)) return;
     out.emplace_back(-s, c);
   };
-  std::vector<std::pair<double, CellId>> cands;
-  if (nc >= kParallelMin && pool.size() > 1) {
-    cands = exec::ordered_gather<std::pair<double, CellId>>(pool, nc, kGrain,
-                                                            scan);
-  } else {
-    for (int ci = 0; ci < nc; ++ci) scan(ci, cands);
-  }
+  std::vector<std::pair<double, CellId>> cands =
+      exec::ordered_gather<std::pair<double, CellId>>(pool, nc, kChunk, scan);
   std::sort(cands.begin(), cands.end());
   return cands;
 }
@@ -72,7 +66,7 @@ int rebalance_to_top(Design& d, const sta::StaResult& timing,
   };
 
   // Candidates: bottom-tier std cells, most slack first.
-  exec::Pool& pl = pool != nullptr ? *pool : exec::Pool::global();
+  exec::Pool& pl = exec::pool_or_global(pool);
   const std::vector<std::pair<double, CellId>> cands = bottom_slack_cands(
       d, timing, pl, [&](CellId, double s) {
         return std::isfinite(s) && s >= min_slack_ns;
@@ -86,11 +80,11 @@ int rebalance_to_top(Design& d, const sta::StaResult& timing,
   // Accept/undo decisions run on the guard-banded WNS: the worst corner
   // of a multi-corner spec, or exactly the nominal WNS when sta_opt is
   // single-corner (guard_wns() == wns() bitwise at K = 1).
-  route::RoutingEstimate routes = route::route_design(d);
+  route::RoutingEstimate routes = route::route_design(d, {&pl});
   sta::Sta sta(d, &routes, sta_opt);
   const double wns_start = sta.run().guard_wns();
   auto retime_moved = [&](const std::vector<CellId>& moved_cells) {
-    route::update_routes_for_cells(d, moved_cells, &routes);
+    route::update_routes_for_cells(d, moved_cells, &routes, {&pl});
     return sta.retime(moved_cells).guard_wns();
   };
   // Migration may consume positive slack and even dip negative up to the
@@ -148,18 +142,17 @@ RepartitionResult repartition_eco(Design& d, const RepartitionOptions& opt,
                                   const EcoHooks* hooks) {
   M3D_CHECK(d.num_tiers() == 2);
   RepartitionResult res;
-  exec::Pool& pool =
-      opt.pool != nullptr ? *opt.pool : exec::Pool::global();
+  exec::Pool& pool = exec::pool_or_global(opt.pool);
 
   // One routing estimate and one Sta persist across the whole ECO: every
   // accept/reject re-times only the cone of the touched cells instead of
   // re-routing and re-propagating the entire design (the dominant cost of
   // Algorithm 1 as designs grow).
-  route::RoutingEstimate routes = route::route_design(d);
+  route::RoutingEstimate routes = route::route_design(d, {&pool});
   sta::Sta sta(d, &routes, opt.sta);
   const sta::StaResult& timing = sta.run();
   auto retime_moved = [&](const std::vector<CellId>& moved_cells) {
-    route::update_routes_for_cells(d, moved_cells, &routes);
+    route::update_routes_for_cells(d, moved_cells, &routes, {&pool});
     sta.retime(moved_cells);
   };
   // Variation-aware accept metric: guard-banded (worst-over-corners)

@@ -41,9 +41,11 @@ struct RepartitionOptions {
   int max_iters = 12;
   sta::StaOptions sta;         ///< timing options for the ECO updates
   /// Worker pool for the per-iteration candidate scans (counterweight
-  /// selection); nullptr means exec::Pool::global(). The scans gather in
-  /// deterministic chunk order, so results are byte-identical at any pool
-  /// size and the field is excluded from flow-cache option hashes.
+  /// selection) and for routing and re-routing the design; nullptr means
+  /// exec::Pool::global(). The scans gather in deterministic chunk order
+  /// and routes are per-net slots, so results are byte-identical at any
+  /// pool size and the field is excluded from flow-cache option hashes.
+  /// The STA runs on `sta.pool`.
   exec::Pool* pool = nullptr;
 };
 
@@ -106,7 +108,9 @@ double tier_unbalance(const Design& d);
 /// `sta_opt` configures the verification STA the batches are accepted
 /// against; with a multi-corner spec the WNS floor is checked on the
 /// guard-banded (worst-over-corners) WNS, so a migration that only breaks
-/// a slow-tier corner is undone too.
+/// a slow-tier corner is undone too. The candidate scan and the routing
+/// run on `pool` (exec::Pool::global() when null), the STA on
+/// `sta_opt.pool`.
 int rebalance_to_top(Design& d, const sta::StaResult& timing,
                      double min_slack_ns, double utilization,
                      exec::Pool* pool = nullptr,

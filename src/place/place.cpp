@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <functional>
 #include <map>
 #include <numeric>
 #include <string>
@@ -29,23 +28,12 @@ namespace {
 
 bool movable(const Cell& c) { return !c.fixed && !c.is_port(); }
 
-/// Serial below this many items: the kernels are deterministic either way
-/// (single-writer slots), only the scheduling overhead differs.
-constexpr int kParallelMin = 2048;
-constexpr int kParallelGrain = 256;
-/// Histogram reductions accumulate per fixed 2048-cell chunk and combine
-/// the partials serially in chunk order, so the floating-point sum is
+/// Items per parallel_for chunk. The per-item kernels write single-writer
+/// slots, so only the scheduling depends on it. The spreading histogram
+/// accumulates one partial per fixed chunk of cell ids and combines the
+/// partials serially in chunk order, so its floating-point sum is
 /// independent of the pool size (including 1).
-constexpr int kReduceChunk = 2048;
-
-void par_for(exec::Pool& pool, int n, const std::function<void(int)>& fn,
-             int grain = kParallelGrain) {
-  if (n < kParallelMin || pool.size() <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-  } else {
-    pool.parallel_for(0, n, fn, grain);
-  }
-}
+constexpr int kChunk = 2048;
 
 /// Evenly distribute ports around the floorplan perimeter.
 void place_ports(Design& d) {
@@ -164,8 +152,7 @@ void global_place(Design& d, const PlaceOptions& opt) {
   const auto& nl = d.nl();
   const Rect fp = d.floorplan();
   util::Rng rng(opt.seed);
-  exec::Pool& pool =
-      opt.pool != nullptr ? *opt.pool : exec::Pool::global();
+  exec::Pool& pool = exec::pool_or_global(opt.pool);
   const int nc = nl.cell_count();
   const int nn = nl.net_count();
   const bool tracing = util::trace_enabled();
@@ -190,7 +177,7 @@ void global_place(Design& d, const PlaceOptions& opt) {
   for (int iter = 0; iter < opt.relax_iters; ++iter) {
     util::TraceSpan pass_span("relax_pass",
                               tracing ? std::to_string(iter) : std::string());
-    par_for(pool, nn, [&](int ni) {
+    pool.parallel_for(0, nn, [&](int ni) {
       const NetId n = ni;
       double x = 0.0, y = 0.0;
       int k = 0;
@@ -206,8 +193,8 @@ void global_place(Design& d, const PlaceOptions& opt) {
       cx[static_cast<std::size_t>(n)] = x;
       cy[static_cast<std::size_t>(n)] = y;
       cn[static_cast<std::size_t>(n)] = k;
-    });
-    par_for(pool, nc, [&](int ci) {
+    }, kChunk);
+    pool.parallel_for(0, nc, [&](int ci) {
       const CellId c = ci;
       if (!mv[static_cast<std::size_t>(c)]) return;
       double sx = 0.0, sy = 0.0;
@@ -225,12 +212,12 @@ void global_place(Design& d, const PlaceOptions& opt) {
       }
       if (k == 0) return;
       d.set_pos(c, fp.clamp({sx / k, sy / k}));
-    });
+    }, kChunk);
   }
 
   // --- density spreading: per-axis histogram equalization ------------------
   const int g = std::max(4, opt.grid);
-  const int nchunks = (nc + kReduceChunk - 1) / kReduceChunk;
+  const int nchunks = (nc + kChunk - 1) / kChunk;
   std::vector<std::vector<double>> chunk_mass(
       static_cast<std::size_t>(nchunks),
       std::vector<double>(static_cast<std::size_t>(g), 0.0));
@@ -245,11 +232,11 @@ void global_place(Design& d, const PlaceOptions& opt) {
       // Per-chunk partial histograms over fixed cell-id ranges, combined
       // serially in chunk order: the reduction order — and therefore the
       // floating-point result — does not depend on the pool size.
-      par_for(pool, nchunks, [&](int chunk) {
+      pool.parallel_for(0, nchunks, [&](int chunk) {
         auto& m = chunk_mass[static_cast<std::size_t>(chunk)];
         std::fill(m.begin(), m.end(), 0.0);
-        const int c_end = std::min(nc, (chunk + 1) * kReduceChunk);
-        for (CellId c = chunk * kReduceChunk; c < c_end; ++c) {
+        const int c_end = std::min(nc, (chunk + 1) * kChunk);
+        for (CellId c = chunk * kChunk; c < c_end; ++c) {
           if (!mv[static_cast<std::size_t>(c)]) continue;
           const double v = axis == 0 ? d.pos(c).x : d.pos(c).y;
           int b = static_cast<int>((v - lo) / span * g);
@@ -273,7 +260,7 @@ void global_place(Design& d, const PlaceOptions& opt) {
       // Blend toward the equalized coordinate to avoid oscillation. Each
       // cell reads the frozen histogram and writes only its own position.
       const double blend = 0.5;
-      par_for(pool, nc, [&](int ci) {
+      pool.parallel_for(0, nc, [&](int ci) {
         const CellId c = ci;
         if (!mv[static_cast<std::size_t>(c)]) return;
         Point p = d.pos(c);
@@ -292,7 +279,7 @@ void global_place(Design& d, const PlaceOptions& opt) {
         else
           p.y = nv;
         d.set_pos(c, fp.clamp(p));
-      });
+      }, kChunk);
     }
   }
   util::log_info("global place done");

@@ -33,10 +33,11 @@ struct PlaceOptions {
   int spread_iters = 3;       ///< histogram-equalization passes
   int grid = 24;              ///< spreading grid resolution per axis
   unsigned seed = 1;          ///< initial-placement scatter seed
-  /// Worker pool for the relaxation/spreading passes; nullptr means
-  /// exec::Pool::global(). Placements are byte-identical for any pool size
-  /// (single-writer updates; histogram reductions use fixed chunk
-  /// boundaries), so this field is excluded from flow-cache option hashes.
+  /// Worker pool for the relaxation/spreading passes and the spreading
+  /// histogram; nullptr means exec::Pool::global(). Placements are
+  /// byte-identical for any pool size (single-writer updates; histogram
+  /// reductions use fixed 2,048-cell chunks), so this field is excluded
+  /// from flow-cache option hashes.
   exec::Pool* pool = nullptr;
 };
 

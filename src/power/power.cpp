@@ -1,7 +1,5 @@
 #include "power/power.hpp"
 
-#include <functional>
-
 #include "exec/pool.hpp"
 #include "util/check.hpp"
 
@@ -15,18 +13,9 @@ using netlist::PinId;
 
 namespace {
 
-/// Serial below this many items; the per-item kernels are deterministic
-/// either way, only the scheduling overhead differs.
-constexpr int kParallelMin = 2048;
-constexpr int kParallelGrain = 256;
-
-void par_for(exec::Pool* pool, int n, const std::function<void(int)>& fn) {
-  if (pool == nullptr || pool->size() <= 1 || n < kParallelMin) {
-    for (int i = 0; i < n; ++i) fn(i);
-  } else {
-    pool->parallel_for(0, n, fn, kParallelGrain);
-  }
-}
+/// Items per parallel_for chunk; the per-item kernels write their own
+/// slots, so only the scheduling depends on it.
+constexpr int kChunk = 2048;
 
 /// Is this combinational cell part of the clock distribution?
 bool is_clock_cell(const Design& d, CellId c) {
@@ -46,7 +35,7 @@ PowerReport analyze_power(const Design& d,
                           double freq_ghz, const PowerOptions& opt) {
   M3D_CHECK(freq_ghz > 0.0);
   const auto& nl = d.nl();
-  nl.ensure_pin_index();  // freeze the pin CSR before the parallel gathers
+  exec::Pool& pool = exec::pool_or_global(opt.pool);
   PowerReport rep;
   rep.net_switching_uw.assign(static_cast<std::size_t>(nl.net_count()), 0.0);
 
@@ -54,7 +43,7 @@ PowerReport analyze_power(const Design& d,
   // Gather: each net's µW lands in its own slot; the clock/signal totals
   // accumulate serially in net order below, bitwise-identical to the old
   // single loop at any pool size.
-  par_for(opt.pool, nl.net_count(), [&](int n) {
+  pool.parallel_for(0, nl.net_count(), [&](int n) {
     const auto& net = nl.net(n);
     if (net.driver == kInvalidId) return;
     double cap_ff = 0.0;
@@ -66,7 +55,7 @@ PowerReport analyze_power(const Design& d,
     // ½·α·C·V²·f; fF·V²·GHz = µW.
     rep.net_switching_uw[static_cast<std::size_t>(n)] =
         0.5 * net.activity * cap_ff * vdd * vdd * freq_ghz;
-  });
+  }, kChunk);
   for (NetId n = 0; n < nl.net_count(); ++n) {
     if (nl.net(n).driver == kInvalidId) continue;
     const double uw = rep.net_switching_uw[static_cast<std::size_t>(n)];
@@ -84,7 +73,7 @@ PowerReport analyze_power(const Design& d,
   std::vector<double> leakage(nc, 0.0);
   std::vector<char> skip(nc, 0);
   std::vector<char> clocky(nc, 0);
-  par_for(opt.pool, nl.cell_count(), [&](int c) {
+  pool.parallel_for(0, nl.cell_count(), [&](int c) {
     const Cell& cc = nl.cell(c);
     const auto ci = static_cast<std::size_t>(c);
     double internal_uw = 0.0;
@@ -131,7 +120,7 @@ PowerReport analyze_power(const Design& d,
     internal[ci] = internal_uw;
     leakage[ci] = leakage_uw;
     clocky[ci] = is_clock_cell(d, c) ? 1 : 0;
-  });
+  }, kChunk);
   for (CellId c = 0; c < nl.cell_count(); ++c) {
     const auto ci = static_cast<std::size_t>(c);
     if (skip[ci]) continue;

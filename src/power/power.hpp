@@ -31,10 +31,10 @@ using netlist::NetId;
 /// Power analysis knobs.
 struct PowerOptions {
   bool boundary_leakage = true;  ///< apply hetero leakage derates
-  /// Worker pool for the per-net and per-cell gathers; nullptr analyzes
-  /// serially. Totals accumulate serially in id order afterwards, so the
-  /// report is byte-identical at any pool size — keep this field out of
-  /// exec::FlowCache::options_hash.
+  /// Worker pool for the per-net and per-cell gathers; nullptr means
+  /// exec::Pool::global(). Totals accumulate serially in id order
+  /// afterwards, so the report is byte-identical at any pool size — keep
+  /// this field out of exec::FlowCache::options_hash.
   exec::Pool* pool = nullptr;
 };
 

@@ -17,26 +17,18 @@ using util::Point;
 
 namespace {
 
-/// Serial below this many nets; the per-net kernels are deterministic
-/// either way, only the scheduling overhead differs.
-constexpr int kParallelMinNets = 1024;
 /// Nets per parallel chunk. Each chunk owns one RouteScratch, so the
 /// scratch reuse survives any pool size without per-worker state.
-constexpr int kNetChunk = 256;
+constexpr int kNetChunk = 1024;
 
-/// Run fn(lo, hi, scratch) over fixed [lo, hi) net-id chunks, in parallel
-/// when the pool is worth it. Chunk boundaries do not depend on the pool,
-/// and every chunk writes only its own nets' slots.
+/// Run fn(lo, hi, scratch) over fixed [lo, hi) net-id chunks on the pool.
+/// Chunk boundaries do not depend on the pool, and every chunk writes
+/// only its own nets' slots.
 void chunked_net_loop(
     exec::Pool* pool, int n,
     const std::function<void(int, int, RouteScratch&)>& fn) {
-  if (pool == nullptr || pool->size() <= 1 || n < kParallelMinNets) {
-    RouteScratch scratch;
-    fn(0, n, scratch);
-    return;
-  }
   const int chunks = (n + kNetChunk - 1) / kNetChunk;
-  pool->parallel_for(
+  exec::pool_or_global(pool).parallel_for(
       0, chunks,
       [&](int c) {
         RouteScratch scratch;
@@ -49,11 +41,6 @@ void chunked_net_loop(
 /// Prim. Both paths compute the identical tree (see spatial_prim); the
 /// naive scans just have a lower constant at small k.
 constexpr std::size_t kSpatialTerminals = 64;
-
-/// Terminal count above which the per-sink path-walk fans out across the
-/// pool (one task per wave slice; see route_net). Below this the serial
-/// wave is faster than the scheduling overhead.
-constexpr std::size_t kParallelWalkMin = 32768;
 
 /// Grid-accelerated Prim over Manhattan distance. Produces *exactly* the
 /// tree, node insertion order, and length accumulation order of the naive
@@ -431,11 +418,6 @@ NetRoute route_net(const Design& d, NetId n) {
 }
 
 NetRoute route_net(const Design& d, NetId n, RouteScratch& scratch) {
-  return route_net(d, n, scratch, nullptr);
-}
-
-NetRoute route_net(const Design& d, NetId n, RouteScratch& scratch,
-                   exec::Pool* pool) {
   NetRoute r;
   const auto& nl = d.nl();
   const auto& net = nl.net(n);
@@ -509,93 +491,25 @@ NetRoute route_net(const Design& d, NetId n, RouteScratch& scratch,
     }
   }
 
-  // Per-sink path length from the driver along tree edges.
+  // Per-sink path length from the driver along tree edges. parent[]
+  // forms a tree rooted at 0, and best[v] is exactly
+  // manhattan(pt[v], pt[parent[v]]) for every tree node (it is never
+  // written after insertion, and an equal-distance reparent keeps the
+  // value), so each hop is one load instead of a recomputation. The
+  // per-sink leaf-to-root fold order is load-bearing: memoizing the
+  // parent's distance would re-associate the floating-point sum and
+  // change results, so each sink walks its full path.
   r.sink_path_um.resize(sink_pins.size(), 0.0);
   r.sink_crosses_tier.resize(sink_pins.size(), false);
-  auto& dist = scratch.dist;
-  auto& crosses = scratch.crosses;
-  dist.assign(k, 0.0);
-  crosses.assign(k, 0);
-  // parent[] forms a tree rooted at 0; compute by walking up. best[v] is
-  // exactly manhattan(pt[v], pt[parent[v]]) for every tree node (it is
-  // never written after insertion, and an equal-distance reparent keeps
-  // the value), so each hop is one load instead of a recomputation. The
-  // per-sink leaf-to-root fold order is load-bearing: memoizing
-  // dist[parent] would re-associate the floating-point sum and change
-  // results, so each sink walks its full path — Σ depth(j) hops total,
-  // over a billion on a 400k-sink clock net. Two things make that cheap:
-  // each node's {edge length, parent, tier-crossing flag} is packed into
-  // one 16-byte record so a hop touches a single cache line, and all
-  // sinks advance in lock-step waves (one tree level per round), so the
-  // random-access loads of different sinks overlap in the memory system
-  // instead of serializing on one pointer chase. Each sink's own fold
-  // still runs leaf→root one hop per round, so every dist[j] is
-  // bit-identical to the plain walk.
-  auto& rec = scratch.walk_rec;
-  auto& wave = scratch.wave;
-  rec.assign(k, {0.0, 0});
-  for (std::size_t v = 1; v < k; ++v)
-    rec[v] = {best[v], (static_cast<int>(parent[v]) << 1) |
-                           (tier[v] != tier[parent[v]] ? 1 : 0)};
-  // Wave entry: running sum plus (flag << 60 | sink << 30 | cursor)
-  // packed into one word, so a round streams the wave array and the only
-  // random access per hop is the (prefetched) record load. dist[j] and
-  // crosses[j] are written once, when a sink's walk reaches the root.
-  constexpr unsigned long long kM30 = (1ULL << 30) - 1;
-  wave.resize(k - 1);
-  for (std::size_t j = 1; j < k; ++j)
-    wave[j - 1] = {0.0, (static_cast<unsigned long long>(j) << 30) |
-                            static_cast<unsigned long long>(j)};
-  const auto run_wave = [&](std::size_t lo, std::size_t hi) {
-    std::size_t n_active = hi;
-    while (n_active > lo) {
-      std::size_t w = lo;
-      for (std::size_t i = lo; i < n_active; ++i) {
-#if defined(__GNUC__)
-        // The whole round's cursors are already in wave[], so the record
-        // fetches can be issued well ahead of use.
-        if (i + 8 < n_active)
-          __builtin_prefetch(
-              &rec[static_cast<std::size_t>(wave[i + 8].second & kM30)]);
-#endif
-        auto e = wave[i];
-        const auto& rv = rec[static_cast<std::size_t>(e.second & kM30)];
-        e.first += rv.first;
-        e.second |= static_cast<unsigned long long>(rv.second & 1) << 60;
-        const int up = rv.second >> 1;
-        if (up != 0) {
-          e.second = (e.second & ~kM30) | static_cast<unsigned long long>(up);
-          wave[w++] = e;
-        } else {
-          const auto j = static_cast<std::size_t>((e.second >> 30) & kM30);
-          dist[j] = e.first;
-          crosses[j] = static_cast<char>((e.second >> 60) & 1);
-        }
-      }
-      n_active = w;
+  for (std::size_t j = 1; j < k; ++j) {
+    double len = 0.0;
+    bool crosses = false;
+    for (std::size_t v = j; v != 0; v = parent[v]) {
+      len += best[v];
+      crosses = crosses || tier[v] != tier[parent[v]];
     }
-  };
-  // Sinks fold independently of each other, so huge nets split the wave
-  // into contiguous slices, one task each, no barriers: every slice runs
-  // its own rounds and writes only its own sinks' dist/crosses slots.
-  // Slice boundaries affect scheduling only — results are byte-identical
-  // at any pool size, including serial.
-  if (pool != nullptr && pool->size() > 1 && k - 1 >= kParallelWalkMin) {
-    const int slices = pool->size() * 4;
-    const std::size_t total = k - 1;
-    pool->parallel_for(0, slices, [&](int s) {
-      const std::size_t lo = total * static_cast<std::size_t>(s) /
-                             static_cast<std::size_t>(slices);
-      const std::size_t hi = total * (static_cast<std::size_t>(s) + 1) /
-                             static_cast<std::size_t>(slices);
-      if (lo < hi) run_wave(lo, hi);
-    });
-  } else {
-    run_wave(0, k - 1);
-  }
-  for (std::size_t i = 0; i < sink_pins.size(); ++i) {
-    r.sink_path_um[i] = dist[i + 1];
-    r.sink_crosses_tier[i] = crosses[i + 1] != 0;
+    r.sink_path_um[j - 1] = len;
+    r.sink_crosses_tier[j - 1] = crosses;
   }
 
   const auto& wire = d.lib(netlist::kBottomTier).wire();
@@ -616,8 +530,7 @@ RoutingEstimate route_design(const Design& d, const RouteOptions& opt) {
   est.nets.resize(static_cast<std::size_t>(n));
   chunked_net_loop(opt.pool, n, [&](int lo, int hi, RouteScratch& scratch) {
     for (int i = lo; i < hi; ++i)
-      est.nets[static_cast<std::size_t>(i)] = route_net(d, i, scratch,
-                                                        opt.pool);
+      est.nets[static_cast<std::size_t>(i)] = route_net(d, i, scratch);
   });
   // Serial in-order reduction keeps the totals bitwise-identical to the
   // old per-net accumulation at any pool size.
@@ -661,7 +574,7 @@ void update_routes_for_cells(const Design& d, const std::vector<CellId>& cells,
                        est->nets[static_cast<std::size_t>(
                            dirty[static_cast<std::size_t>(i)])] =
                            route_net(d, dirty[static_cast<std::size_t>(i)],
-                                     scratch, opt.pool);
+                                     scratch);
                    });
 
   for (std::size_t i = 0; i < dirty.size(); ++i) {

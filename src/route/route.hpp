@@ -11,11 +11,11 @@
 /// a single ~50 nm via, not a bump.
 ///
 /// The whole-design entry points (route_design, total_hpwl,
-/// update_routes_for_cells) are embarrassingly parallel per net and run on
-/// an exec::Pool when RouteOptions names one. Per-net results are written
-/// into per-net slots and every floating-point aggregate is accumulated
-/// serially in net order afterwards, so results are byte-identical to the
-/// serial code at any pool size (the PR-2 determinism discipline).
+/// update_routes_for_cells) are embarrassingly parallel per net and run in
+/// fixed 1,024-net chunks on RouteOptions::pool (exec::Pool::global() when
+/// null). Per-net results are written into per-net slots and every
+/// floating-point aggregate is accumulated serially in net order
+/// afterwards, so results are byte-identical at any pool size.
 
 #include <vector>
 
@@ -34,9 +34,9 @@ using netlist::PinId;
 
 /// Knobs for the whole-design routing entry points.
 struct RouteOptions {
-  /// Worker pool for the per-net loops; nullptr routes serially. Results
-  /// are byte-identical either way, so this field must stay out of
-  /// exec::FlowCache::options_hash.
+  /// Worker pool for the per-net loops; nullptr means
+  /// exec::Pool::global(). Results are byte-identical at any pool size,
+  /// so this field must stay out of exec::FlowCache::options_hash.
   exec::Pool* pool = nullptr;
 };
 
@@ -60,8 +60,6 @@ struct RouteScratch {
   std::vector<char> in_tree;
   std::vector<double> best;
   std::vector<std::size_t> parent;
-  std::vector<double> dist;
-  std::vector<char> crosses;
   // Spatial-Prim working set (high-fanout nets only, see route_net).
   std::vector<std::pair<double, int>> minheap;   ///< candidate edges
   std::vector<std::pair<double, int>> scanheap;  ///< deferred ring scans
@@ -77,10 +75,6 @@ struct RouteScratch {
   std::vector<int> pyr_off;  ///< per-level offsets into pyr
   std::vector<int> pyr_w;    ///< per-level widths
   std::vector<int> pyr_h;    ///< per-level heights
-  /// Path-walk wave state: per-node {edge length, parent<<1 | crossing}
-  /// records and {running sum, packed flag/sink/cursor} wave entries.
-  std::vector<std::pair<double, int>> walk_rec;
-  std::vector<std::pair<double, unsigned long long>> wave;
 };
 
 /// Whole-design routing estimate.
@@ -105,12 +99,6 @@ NetRoute route_net(const Design& d, NetId n);
 /// route_net with caller-owned scratch buffers (hot loops reuse one
 /// RouteScratch across many nets). Results are identical to route_net.
 NetRoute route_net(const Design& d, NetId n, RouteScratch& scratch);
-
-/// route_net that may fan the per-sink path walk out across `pool` for
-/// huge-fanout nets (raw clock meshes). Sinks fold independently, so the
-/// result is byte-identical at any pool size including nullptr.
-NetRoute route_net(const Design& d, NetId n, RouteScratch& scratch,
-                   exec::Pool* pool);
 
 /// Route every net and compute aggregate metrics.
 RoutingEstimate route_design(const Design& d, const RouteOptions& opt = {});

@@ -1,9 +1,9 @@
 #include "service/job_queue.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 namespace m3d::service {
 
@@ -15,11 +15,8 @@ double ms_since(Clock::time_point t0) {
 }
 
 int env_positive(const char* name, int def) {
-  if (const char* s = std::getenv(name)) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return def;
+  const auto v = util::env_int(name);
+  return v && *v > 0 ? *v : def;
 }
 }  // namespace
 

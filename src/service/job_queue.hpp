@@ -71,7 +71,8 @@ struct QueueLimits {
   int max_queue = 64;
   int max_inflight_per_client = 8;
   /// M3D_SERVICE_MAX_QUEUE / M3D_SERVICE_MAX_INFLIGHT_PER_CLIENT when set
-  /// and positive, else the defaults above.
+  /// and positive, else the defaults above. A malformed value throws
+  /// util::Error (util::env_int).
   static QueueLimits from_env();
 };
 

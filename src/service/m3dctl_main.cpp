@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "service/client.hpp"
 #include "util/log.hpp"
 
@@ -132,10 +131,8 @@ int cmd_run(const Args& a) {
 
 int cmd_direct(const Args& a) {
   const m3d::netlist::Netlist nl = a.spec.make_netlist();
-  m3d::core::FlowOptions opt = a.spec.flow_options();
-  opt.pool = &m3d::exec::Pool::global();
   const m3d::core::FlowResult res =
-      m3d::core::run_flow(nl, a.spec.config, opt);
+      m3d::core::run_flow(nl, a.spec.config, a.spec.flow_options());
   print_digest_line(a.spec, m3d::service::result_digest(res));
   return 0;
 }

@@ -132,7 +132,7 @@ struct Server::Session {
 Server::Server(ServerOptions opt)
     : opt_(std::move(opt)),
       queue_(opt_.limits),
-      pool_(opt_.pool ? opt_.pool : &exec::Pool::global()),
+      pool_(&exec::pool_or_global(opt_.pool)),
       cache_(opt_.cache ? opt_.cache : &exec::FlowCache::global()) {
   if (opt_.executors < 1) opt_.executors = 1;
   if (!opt_.state_dir.empty())

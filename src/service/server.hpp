@@ -58,7 +58,9 @@ struct ServerOptions {
   std::string config_file;  ///< key=value file re-read on reload_config()
   QueueLimits limits = QueueLimits::from_env();
   int executors = 2;        ///< concurrent flows (each fans out on `pool`)
-  exec::Pool* pool = nullptr;       ///< null → exec::Pool::global()
+  /// Kernel pool of every flow the daemon runs (FlowOptions::pool); null
+  /// means exec::Pool::global(), as for every other Pool* option.
+  exec::Pool* pool = nullptr;
   exec::FlowCache* cache = nullptr; ///< null → exec::FlowCache::global()
 };
 

@@ -26,11 +26,10 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 constexpr double kClockPinSlew = 0.025;  // slew asserted at FF clock pins
 
-// Below this many pins a level is propagated serially; the result is the
-// same either way (single-writer gather), only the scheduling overhead
-// differs.
-constexpr int kParallelLevelMin = 192;
-constexpr int kParallelGrain = 64;
+// Pins per parallel_for chunk for level propagation, endpoints and the
+// retime buckets. A level of one chunk runs inline; the result is the
+// same either way (single-writer gather), only the scheduling differs.
+constexpr int kPinChunk = 192;
 
 int opp(int t) { return 1 - t; }
 
@@ -72,7 +71,7 @@ class StaEngine {
         nl_(d.nl()),
         routes_(routes),
         opt_(opt),
-        pool_(opt.pool != nullptr ? *opt.pool : exec::Pool::global()) {
+        pool_(exec::pool_or_global(opt.pool)) {
     const tech::CornerSet corners = tech::CornerSet::generate(opt.corners);
     K_ = corners.count();
     fac_[0] = corners.factors(0);
@@ -740,19 +739,16 @@ void StaEngine::compute_port_latency() {
 }
 
 void StaEngine::run_level(const std::vector<PinId>& pins, bool forward) {
-  const int n = static_cast<int>(pins.size());
-  auto kernel = [&](int i) {
-    const PinId p = pins[static_cast<std::size_t>(i)];
-    if (forward)
-      compute_forward(p);
-    else
-      compute_required(p);
-  };
-  if (n < kParallelLevelMin || pool_.size() <= 1) {
-    for (int i = 0; i < n; ++i) kernel(i);
-  } else {
-    pool_.parallel_for(0, n, kernel, kParallelGrain);
-  }
+  pool_.parallel_for(
+      0, static_cast<int>(pins.size()),
+      [&](int i) {
+        const PinId p = pins[static_cast<std::size_t>(i)];
+        if (forward)
+          compute_forward(p);
+        else
+          compute_required(p);
+      },
+      kPinChunk);
 }
 
 void StaEngine::aggregate() {
@@ -845,12 +841,10 @@ const StaResult& StaEngine::run() {
   }
   {
     // Endpoint constraints: one writer per endpoint.
-    const int n = static_cast<int>(ep_pins_.size());
-    auto kernel = [&](int i) { eval_endpoint(ep_pins_[static_cast<std::size_t>(i)]); };
-    if (n < kParallelLevelMin || pool_.size() <= 1)
-      for (int i = 0; i < n; ++i) kernel(i);
-    else
-      pool_.parallel_for(0, n, kernel, kParallelGrain);
+    pool_.parallel_for(
+        0, static_cast<int>(ep_pins_.size()),
+        [&](int i) { eval_endpoint(ep_pins_[static_cast<std::size_t>(i)]); },
+        kPinChunk);
   }
   {
     util::TraceSpan span("sta_backward", nl_.name());
@@ -926,7 +920,6 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
     bwl[static_cast<std::size_t>(level_[pi])].push_back(p);
   };
   std::vector<PinId> redo_eps;
-  std::vector<double> old_row;
   // Lane-aware old-value capture: a pin's forward state is 4 corner-lane
   // blocks (arr rise/fall, arr_min rise/fall) plus the two corner-shared
   // slews and the stored net-arc delay in the trailing slots. Change
@@ -962,76 +955,43 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
     }
     return o[0] != res_.slew_[0][pi] || o[1] != res_.slew_[1][pi];
   };
-  // Batch-retime scratch: per-slot old-value capture for the parallel
-  // recompute of a large level bucket (ECO move batches dirty thousands
-  // of cones at once; their same-level pins are independent — the exact
-  // invariant run_level() already exploits in run()).
+  // One shape per level bucket, as in run_level(): same-level pins are
+  // independent, so phase 1 (pooled) captures each pin's old values into
+  // its own slot and recomputes it; phase 2 (serial, sorted bucket order)
+  // makes the bitwise compares and seeds the worklists. Propagation
+  // decisions happen in the exact serial order, so results are
+  // bit-identical at any pool size.
   std::vector<double> olds;  // flat, fwd_words per slot
   std::vector<std::vector<double>> old_rows;
-  std::vector<double> old_fwd(fwd_words);
-  const bool par_retime = pool_.size() > 1;
   int recomputed = 0;
   for (std::size_t lv = 0; lv < wl.size(); ++lv) {
     auto& bucket = wl[lv];
     if (bucket.empty()) continue;
     std::sort(bucket.begin(), bucket.end());
     const int bn = static_cast<int>(bucket.size());
-    if (par_retime && bn >= kParallelLevelMin) {
-      // Phase 1 (parallel): capture each pin's old values into its own
-      // slot and recompute. Phase 2 (serial, sorted bucket order): the
-      // bitwise compares and worklist seeding, so propagation decisions
-      // happen in the exact serial order — results are bit-identical to
-      // the serial walk at any pool size.
-      olds.resize(static_cast<std::size_t>(bn) * fwd_words);
-      old_rows.resize(static_cast<std::size_t>(bn));
-      pool_.parallel_for(
-          0, bn,
-          [&](int i) {
-            const auto ii = static_cast<std::size_t>(i);
-            const PinId p = bucket[ii];
-            const auto pi = static_cast<std::size_t>(p);
-            capture_fwd(pi, olds.data() + ii * fwd_words);
-            if (role_[pi] == Role::kCombOut)
-              old_rows[ii] = cell_arc_[pi];
-            else
-              old_rows[ii].clear();
-            compute_forward(p);
-          },
-          kParallelGrain);
-      for (int i = 0; i < bn; ++i) {
-        const auto ii = static_cast<std::size_t>(i);
-        const PinId p = bucket[ii];
-        const auto pi = static_cast<std::size_t>(p);
-        ++recomputed;
-        const double* o = olds.data() + ii * fwd_words;
-        const bool comb_out = role_[pi] == Role::kCombOut;
-        const bool fwd_changed = fwd_changed_at(pi, o);
-        if (fwd_changed)
-          for (int k = succ_off_[pi]; k < succ_off_[pi + 1]; ++k)
-            seed(succ_[static_cast<std::size_t>(k)]);
-        const bool arcs_changed =
-            (role_[pi] == Role::kNetSink &&
-             o[fwd_words - 1] != net_arc_delay_[pi]) ||
-            (comb_out && old_rows[ii] != cell_arc_[pi]);
-        if (fwd_changed || arcs_changed) {
-          bwd_seed(p);
-          for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
-            bwd_seed(preds_[static_cast<std::size_t>(k)]);
-        }
-        if (ep_index_[pi] >= 0) redo_eps.push_back(p);
-      }
-      continue;
-    }
-    for (const PinId p : bucket) {
+    olds.resize(static_cast<std::size_t>(bn) * fwd_words);
+    old_rows.resize(static_cast<std::size_t>(bn));
+    pool_.parallel_for(
+        0, bn,
+        [&](int i) {
+          const auto ii = static_cast<std::size_t>(i);
+          const PinId p = bucket[ii];
+          const auto pi = static_cast<std::size_t>(p);
+          capture_fwd(pi, olds.data() + ii * fwd_words);
+          if (role_[pi] == Role::kCombOut)
+            old_rows[ii] = cell_arc_[pi];
+          else
+            old_rows[ii].clear();
+          compute_forward(p);
+        },
+        kPinChunk);
+    for (int i = 0; i < bn; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      const PinId p = bucket[ii];
       const auto pi = static_cast<std::size_t>(p);
       ++recomputed;
-      capture_fwd(pi, old_fwd.data());
-      const bool comb_out = role_[pi] == Role::kCombOut;
-      if (comb_out) old_row = cell_arc_[pi];
-
-      compute_forward(p);
-
-      const bool fwd_changed = fwd_changed_at(pi, old_fwd.data());
+      const double* o = olds.data() + ii * fwd_words;
+      const bool fwd_changed = fwd_changed_at(pi, o);
       if (fwd_changed)
         for (int k = succ_off_[pi]; k < succ_off_[pi + 1]; ++k)
           seed(succ_[static_cast<std::size_t>(k)]);
@@ -1040,8 +1000,8 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
       // got faster): re-gather the predecessors' required times then.
       const bool arcs_changed =
           (role_[pi] == Role::kNetSink &&
-           old_fwd[fwd_words - 1] != net_arc_delay_[pi]) ||
-          (comb_out && old_row != cell_arc_[pi]);
+           o[fwd_words - 1] != net_arc_delay_[pi]) ||
+          (role_[pi] == Role::kCombOut && old_rows[ii] != cell_arc_[pi]);
       if (fwd_changed || arcs_changed) {
         bwd_seed(p);
         for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
@@ -1059,7 +1019,6 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
 
   // ---- backward worklist by descending level -----------------------------
   std::vector<double> old_reqs;  // flat, 2*K words per slot
-  std::vector<double> old_req2(2 * K);
   auto capture_req = [&](std::size_t pi, double* dst) {
     const std::size_t pb = pi * K;
     std::copy_n(res_.req_[0].data() + pb, K, dst);
@@ -1075,34 +1034,23 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
     if (bucket.empty()) continue;
     std::sort(bucket.begin(), bucket.end());
     const int bn = static_cast<int>(bucket.size());
-    if (par_retime && bn >= kParallelLevelMin) {
-      // Same batch shape as the forward pass: parallel recompute with
-      // per-slot old-value capture, serial seeding in sorted order.
-      old_reqs.resize(static_cast<std::size_t>(bn) * 2 * K);
-      pool_.parallel_for(
-          0, bn,
-          [&](int i) {
-            const auto ii = static_cast<std::size_t>(i);
-            const PinId p = bucket[ii];
-            capture_req(static_cast<std::size_t>(p),
-                        old_reqs.data() + ii * 2 * K);
-            compute_required(p);
-          },
-          kParallelGrain);
-      for (int i = 0; i < bn; ++i) {
-        const auto ii = static_cast<std::size_t>(i);
-        const auto pi = static_cast<std::size_t>(bucket[ii]);
-        if (req_changed_at(pi, old_reqs.data() + ii * 2 * K))
-          for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
-            bwd_seed(preds_[static_cast<std::size_t>(k)]);
-      }
-      continue;
-    }
-    for (const PinId p : bucket) {
-      const auto pi = static_cast<std::size_t>(p);
-      capture_req(pi, old_req2.data());
-      compute_required(p);
-      if (req_changed_at(pi, old_req2.data()))
+    // Same shape as the forward pass: pooled capture and recompute,
+    // serial seeding in sorted order.
+    old_reqs.resize(static_cast<std::size_t>(bn) * 2 * K);
+    pool_.parallel_for(
+        0, bn,
+        [&](int i) {
+          const auto ii = static_cast<std::size_t>(i);
+          const PinId p = bucket[ii];
+          capture_req(static_cast<std::size_t>(p),
+                      old_reqs.data() + ii * 2 * K);
+          compute_required(p);
+        },
+        kPinChunk);
+    for (int i = 0; i < bn; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      const auto pi = static_cast<std::size_t>(bucket[ii]);
+      if (req_changed_at(pi, old_reqs.data() + ii * 2 * K))
         for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
           bwd_seed(preds_[static_cast<std::size_t>(k)]);
     }

@@ -57,7 +57,8 @@ struct StaOptions {
   /// network latency). Without this every reg→port path loses the whole
   /// launch latency against an un-latencied required time.
   bool compensate_port_latency = true;
-  /// Worker pool for the level-synchronous propagation; nullptr means
+  /// Worker pool for the level-synchronous propagation, the endpoint
+  /// constraints and the retime buckets (192-pin chunks); nullptr means
   /// exec::Pool::global(). Results are byte-identical for any pool size,
   /// so this field is deliberately excluded from flow-cache option hashes.
   exec::Pool* pool = nullptr;

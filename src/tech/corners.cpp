@@ -1,9 +1,8 @@
 #include "tech/corners.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
+#include "util/env.hpp"
 #include "util/quantile.hpp"
 #include "util/rng.hpp"
 
@@ -43,39 +42,21 @@ CornerSpec CornerSet::single(int k) const {
   return s;
 }
 
-namespace {
-
-/// Parse "v" or "v0,v1" into out[2]; leaves out untouched on garbage.
-void parse_tier_pair(const char* s, double out[2]) {
-  if (s == nullptr || *s == '\0') return;
-  char* end = nullptr;
-  const double v0 = std::strtod(s, &end);
-  if (end == s) return;
-  out[0] = out[1] = v0;
-  if (*end == ',') {
-    const char* rest = end + 1;
-    const double v1 = std::strtod(rest, &end);
-    if (end != rest) out[1] = v1;
-  }
-}
-
-}  // namespace
-
 CornerSpec corner_spec_from_env() {
   CornerSpec spec;
-  const char* k = std::getenv("M3D_STA_CORNERS");
-  if (k == nullptr) return spec;
-  const int count = std::atoi(k);
-  if (count <= 1) return spec;
-  spec.count = count;
+  const auto count = util::env_int("M3D_STA_CORNERS");
+  if (!count || *count <= 1) return spec;
+  spec.count = *count;
   // Defaults model the inter-tier asymmetry: the top tier is both
   // systematically slower and more variable than the bottom one.
   spec.sigma[0] = 0.03;
   spec.sigma[1] = 0.08;
   spec.derate[0] = 1.0;
   spec.derate[1] = 1.05;
-  parse_tier_pair(std::getenv("M3D_TIER_SIGMA"), spec.sigma);
-  parse_tier_pair(std::getenv("M3D_TIER_DERATE"), spec.derate);
+  if (const auto v = util::env_tier_pair("M3D_TIER_SIGMA"))
+    std::copy(v->begin(), v->end(), spec.sigma);
+  if (const auto v = util::env_tier_pair("M3D_TIER_DERATE"))
+    std::copy(v->begin(), v->end(), spec.derate);
   return spec;
 }
 

@@ -71,7 +71,8 @@ class CornerSet {
 /// is the more variable one), M3D_TIER_DERATE (same syntax; default
 /// 1.0,1.05). The benches pass this into FlowOptions::sta_corners; with
 /// the variables unset the result is the default spec and every golden
-/// artifact is byte-identical to the single-corner flow.
+/// artifact is byte-identical to the single-corner flow. A malformed value
+/// throws util::Error (util::env_int / util::env_tier_pair).
 CornerSpec corner_spec_from_env();
 
 }  // namespace m3d::tech

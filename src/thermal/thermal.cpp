@@ -17,8 +17,7 @@ namespace {
 
 /// Fixed id-range chunk for the power-map scatter: each chunk accumulates
 /// its own partial map and the partials combine serially in chunk order,
-/// so the map is independent of the pool size (including the serial path,
-/// which walks the same chunks).
+/// so the map is independent of the pool size (including 1).
 constexpr int kMapChunk = 4096;
 
 using Maps = std::vector<std::vector<double>>;
@@ -38,11 +37,8 @@ void chunked_scatter(exec::Pool* pool, int n, int tiers, int bins, Maps& maps,
     const int hi = std::min(n, (c + 1) * kMapChunk);
     for (int i = c * kMapChunk; i < hi; ++i) scatter(i, p);
   };
-  if (pool != nullptr && pool->size() > 1 && chunks > 1) {
-    pool->parallel_for(0, chunks, run_chunk, /*grain=*/1);
-  } else {
-    for (int c = 0; c < chunks; ++c) run_chunk(c);
-  }
+  exec::pool_or_global(pool).parallel_for(0, chunks, run_chunk,
+                                          /*grain=*/1);
   for (int c = 0; c < chunks; ++c)
     for (int t = 0; t < tiers; ++t)
       for (int b = 0; b < bins; ++b)

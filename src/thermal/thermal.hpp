@@ -46,7 +46,7 @@ struct ThermalOptions {
   int max_iters = 4000;
   double tolerance_c = 1e-4;  ///< max node update at convergence
   /// Worker pool for the power-map gather (the Gauss–Seidel sweep itself
-  /// is inherently serial); nullptr builds the map serially. The map is
+  /// is inherently serial); nullptr means exec::Pool::global(). The map is
   /// identical at any pool size: contributions accumulate into per-chunk
   /// partial maps over fixed id ranges, combined serially in chunk order.
   exec::Pool* pool = nullptr;

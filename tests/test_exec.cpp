@@ -125,6 +125,22 @@ TEST_F(ExecPool, NestedParallelForCoversRangeExactlyOnce) {
   }
 }
 
+TEST_F(ExecPool, OneWorkerPoolRunsLoopsInline) {
+  // parallel_for alone decides whether a loop is worth the pool: on a
+  // one-worker pool every chunk runs on the caller, in order, and nothing
+  // is posted.
+  me::Pool p(1);
+  std::vector<int> worker(64, -2);
+  p.parallel_for(
+      0, 64,
+      [&](int i) {
+        worker[static_cast<std::size_t>(i)] = me::Pool::worker_index();
+      },
+      /*grain=*/1);
+  EXPECT_EQ(worker, std::vector<int>(64, -1));
+  EXPECT_EQ(p.stats().posted, 0);
+}
+
 TEST_F(ExecPool, ParallelForNeverRunsForeignTasks) {
   // A loop's caller runs only that loop's chunks. With both workers
   // parked and one foreign task queued, a top-level loop must finish on

@@ -362,6 +362,35 @@ std::pair<int, std::vector<int>> kway_outcome(mn::Netlist nl, me::Pool* pool,
 
 }  // namespace
 
+TEST(Repartition, RoutesOnTheGivenPool) {
+  // The ECO and the tier rebalance route and patch routes on the pool they
+  // are given. This design's candidate scan is one 2,048-cell chunk and
+  // its STA runs on a one-worker pool, so both run inline on the caller;
+  // only the routing (more than one 1,024-net chunk) can post on `wide`.
+  mg::GenOptions g;
+  g.scale = 0.2;
+  auto d = hetero_design(mg::make_aes(g));
+  ASSERT_LE(d.nl().cell_count(), 2048);
+  ASSERT_GT(d.nl().net_count(), 1024);
+  d.set_clock_period_ns(0.7);
+  mpl::place_design(d, {});
+  mp::fm_mincut(d, {});
+  me::Pool one(1), wide(4);
+
+  mp::RepartitionOptions opt;
+  opt.max_iters = 2;
+  opt.pool = &wide;
+  opt.sta.pool = &one;
+  auto posted = wide.stats().posted;
+  mp::repartition_eco(d, opt);
+  EXPECT_GT(wide.stats().posted, posted);
+
+  const auto timing = ms::run_sta(d, nullptr, opt.sta);
+  posted = wide.stats().posted;
+  mp::rebalance_to_top(d, timing, 0.0, 0.7, &wide, opt.sta);
+  EXPECT_GT(wide.stats().posted, posted);
+}
+
 TEST(Kway, ThreeTierPartitionPopulatesEveryTier) {
   auto d = stack3_design(clusters(96, 3));
   mp::FmOptions opt;

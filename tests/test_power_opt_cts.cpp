@@ -380,6 +380,33 @@ TEST(Power, ByteIdenticalAcrossPoolSizes) {
   }
 }
 
+// A null pool means exec::Pool::global() in every kernel: designs of more
+// than one chunk fan out there.
+
+TEST(Power, NullPoolRunsOnTheGlobalPool) {
+  mex::Pool& global = mex::Pool::global();
+  if (global.size() <= 1) GTEST_SKIP() << "global pool has one worker";
+  auto d = placed("netcard", 0.06, /*hetero=*/true);  // > 2,048 cells
+  const auto routes = mr::route_design(d);
+  const auto posted = global.stats().posted;
+  mpw::analyze_power(d, &routes, 1.0);
+  EXPECT_GT(global.stats().posted, posted);
+}
+
+TEST(Cts, NullPoolRunsOnTheGlobalPool) {
+  mex::Pool& global = mex::Pool::global();
+  if (global.size() <= 1) GTEST_SKIP() << "global pool has one worker";
+  // More than one bisection subtree per level below the root, and more
+  // than one 128-net chunk of clock nets to pre-route.
+  auto d = placed("netcard", 0.2, /*hetero=*/true);
+  auto posted = global.stats().posted;
+  mcts::build_clock_tree(d);
+  EXPECT_GT(global.stats().posted, posted);
+  posted = global.stats().posted;
+  mcts::annotate_clock_latencies(d);
+  EXPECT_GT(global.stats().posted, posted);
+}
+
 // ---- incremental optimizer vs the full-rebuild reference ----------------
 
 namespace {

@@ -268,6 +268,17 @@ TEST(Route, UpdateRoutesByteIdenticalAcrossPoolSizes) {
   expect_identical(est0, est4);
 }
 
+TEST(Route, NullPoolRunsOnTheGlobalPool) {
+  // A null RouteOptions::pool means exec::Pool::global(), as in every
+  // kernel: a design of more than one 1,024-net chunk fans out there.
+  mex::Pool& global = mex::Pool::global();
+  if (global.size() <= 1) GTEST_SKIP() << "global pool has one worker";
+  const auto d = placed_wide("netcard", kWideScale);
+  const auto posted = global.stats().posted;
+  mr::route_design(d);
+  EXPECT_GT(global.stats().posted, posted);
+}
+
 // High-fanout nets switch route_net to the grid-bucketed spatial Prim;
 // this replays the documented naive reference (ascending-j min scans,
 // strict-< relaxation, leaf-to-root path folds) on the same terminals and

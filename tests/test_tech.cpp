@@ -379,3 +379,25 @@ TEST(Corners, EnvSpecDefaultsAndOverrides) {
   ::unsetenv("M3D_TIER_SIGMA");
   ::unsetenv("M3D_TIER_DERATE");
 }
+
+TEST(Corners, EnvSpecRejectsMalformedValues) {
+  // A value is one whole token, never its numeric prefix: "16x" is not
+  // 16 and "0.05abc" is not 0.05; each is a util::Error.
+  ::unsetenv("M3D_TIER_SIGMA");
+  ::unsetenv("M3D_TIER_DERATE");
+  ::setenv("M3D_STA_CORNERS", "16x", 1);
+  EXPECT_THROW(mt::corner_spec_from_env(), m3d::util::Error);
+  ::setenv("M3D_STA_CORNERS", "x", 1);
+  EXPECT_THROW(mt::corner_spec_from_env(), m3d::util::Error);
+  ::setenv("M3D_STA_CORNERS", "0", 1);  // 0 and 1 still mean one corner
+  EXPECT_EQ(mt::corner_spec_from_env(), mt::CornerSpec{});
+  ::setenv("M3D_STA_CORNERS", "4", 1);
+  ::setenv("M3D_TIER_SIGMA", "0.05abc", 1);
+  EXPECT_THROW(mt::corner_spec_from_env(), m3d::util::Error);
+  ::setenv("M3D_TIER_SIGMA", "0.02,0.05", 1);
+  ::setenv("M3D_TIER_DERATE", "1.0,", 1);
+  EXPECT_THROW(mt::corner_spec_from_env(), m3d::util::Error);
+  ::unsetenv("M3D_STA_CORNERS");
+  ::unsetenv("M3D_TIER_SIGMA");
+  ::unsetenv("M3D_TIER_DERATE");
+}

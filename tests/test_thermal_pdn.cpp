@@ -196,3 +196,14 @@ TEST(Thermal, SolveByteIdenticalAcrossPoolSizes) {
     ASSERT_EQ(t0.tier_maps, t->tier_maps);
   }
 }
+
+TEST(Thermal, NullPoolPowerMapRunsOnTheGlobalPool) {
+  // A null pool means exec::Pool::global(), as in every kernel: the map's
+  // 4,096-item chunks fan out there.
+  mex::Pool& global = mex::Pool::global();
+  if (global.size() <= 1) GTEST_SKIP() << "global pool has one worker";
+  FlowCase r(mc::Config::Hetero3D, "netcard", kPoolScale);
+  const auto posted = global.stats().posted;
+  mth::power_map_w(r.flow.design, r.pw, 12);
+  EXPECT_GT(global.stats().posted, posted);
+}

@@ -1,19 +1,24 @@
 // Unit tests for the util module: RNG determinism and distribution sanity,
 // geometry primitives, stats helpers, table formatting, check macros, the
-// file publisher.
+// file publisher, the numeric M3D_* knob reader.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <array>
 #include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/geom.hpp"
 #include "util/log.hpp"
 #include "util/publish.hpp"
@@ -323,4 +328,94 @@ TEST(Publish, ShortWriteKeepsThePreviousFile) {
   EXPECT_EQ(slurp(path), "old journal\n");
   EXPECT_EQ(entries(dir), 1u);  // the temporary was removed
   std::filesystem::remove_all(dir);
+}
+
+// ---- numeric M3D_* knobs -------------------------------------------------
+
+namespace {
+
+/// Sets (or, for nullptr, unsets) one variable for the scope of a test
+/// and restores its previous state afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    set(value);
+  }
+  ~ScopedEnv() { set(old_ ? old_->c_str() : nullptr); }
+  void set(const char* value) {
+    if (value != nullptr)
+      ::setenv(name_, value, 1);
+    else
+      ::unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The util::Error text of `fn()`, or "" when it does not throw one.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const mu::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(Env, IntKnobsAcceptOnlyAWholeToken) {
+  // Every integer knob reads through util::env_int. The values are only
+  // parsed here; nothing is sized from them.
+  for (const char* name :
+       {"M3D_THREADS", "M3D_FLOW_CACHE_CAP", "M3D_STA_CORNERS",
+        "M3D_SERVICE_MAX_QUEUE", "M3D_SERVICE_MAX_INFLIGHT_PER_CLIENT"}) {
+    ScopedEnv env(name, nullptr);
+    EXPECT_EQ(mu::env_int(name), std::nullopt) << name;  // unset
+    env.set("");
+    EXPECT_EQ(mu::env_int(name), std::nullopt) << name;  // empty
+    // Values the call sites accept keep their meaning, 0 and negatives
+    // included (each site maps those to its default).
+    for (const auto& [text, value] :
+         {std::pair<const char*, int>{"4", 4}, {"0", 0}, {"1", 1},
+          {"-2", -2}, {"64", 64}}) {
+      env.set(text);
+      EXPECT_EQ(mu::env_int(name), value) << name << "=" << text;
+    }
+    for (const char* bad : {"4x", "x", " 4", "4 ", "4.0", "0x10", "+4",
+                            "99999999999999999999", "2147483648"}) {
+      env.set(bad);
+      const std::string what = error_of([&] { mu::env_int(name); });
+      EXPECT_NE(what.find(name), std::string::npos) << name << "=" << bad;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(Env, TierPairKnobsAcceptOnlyWholeTokens) {
+  for (const char* name : {"M3D_TIER_SIGMA", "M3D_TIER_DERATE"}) {
+    ScopedEnv env(name, nullptr);
+    EXPECT_EQ(mu::env_tier_pair(name), std::nullopt) << name;
+    env.set("");
+    EXPECT_EQ(mu::env_tier_pair(name), std::nullopt) << name;
+    env.set("1.1");
+    EXPECT_EQ(mu::env_tier_pair(name), (std::array<double, 2>{1.1, 1.1}));
+    env.set("0.02,0.05");
+    EXPECT_EQ(mu::env_tier_pair(name), (std::array<double, 2>{0.02, 0.05}));
+    env.set("1e-2,3");
+    EXPECT_EQ(mu::env_tier_pair(name), (std::array<double, 2>{0.01, 3.0}));
+    for (const char* bad : {"0.05abc", "x", "0.02,", ",0.05", "0.02,0.05,1",
+                            "0.02;0.05", " 0.1", "inf", "nan", "1e999"}) {
+      env.set(bad);
+      const std::string what = error_of([&] { mu::env_tier_pair(name); });
+      EXPECT_NE(what.find(name), std::string::npos) << name << "=" << bad;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
 }
