@@ -29,7 +29,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -43,6 +42,7 @@
 #include "route/route.hpp"
 #include "sta/sta.hpp"
 #include "tech/corners.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -65,9 +65,8 @@ struct Point {
 int main() {
   m3d::bench::quiet_logs();
 
-  double scale = 1.0;
-  if (const char* s = std::getenv("M3D_BENCH_SCALE")) scale = std::atof(s);
-
+  const double scale =
+      m3d::util::env_double("M3D_BENCH_SCALE").value_or(1.0);
   m3d::gen::GenOptions g;
   g.scale = scale;
   m3d::netlist::Netlist nl = m3d::gen::make_design("netcard", g);

@@ -18,16 +18,17 @@
 /// the artifact.
 ///
 /// Knobs: M3D_SCALE_POINTS — comma-separated generator scales (e.g.
-/// "1,4,16"); sizes always run ascending so the monotone peak-RSS
-/// readings stay attributable. With M3D_STA_CORNERS > 1 each point also
-/// runs a post-route multi-corner STA sweep (tech::corner_spec_from_env)
-/// and records its wall-clock as `sta_s` — the K-lane sweep must ride the
-/// same near-linear curve as the structural stages.
+/// "1,4,16"; an element that is not one whole number throws, and
+/// non-positive ones are dropped); sizes always run ascending so the
+/// monotone peak-RSS readings stay attributable. With M3D_STA_CORNERS > 1
+/// each point also runs a post-route multi-corner STA sweep
+/// (tech::corner_spec_from_env) and records its wall-clock as `sta_s` —
+/// the K-lane sweep must ride the same near-linear curve as the structural
+/// stages.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "route/route.hpp"
 #include "sta/sta.hpp"
 #include "tech/corners.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -53,17 +55,9 @@ double seconds_since(Clock::time_point t0) {
 
 std::vector<double> scale_points() {
   std::vector<double> pts;
-  if (const char* s = std::getenv("M3D_SCALE_POINTS")) {
-    std::string buf(s);
-    std::size_t pos = 0;
-    while (pos < buf.size()) {
-      std::size_t next = buf.find(',', pos);
-      if (next == std::string::npos) next = buf.size();
-      const double v = std::atof(buf.substr(pos, next - pos).c_str());
-      if (v > 0.0) pts.push_back(v);
-      pos = next + 1;
-    }
-  }
+  for (double v : m3d::util::env_list("M3D_SCALE_POINTS").value_or(
+           std::vector<double>{}))
+    if (v > 0.0) pts.push_back(v);
   if (pts.empty()) pts = {1.0, 4.0, 16.0, 100.0};
   std::sort(pts.begin(), pts.end());
   return pts;

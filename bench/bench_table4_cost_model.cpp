@@ -28,9 +28,9 @@ int main() {
   assumptions.row(
       {"3D yield degradation (beta)", TextTable::num(m.yield_degradation_3d, 2)});
   assumptions.row(
-      {"2D wafer cost (C_2D)", TextTable::num(m.wafer_cost_2d(), 2) + " x C'"});
+      {"2D wafer cost (C_2D)", TextTable::num(m.wafer_cost(1), 2) + " x C'"});
   assumptions.row(
-      {"3D wafer cost (C_3D)", TextTable::num(m.wafer_cost_3d(), 2) + " x C'"});
+      {"3D wafer cost (C_3D)", TextTable::num(m.wafer_cost(2), 2) + " x C'"});
   assumptions.print();
 
   TextTable sweep(
@@ -41,14 +41,14 @@ int main() {
   for (double a2d : {0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6,
                      51.2, 102.4}) {
     const double a3d = a2d / 2.0;
-    const double c2d = m.die_cost(a2d, false);
-    const double c3d = m.die_cost(a3d, true);
+    const double c2d = m.die_cost(a2d, 1);
+    const double c3d = m.die_cost(a3d, 2);
     sweep.row({TextTable::num(a2d, 2),
                TextTable::num(m.dies_per_wafer(a2d), 0),
-               TextTable::num(m.die_yield_2d(a2d), 3),
+               TextTable::num(m.die_yield(a2d, 1), 3),
                TextTable::num(c2d * 1e6, 2), TextTable::num(a3d, 2),
                TextTable::num(m.dies_per_wafer(a3d), 0),
-               TextTable::num(m.die_yield_3d(a3d), 3),
+               TextTable::num(m.die_yield(a3d, 2), 3),
                TextTable::num(c3d * 1e6, 2),
                TextTable::pct((c3d / c2d - 1.0) * 100.0, 1)});
   }

@@ -9,13 +9,13 @@
 #endif
 
 #include "exec/task_graph.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace m3d::bench {
 
 double bench_scale() {
-  if (const char* s = std::getenv("M3D_BENCH_SCALE")) return std::atof(s);
-  return 0.5;
+  return util::env_double("M3D_BENCH_SCALE").value_or(0.5);
 }
 
 std::string artifact_dir() {

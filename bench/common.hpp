@@ -24,7 +24,8 @@
 
 namespace m3d::bench {
 
-/// Netlist width multiplier from M3D_BENCH_SCALE.
+/// Netlist width multiplier from M3D_BENCH_SCALE; a value that is not one
+/// whole finite number throws util::Error (util::env_double).
 double bench_scale();
 
 /// Artifact directory from M3D_BENCH_OUT (created if missing).

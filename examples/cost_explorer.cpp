@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
   const double fp_het = area * 0.875 / 2.0;
   const double pw_het = power * 0.90;
 
-  const double c2d = m.die_cost(fp_2d, false);
-  const double c3d = m.die_cost(fp_3d, true);
-  const double chet = m.die_cost(fp_het, true);
+  const double c2d = m.die_cost(fp_2d, 1);
+  const double c3d = m.die_cost(fp_3d, 2);
+  const double chet = m.die_cost(fp_het, 2);
 
   util::TextTable t("Cost futures for a " +
                     util::TextTable::num(area, 2) + " mm2 / " +
@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
   t.row({"Dies per wafer", util::TextTable::num(m.dies_per_wafer(fp_2d), 0),
          util::TextTable::num(m.dies_per_wafer(fp_3d), 0),
          util::TextTable::num(m.dies_per_wafer(fp_het), 0)});
-  t.row({"Die yield", util::TextTable::num(m.die_yield_2d(fp_2d), 3),
-         util::TextTable::num(m.die_yield_3d(fp_3d), 3),
-         util::TextTable::num(m.die_yield_3d(fp_het), 3)});
+  t.row({"Die yield", util::TextTable::num(m.die_yield(fp_2d, 1), 3),
+         util::TextTable::num(m.die_yield(fp_3d, 2), 3),
+         util::TextTable::num(m.die_yield(fp_het, 2), 3)});
   t.row({"Die cost (1e-6 C')", util::TextTable::num(c2d * 1e6, 2),
          util::TextTable::num(c3d * 1e6, 2),
          util::TextTable::num(chet * 1e6, 2)});

@@ -85,7 +85,6 @@ FlowOptions with_pool(FlowOptions o) {
   if (o.pool == nullptr) return o;
   if (o.place.pool == nullptr) o.place.pool = o.pool;
   if (o.fm.pool == nullptr) o.fm.pool = o.pool;
-  if (o.timing_part.fm.pool == nullptr) o.timing_part.fm.pool = o.pool;
   if (o.opt.sta.pool == nullptr) o.opt.sta.pool = o.pool;
   if (o.repart.sta.pool == nullptr) o.repart.sta.pool = o.pool;
   if (o.repart.pool == nullptr) o.repart.pool = o.pool;

@@ -25,9 +25,11 @@
 
 #include "core/metrics.hpp"
 #include "cost/cost.hpp"
-// NOTE: when adding a field to FlowOptions (or any nested options struct),
-// extend exec::FlowCache::options_hash so cached flows keyed on the old
-// field set cannot be served for the new one.
+// NOTE: when adding a field to FlowOptions (or any nested options struct)
+// that run_flow reads, extend exec::FlowCache::options_hash so cached flows
+// keyed on the old field set cannot be served for the new one. Hash a field
+// only if run_flow reads it: a field it overwrites first (timing_part.fm,
+// say) would split one result across cache entries.
 #include "cts/cts.hpp"
 #include "netlist/netlist.hpp"
 #include "opt/opt.hpp"
@@ -72,9 +74,15 @@ struct TierSpec {
 struct FlowOptions {
   double clock_period_ns = 0.8;
   double utilization = 0.65;
+  /// place.utilization is overwritten with `utilization`.
   place::PlaceOptions place;
+  /// opt.routed is set per stage (false at synthesis, true after).
   opt::OptOptions opt;
+  /// Only area_cap is read: timing_part.fm is replaced by the partition
+  /// stage's FM options (`fm` below).
   part::TimingPartitionOptions timing_part;
+  /// fm.cost_weight and fm.utilization are overwritten with
+  /// `part_cost_weight` and `utilization`.
   part::FmOptions fm;
   part::RepartitionOptions repart;
   cts::CtsOptions cts;

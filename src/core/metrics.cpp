@@ -98,14 +98,10 @@ DesignMetrics collect_metrics(const netlist::Design& d,
   m.leakage_mw = power.leakage_mw;
   m.clock_power_mw = power.clock_mw;
 
-  cost::CostModel cm;
-  // Tier counts 1 and 2 keep the historical bool-form call (identical
-  // math, and trivially byte-identical goldens); taller stacks price
-  // every extra FEOL/BEOL pass, bond premium and β yield hit.
-  const int tiers = d.num_tiers();
-  const double die_cost = tiers <= 2
-                              ? cm.die_cost(m.footprint_mm2, tiers == 2)
-                              : cm.die_cost(m.footprint_mm2, tiers);
+  // Every tier prices its own FEOL/BEOL pass, bond premium and β yield
+  // hit; one and two tiers are the paper's 2-D and 3-D equations.
+  const double die_cost =
+      cost::CostModel{}.die_cost(m.footprint_mm2, d.num_tiers());
   m.die_cost_e6 = die_cost * 1e6;
   m.cost_per_cm2 = cost::cost_per_cm2(die_cost, m.silicon_area_mm2);
   m.pdp_pj = cost::pdp_pj(m.total_power_mw, m.effective_delay_ns);

@@ -26,21 +26,6 @@ double CostModel::die_yield_2d(double die_area_mm2) const {
   return wafer_yield / (t * t);
 }
 
-double CostModel::die_yield_3d(double die_area_mm2) const {
-  return yield_degradation_3d * die_yield_2d(die_area_mm2);
-}
-
-double CostModel::good_dies(double die_area_mm2, bool three_d) const {
-  const double y =
-      three_d ? die_yield_3d(die_area_mm2) : die_yield_2d(die_area_mm2);
-  return dies_per_wafer(die_area_mm2) * y;
-}
-
-double CostModel::die_cost(double die_area_mm2, bool three_d) const {
-  const double wafer = three_d ? wafer_cost_3d() : wafer_cost_2d();
-  return wafer / good_dies(die_area_mm2, three_d);
-}
-
 double CostModel::wafer_cost(int tiers) const {
   M3D_CHECK(tiers >= 1);
   return tiers * (feol_fraction + beol_fraction_6m) +
@@ -83,10 +68,8 @@ double CostModel::die_cost(double die_area_mm2,
 }
 
 double CostModel::die_cost_as_published(double die_area_mm2,
-                                        bool three_d) const {
-  const double y =
-      three_d ? die_yield_3d(die_area_mm2) : die_yield_2d(die_area_mm2);
-  return die_cost(die_area_mm2, three_d) / y;
+                                        int tiers) const {
+  return die_cost(die_area_mm2, tiers) / die_yield(die_area_mm2, tiers);
 }
 
 double pdp_pj(double power_mw, double effective_delay_ns) {

@@ -37,14 +37,6 @@ struct CostModel {
   double wafer_yield = 0.95;         ///< κ
   double yield_degradation_3d = 0.95;  ///< β
 
-  /// 2-D wafer cost: FEOL + 6 metals = 0.96 C′.
-  double wafer_cost_2d() const { return feol_fraction + beol_fraction_6m; }
-
-  /// 3-D wafer cost: two FEOLs + two 6-metal stacks + α = 1.97 C′.
-  double wafer_cost_3d() const {
-    return 2.0 * (feol_fraction + beol_fraction_6m) + integration_3d;
-  }
-
   /// Usable wafer area in mm².
   double wafer_area_mm2() const;
 
@@ -54,46 +46,41 @@ struct CostModel {
   /// Equation (2): 2-D die yield.
   double die_yield_2d(double die_area_mm2) const;
 
-  /// Equation (3): 3-D die yield (extra β degradation).
-  double die_yield_3d(double die_area_mm2) const;
-
-  /// Equation (4): good dies per wafer.
-  double good_dies(double die_area_mm2, bool three_d) const;
-
-  /// Cost per good die in units of C′ (standard form; see file comment).
-  double die_cost(double die_area_mm2, bool three_d) const;
-
-  /// Equation (5) exactly as printed (divides by yield twice).
-  double die_cost_as_published(double die_area_mm2, bool three_d) const;
-
   // ---- N-tier stacks -----------------------------------------------------
   // The monolithic generalization of Table IV: every tier adds its own
   // FEOL + BEOL wafer processing, every sequential bond between adjacent
   // tiers adds the α integration penalty, and every bond multiplies the
-  // die yield by β. tiers == 1 and tiers == 2 reproduce the published
-  // 2-D / 3-D numbers exactly.
+  // die yield by β. tiers == 1 and tiers == 2 are the published 2-D and
+  // 3-D equations, bit for bit (1·x + α·0, β⁰ and β¹ are exact).
 
   /// Wafer cost of a `tiers`-high stack with uniform Table-IV shares:
-  /// tiers·(FEOL + BEOL) + α·(tiers − 1).
+  /// tiers·(FEOL + BEOL) + α·(tiers − 1). C_2D = wafer_cost(1) = 0.96 C′,
+  /// C_3D = wafer_cost(2) = 1.97 C′.
   double wafer_cost(int tiers) const;
 
   /// Wafer cost of a stack with per-tier process shares (bottom first):
   /// Σᵢ(FEOLᵢ + BEOLᵢ) + α·(tiers − 1).
   double wafer_cost(const std::vector<TierProcess>& stack) const;
 
-  /// Stacked die yield: β^(tiers−1) · die_yield_2d.
+  /// Stacked die yield: β^(tiers−1) · die_yield_2d (equation (3) at two
+  /// tiers).
   double die_yield(double die_area_mm2, int tiers) const;
 
-  /// Good stacked dies per wafer; 0 when the die outgrows the wafer.
+  /// Equation (4): good stacked dies per wafer; 0 when the die outgrows
+  /// the wafer.
   double good_dies(double die_area_mm2, int tiers) const;
 
-  /// Cost per good die of a `tiers`-high stack (uniform shares), in C′.
-  /// +inf when no good die can come out of the wafer (die too large).
+  /// Cost per good die of a `tiers`-high stack (uniform shares), in C′
+  /// (standard form; see file comment). +inf when no good die can come
+  /// out of the wafer (die too large).
   double die_cost(double die_area_mm2, int tiers) const;
 
   /// Same with per-tier process shares.
   double die_cost(double die_area_mm2,
                   const std::vector<TierProcess>& stack) const;
+
+  /// Equation (5) exactly as printed (divides by yield twice).
+  double die_cost_as_published(double die_area_mm2, int tiers) const;
 };
 
 /// Power-delay product in pJ: total power (mW) × effective delay (ns).

@@ -23,6 +23,16 @@ namespace {
 
 constexpr double kClockSlew = 0.030;  // assumed edge rate inside the tree
 
+/// Leaf cluster size: a subtree over at most this many sinks is one leaf
+/// buffer.
+constexpr int kMaxSinksPerBuffer = 20;
+/// Drive of leaf clock buffers.
+constexpr int kLeafDrive = 2;
+/// Drive of internal (trunk) clock buffers.
+constexpr int kTrunkDrive = 8;
+/// Per-leaf budget of skew-balancing pad buffers.
+constexpr int kMaxPadBuffers = 40;
+
 struct Sink {
   PinId pin;
   Point pos;
@@ -88,7 +98,7 @@ class TreeBuilder {
 
   /// Buffers produced by a subtree over m sinks (the counter-range size).
   int subtree_count(int m) const {
-    if (m <= opt_.max_sinks_per_buffer) return 1;
+    if (m <= kMaxSinksPerBuffer) return 1;
     const int mid = m / 2;
     return subtree_count(mid) + subtree_count(m - mid) + 1;
   }
@@ -114,7 +124,7 @@ class TreeBuilder {
         PlanNode& nd = nodes_[static_cast<std::size_t>(own)];
         nd.lo = s.lo;
         nd.hi = s.hi;
-        if (m <= opt_.max_sinks_per_buffer) {
+        if (m <= kMaxSinksPerBuffer) {
           nd.leaf = true;
           return;
         }
@@ -210,7 +220,7 @@ class TreeBuilder {
                                 : std::string());
       const CellId buf =
           nl.add_comb("ctsbuf_" + std::to_string(c), tech::CellFunc::ClkBuf,
-                      nd.leaf ? opt_.leaf_drive : opt_.trunk_drive);
+                      nd.leaf ? kLeafDrive : kTrunkDrive);
       const NetId net =
           nl.add_net("ctsnet_" + std::to_string(c + 1), /*is_clock=*/true);
       nl.connect(net, nl.output_pin(buf));
@@ -347,7 +357,7 @@ int balance_clock_tree(Design& d, const CtsOptions& opt) {
              kClockSlew, pad->input_cap_ff));
     const double deficit = max_latency - leaf.latency;
     int k = static_cast<int>(deficit / pad_delay);
-    k = std::min(k, opt.max_pad_buffers);
+    k = std::min(k, kMaxPadBuffers);
     if (k <= 0) continue;
 
     // Splice a pad chain between the parent net and the leaf's input.

@@ -39,17 +39,14 @@ enum class Mode3D {
   PerDie,     ///< one tree per die (Pin-3D baseline behaviour)
 };
 
-/// CTS knobs.
+/// CTS knobs. The leaf cluster size, the buffer drives and the padding
+/// budget are constants in cts.cpp.
 struct CtsOptions {
-  int max_sinks_per_buffer = 20;  ///< leaf cluster size
-  int leaf_drive = 2;             ///< drive of leaf clock buffers
-  int trunk_drive = 8;            ///< drive of internal/trunk buffers
   Mode3D mode = Mode3D::CoverCell;
   bool prefer_low_power_trunk = true;  ///< hetero: trunk on the top tier
   /// Skew balancing: pad fast leaf branches with delay buffers until every
   /// leaf's insertion delay is within one pad-buffer delay of the slowest.
   bool balance_skew = true;
-  int max_pad_buffers = 40;  ///< per-leaf padding budget
   /// Worker pool for the bisection planning and the clock-net routing
   /// sweeps; nullptr means exec::Pool::global(). The built tree is bitwise
   /// identical at any pool size (each subtree owns a precomputed counter

@@ -21,35 +21,10 @@ void mix_corners(Hasher& h, const tech::CornerSpec& c) {
 }
 
 void mix_sta(Hasher& h, const sta::StaOptions& o) {
-  h.mix(o.input_slew_ns);
-  h.mix(o.input_delay_ns);
-  h.mix(o.output_margin_ns);
   h.mix(o.boundary_derates);
   h.mix(o.ideal_clock);
   h.mix(o.hold_analysis);
-  h.mix(o.compensate_port_latency);
   mix_corners(h, o.corners);
-}
-
-void mix_fm(Hasher& h, const part::FmOptions& o) {
-  h.mix(o.balance_tol);
-  h.mix(o.max_passes);
-  h.mix(o.bins);
-  h.mix(o.seed);
-  // Per-tier and cost-aware knobs. cost_model stays unmixed: it is a borrowed
-  // pointer whose assumptions are mirrored in tier_process and the
-  // flow-level TierSpecs, which are mixed.
-  h.mix(o.cost_weight);
-  h.mix(o.utilization);
-  h.mix(static_cast<std::uint64_t>(o.tier_share.size()));
-  for (double s : o.tier_share) h.mix(s);
-  h.mix(static_cast<std::uint64_t>(o.tier_area_cap_um2.size()));
-  for (double c : o.tier_area_cap_um2) h.mix(c);
-  h.mix(static_cast<std::uint64_t>(o.tier_process.size()));
-  for (const cost::TierProcess& p : o.tier_process) {
-    h.mix(p.feol_fraction);
-    h.mix(p.beol_fraction);
-  }
 }
 
 }  // namespace
@@ -94,18 +69,15 @@ std::uint64_t FlowCache::fingerprint(const netlist::Netlist& nl) {
 }
 
 std::uint64_t FlowCache::options_hash(const core::FlowOptions& o) {
-  // Pool pointers (FlowOptions::pool and the nested place/fm/sta pools)
-  // are deliberately NOT mixed: flow results are byte-identical for any
-  // pool size, so two runs differing only in worker pool share one entry.
+  // Only what run_flow reads goes in. Pool pointers (FlowOptions::pool
+  // and the nested ones) stay out: flow results are byte-identical for any
+  // pool size. So do the fields run_flow overwrites before reading them:
+  // place.utilization, opt.routed, fm.cost_weight and fm.utilization come
+  // from the flow-level knobs, and timing_part.fm is replaced by the
+  // partition stage's FM options.
   Hasher h;
   h.mix(o.clock_period_ns);
   h.mix(o.utilization);
-  // place
-  h.mix(o.place.utilization);
-  h.mix(o.place.aspect);
-  h.mix(o.place.relax_iters);
-  h.mix(o.place.spread_iters);
-  h.mix(o.place.grid);
   h.mix(o.place.seed);
   // opt
   h.mix(o.opt.max_sizing_rounds);
@@ -113,33 +85,29 @@ std::uint64_t FlowCache::options_hash(const core::FlowOptions& o) {
   h.mix(o.opt.target_slack_ns);
   h.mix(o.opt.recovery_slack_frac);
   h.mix(o.opt.max_fanout);
-  h.mix(o.opt.buffer_drive);
   h.mix(o.opt.max_wire_um);
-  h.mix(o.opt.max_transition_fo4);
   mix_sta(h, o.opt.sta);
-  h.mix(o.opt.routed);
   // partitioning
   h.mix(o.timing_part.area_cap);
-  mix_fm(h, o.timing_part.fm);
-  mix_fm(h, o.fm);
+  h.mix(o.fm.balance_tol);
+  h.mix(o.fm.bins);
+  h.mix(o.fm.seed);
+  h.mix(static_cast<std::uint64_t>(o.fm.tier_share.size()));
+  for (double s : o.fm.tier_share) h.mix(s);
+  h.mix(static_cast<std::uint64_t>(o.fm.tier_area_cap_um2.size()));
+  for (double c : o.fm.tier_area_cap_um2) h.mix(c);
+  h.mix(static_cast<std::uint64_t>(o.fm.tier_process.size()));
+  for (const cost::TierProcess& p : o.fm.tier_process) {
+    h.mix(p.feol_fraction);
+    h.mix(p.beol_fraction);
+  }
   // repartitioning ECO
-  h.mix(o.repart.unbalance_th);
-  h.mix(o.repart.d0);
-  h.mix(o.repart.n_paths);
-  h.mix(o.repart.crit_th);
-  h.mix(o.repart.alpha);
-  h.mix(o.repart.wns_th);
-  h.mix(o.repart.tns_th);
   h.mix(o.repart.max_iters);
   mix_sta(h, o.repart.sta);
   // cts
-  h.mix(o.cts.max_sinks_per_buffer);
-  h.mix(o.cts.leaf_drive);
-  h.mix(o.cts.trunk_drive);
   h.mix(static_cast<int>(o.cts.mode));
   h.mix(o.cts.prefer_low_power_trunk);
   h.mix(o.cts.balance_skew);
-  h.mix(o.cts.max_pad_buffers);
   // hetero enhancements
   h.mix(o.enable_timing_partition);
   h.mix(o.enable_repartition);

@@ -106,9 +106,10 @@ class FlowCache {
   /// kind, block), nets (pins, driver, activity, clock flag) and pins.
   static std::uint64_t fingerprint(const netlist::Netlist& nl);
 
-  /// Field-wise hash of every FlowOptions knob (including nested place /
-  /// opt / partition / cts / sta options). Keep in sync when adding
-  /// fields to any of those structs.
+  /// Field-wise hash of every FlowOptions knob run_flow reads (including
+  /// nested place / opt / partition / cts / sta options). Pool pointers
+  /// and the fields run_flow overwrites before reading stay out. Keep in
+  /// sync when adding fields to any of those structs.
   static std::uint64_t options_hash(const core::FlowOptions& opt);
 
  private:

@@ -105,9 +105,10 @@ class SvgBuilder {
         const auto& net = nl.net(n);
         if (net.is_clock || net.driver == kInvalidId) continue;
         const Point a = d_.pin_pos(net.driver);
-        for (PinId s : nl.sinks(n))
+        nl.for_each_sink(n, [&](PinId s) {
           line(a, d_.tier(nl.pin(net.driver).cell), d_.pin_pos(s),
                d_.tier(nl.pin(s).cell), "#888888", 0.05, 0.25);
+        });
       }
     }
   }
@@ -119,9 +120,10 @@ class SvgBuilder {
       if (!net.is_clock || net.driver == kInvalidId) continue;
       const Point a = d_.pin_pos(net.driver);
       const int ta = d_.tier(nl.pin(net.driver).cell);
-      for (PinId s : nl.sinks(n))
+      nl.for_each_sink(n, [&](PinId s) {
         line(a, ta, d_.pin_pos(s), d_.tier(nl.pin(s).cell), kClockColor,
              0.25, 0.8);
+      });
     }
     // Highlight clock buffers.
     for (CellId c = 0; c < nl.cell_count(); ++c) {
@@ -138,15 +140,17 @@ class SvgBuilder {
       if (net.is_clock || net.driver == kInvalidId) continue;
       const bool from_macro = nl.cell(nl.pin(net.driver).cell).is_macro();
       bool to_macro = false;
-      for (PinId s : nl.sinks(n))
+      nl.for_each_sink(n, [&](PinId s) {
         if (nl.cell(nl.pin(s).cell).is_macro()) to_macro = true;
+      });
       if (!from_macro && !to_macro) continue;
       const char* color = from_macro ? kMemOutColor : kMemInColor;
       const Point a = d_.pin_pos(net.driver);
       const int ta = d_.tier(nl.pin(net.driver).cell);
-      for (PinId s : nl.sinks(n))
+      nl.for_each_sink(n, [&](PinId s) {
         line(a, ta, d_.pin_pos(s), d_.tier(nl.pin(s).cell), color, 0.35,
              0.9);
+      });
     }
   }
 

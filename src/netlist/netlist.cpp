@@ -241,23 +241,6 @@ void Netlist::disconnect_all(const std::vector<PinId>& pin_ids) {
     pins_[check_pin(pid)].net = kInvalidId;
 }
 
-std::vector<PinId> Netlist::output_pins(CellId c) const {
-  const PinSpan s = output_pins_of(c);
-  return {s.begin(), s.end()};
-}
-
-std::vector<PinId> Netlist::input_pins(CellId c) const {
-  const PinSpan s = input_pins_of(c);
-  return {s.begin(), s.end()};
-}
-
-std::vector<PinId> Netlist::sinks(NetId n) const {
-  std::vector<PinId> out;
-  out.reserve(static_cast<std::size_t>(net_pin_cnt_[check_net(n)]));
-  for_each_sink(n, [&](PinId p) { out.push_back(p); });
-  return out;
-}
-
 void Netlist::sinks_into(NetId n, std::vector<PinId>& out) const {
   out.clear();
   for_each_sink(n, [&](PinId p) { out.push_back(p); });

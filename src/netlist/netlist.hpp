@@ -283,23 +283,19 @@ class Netlist {
     if (!cell_has_clock_[i]) return kInvalidId;
     return cell_pin_off_[i] + cell_in_count_[i];
   }
-  /// All output pins of a cell.
-  std::vector<PinId> output_pins(CellId c) const;
-  /// All non-clock input pins of a cell.
-  std::vector<PinId> input_pins(CellId c) const;
 
   // ---- pin CSR -----------------------------------------------------------
   // The per-cell pin CSR *is* the storage — there is no cache and nothing
   // to rebuild, so reads are safe from any thread while the netlist is not
   // being mutated.
 
-  /// Non-clock input pins of a cell (input_pins() order, no allocation).
+  /// Non-clock input pins of a cell, in pin order (no allocation).
   PinSpan input_pins_of(CellId c) const {
     const std::size_t i = check_cell(c);
     return {pin_iota_.data() + cell_pin_off_[i],
             static_cast<std::size_t>(cell_in_count_[i])};
   }
-  /// Output pins of a cell (output_pins() order, no allocation).
+  /// Output pins of a cell, in pin order (no allocation).
   PinSpan output_pins_of(CellId c) const {
     const std::size_t i = check_cell(c);
     const int base = cell_in_count_[i] + cell_has_clock_[i];
@@ -359,15 +355,12 @@ class Netlist {
     return net_pin_cnt_[i] - (net_driver_[i] != kInvalidId ? 1 : 0);
   }
 
-  /// Sink pins of a net (everything but the driver).
-  std::vector<PinId> sinks(NetId n) const;
-
-  /// Non-allocating variant of sinks(): clears `out` and fills it with the
-  /// sink pins in the same order. Hot loops reuse one buffer across nets.
+  /// Sink pins of a net (everything but the driver), in net pin order:
+  /// clears `out` and fills it. Hot loops reuse one buffer across nets.
   void sinks_into(NetId n, std::vector<PinId>& out) const;
 
-  /// Visit every sink pin of a net in sinks() order without materializing
-  /// a vector.
+  /// Visit every sink pin of a net in sinks_into() order without
+  /// materializing a vector.
   template <typename F>
   void for_each_sink(NetId n, F&& f) const {
     const std::size_t i = check_net(n);

@@ -1,11 +1,11 @@
 #include "netlist/verilog_reader.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <map>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 namespace m3d::netlist {
 
@@ -79,18 +79,6 @@ class Lexer {
   int line_ = 1;
 };
 
-/// The whole of `digits` as an int. Every numeric token goes through here,
-/// so a malformed or out-of-range one is a util::Error naming `token`,
-/// never a std::stoi exception.
-int to_int(const std::string& digits, const std::string& token) {
-  int v = 0;
-  const char* end = digits.data() + digits.size();
-  const auto [ptr, ec] = std::from_chars(digits.data(), end, v);
-  M3D_CHECK_MSG(ec == std::errc() && ptr == end,
-                "bad number '" << digits << "' in '" << token << "'");
-  return v;
-}
-
 /// Try to interpret an instance type as FUNC_Xd.
 bool parse_std_type(const std::string& type, tech::CellFunc* func,
                     int* drive) {
@@ -104,7 +92,7 @@ bool parse_std_type(const std::string& type, tech::CellFunc* func,
   for (int f = 0; f <= static_cast<int>(tech::CellFunc::Dff); ++f) {
     if (fname == tech::func_name(static_cast<tech::CellFunc>(f))) {
       *func = static_cast<tech::CellFunc>(f);
-      *drive = to_int(dstr, type);
+      *drive = util::parse_token<int>("cell type", type, dstr);
       return true;
     }
   }
@@ -228,15 +216,20 @@ class Reader {
       c = nl.add_macro(inst, type, n_in, n_out);
     }
 
+    // The number after a pin's A/Z letter.
+    auto pin_index = [](const std::string& pin) {
+      return util::parse_token<int>("pin", pin,
+                                    std::string_view(pin).substr(1));
+    };
     for (const auto& [pin, net] : conns) {
       if (pin == "CK") {
         nl.connect(net_of(net), nl.clock_pin(c));
       } else if (pin[0] == 'A') {
-        nl.connect(net_of(net), nl.input_pin(c, to_int(pin.substr(1), pin)));
+        nl.connect(net_of(net), nl.input_pin(c, pin_index(pin)));
       } else if (pin == "Z") {
         nl.connect(net_of(net), nl.output_pin(c, 0));
       } else if (pin[0] == 'Z') {
-        nl.connect(net_of(net), nl.output_pin(c, to_int(pin.substr(1), pin)));
+        nl.connect(net_of(net), nl.output_pin(c, pin_index(pin)));
       } else {
         M3D_CHECK_MSG(false, "unknown pin '" << pin << "' on " << inst);
       }

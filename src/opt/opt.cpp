@@ -16,6 +16,16 @@ using util::Point;
 
 namespace {
 
+/// Drive strength of the fanout buffers and repeaters optimize_timing
+/// inserts.
+constexpr int kBufferDrive = 4;
+
+/// Slew limit as a multiple of the driving library's FO-4 delay (slow
+/// libraries get proportionally relaxed limits, as real low-power corners
+/// do — a fixed ns limit would force the 9-track tier into blanket
+/// upsizing and erase its area/power advantage).
+constexpr double kMaxTransitionFo4 = 8.0;
+
 bool sizable(const Design& d, CellId c) {
   const Cell& cc = d.nl().cell(c);
   if (!cc.is_comb() && !cc.is_sequential()) return false;
@@ -269,12 +279,11 @@ int recover_power(Design& d, const sta::StaResult& timing,
 
 OptResult optimize_timing(Design& d, const OptOptions& opt) {
   OptResult res;
-  res.buffers_added = insert_fanout_buffers(d, opt.max_fanout,
-                                            opt.buffer_drive);
+  res.buffers_added = insert_fanout_buffers(d, opt.max_fanout, kBufferDrive);
   // Repeaters only make sense once positions exist (post-placement).
   if (opt.routed)
     res.buffers_added +=
-        insert_wire_repeaters(d, opt.max_wire_um, opt.buffer_drive);
+        insert_wire_repeaters(d, opt.max_wire_um, kBufferDrive);
 
   // Those were the only topology edits. From here on only drive strengths
   // change, which moves no cell and edits no net: the one route estimate
@@ -290,8 +299,7 @@ OptResult optimize_timing(Design& d, const OptOptions& opt) {
   std::vector<CellId> resized;
   for (int round = 0; round < opt.max_sizing_rounds; ++round) {
     resized.clear();
-    int changed =
-        fix_max_transition(d, timing, opt.max_transition_fo4, &resized);
+    int changed = fix_max_transition(d, timing, kMaxTransitionFo4, &resized);
     if (timing.wns() < opt.target_slack_ns)
       changed += upsize_critical(d, timing, opt.target_slack_ns, &resized);
     res.cells_upsized += changed;

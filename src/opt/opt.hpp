@@ -21,20 +21,15 @@ using netlist::CellId;
 using netlist::Design;
 using netlist::NetId;
 
-/// Optimizer knobs.
+/// Optimizer knobs. The drive of inserted buffers and the slew limit are
+/// constants in opt.cpp.
 struct OptOptions {
   int max_sizing_rounds = 5;       ///< upsizing iterations
   int power_recovery_rounds = 2;   ///< downsizing iterations
   double target_slack_ns = 0.0;    ///< upsize cells below this slack
   double recovery_slack_frac = 0.30;  ///< downsize above this × period
   int max_fanout = 6;              ///< buffer nets above this fanout
-  int buffer_drive = 4;            ///< drive strength of inserted buffers
   double max_wire_um = 60.0;       ///< repeater spacing on long wires
-  /// Slew limit as a multiple of the driving library's FO-4 delay (slow
-  /// libraries get proportionally relaxed limits, as real low-power
-  /// corners do — a fixed ns limit would force the 9-track tier into
-  /// blanket upsizing and erase its area/power advantage).
-  double max_transition_fo4 = 8.0;
   sta::StaOptions sta;             ///< timing view used during optimization
   /// false = zero-wire timing (the synthesis stage, before placement).
   bool routed = true;

@@ -77,6 +77,10 @@ double cut_fraction(const Design& d) {
 
 namespace {
 
+/// FM passes per run (each pass visits every movable cell); a pass that
+/// improves nothing ends the run early.
+constexpr int kMaxPasses = 8;
+
 /// Three-level find-first bitset over cell ids: O(1) set/clear and a
 /// few word scans for find-first / find-next-after. One instance backs
 /// one FM gain bucket, where iteration must be in ascending cell id —
@@ -238,7 +242,6 @@ class KwayEngine {
         share_[static_cast<std::size_t>(t)] =
             opt_.tier_share[static_cast<std::size_t>(t)] / sum;
     }
-    cm_ = opt_.cost_model != nullptr ? opt_.cost_model : &default_cm_;
 
     const std::size_t nc = static_cast<std::size_t>(nl_.cell_count());
     movable_.assign(nc, 0);
@@ -336,8 +339,7 @@ class KwayEngine {
   std::vector<int> region_;
   int nreg_;
   std::vector<double> share_;
-  const cost::CostModel* cm_ = nullptr;
-  cost::CostModel default_cm_;
+  cost::CostModel cm_;  ///< Table-IV assumptions of the cost term
   std::vector<char> movable_;
   std::vector<int> csr_off_;
   std::vector<NetId> csr_;
@@ -482,8 +484,8 @@ double KwayEngine::die_cost_from(double amax_um2) const {
   const double foot_mm2 = amax_um2 / opt_.utilization * 1e-6;
   if (foot_mm2 <= 0.0) return 0.0;
   return opt_.tier_process.empty()
-             ? cm_->die_cost(foot_mm2, K_)
-             : cm_->die_cost(foot_mm2, opt_.tier_process);
+             ? cm_.die_cost(foot_mm2, K_)
+             : cm_.die_cost(foot_mm2, opt_.tier_process);
 }
 
 double KwayEngine::die_cost_now() const {
@@ -689,7 +691,7 @@ int KwayEngine::run() {
       static_cast<std::size_t>(nc) * static_cast<std::size_t>(K_), 0);
   std::vector<char> locked_in_pass(static_cast<std::size_t>(nc), 0);
 
-  for (int pass = 0; pass < opt_.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     util::TraceSpan pass_span(
         "fm_pass", tracing ? std::to_string(pass) : std::string());
     if (opt_.stats != nullptr) ++opt_.stats->passes;

@@ -45,10 +45,10 @@ struct FmStats {
   long long moves = 0;   ///< moves accepted across all passes
 };
 
-/// Partitioning knobs.
+/// Partitioning knobs. The pass budget is a constant in fm.cpp, and the
+/// cost term prices dies with the Table-IV cost::CostModel defaults.
 struct FmOptions {
   double balance_tol = 0.10;  ///< allowed deviation from a target share
-  int max_passes = 8;         ///< FM passes (each pass visits all cells)
   int bins = 8;               ///< bin grid per axis (bin-based variant)
   unsigned seed = 1;          ///< initial-assignment seed
   /// Worker pool for the per-pass initial gain computation (2,048-cell
@@ -72,8 +72,6 @@ struct FmOptions {
   /// Die cost is in C′ (~1e-5 for mm²-scale dies), so meaningful weights
   /// are large (1e4–1e6 trades one net of cut against ~0.1–10 µC′).
   double cost_weight = 0.0;
-  /// Table-IV assumptions for the cost term; nullptr = paper defaults.
-  const cost::CostModel* cost_model = nullptr;
   /// Per-tier process cost shares for the cost term, bottom first.
   /// Empty = uniform Table-IV shares on every tier.
   std::vector<cost::TierProcess> tier_process;

@@ -17,6 +17,22 @@ using netlist::kTopTier;
 
 namespace {
 
+// Algorithm 1's thresholds (names follow the paper's pseudocode).
+/// Max |top−bottom|/total area unbalance the ECO may add.
+constexpr double kUnbalanceTh = 0.15;
+/// Initial delay-threshold multiplier d_k.
+constexpr double kD0 = 1.2;
+/// Paths examined per iteration (n_p).
+constexpr int kNPaths = 50;
+/// Stop when slow_crit/all_crit drops below this.
+constexpr double kCritTh = 0.25;
+/// Threshold tightening on rejected moves (d_k *= alpha).
+constexpr double kAlpha = 0.7;
+/// Required WNS improvement per iteration.
+constexpr double kWnsTh = 0.0;
+/// Required TNS improvement per iteration.
+constexpr double kTnsTh = 0.0;
+
 /// Slack-ordered candidate scan shared by rebalance_to_top and the ECO's
 /// counterweight selection: bottom-tier std cells passing `keep`, keyed
 /// (-slack, cell) so a plain sort yields most-slack-first with cell id as
@@ -163,8 +179,8 @@ RepartitionResult repartition_eco(Design& d, const RepartitionOptions& opt,
   double wns = res.wns_before;
   double tns = res.tns_before;
 
-  double d_k = opt.d0;
-  const int n_p = opt.n_paths;
+  double d_k = kD0;
+  const int n_p = kNPaths;
 
   // The budget bounds how far the ECO may *push* the tier balance away
   // from wherever the partitioner left it (which is deliberately offset
@@ -187,7 +203,7 @@ RepartitionResult repartition_eco(Design& d, const RepartitionOptions& opt,
   }
 
   while (res.iterations < opt.max_iters &&
-         tier_unbalance(d) - initial_unbalance <= opt.unbalance_th) {
+         tier_unbalance(d) - initial_unbalance <= kUnbalanceTh) {
     ++res.iterations;
 
     // Average stage delay over the n_p worst paths sets the threshold.
@@ -225,7 +241,7 @@ RepartitionResult repartition_eco(Design& d, const RepartitionOptions& opt,
       }
 
     if (all_crit == 0 ||
-        static_cast<double>(slow_crit) / all_crit < opt.crit_th) {
+        static_cast<double>(slow_crit) / all_crit < kCritTh) {
       util::log_info("repartition: critical cells now fast-die dominated (",
                      slow_crit, "/", all_crit, "), stopping");
       break;
@@ -262,12 +278,12 @@ RepartitionResult repartition_eco(Design& d, const RepartitionOptions& opt,
     const double new_wns = timing.guard_wns();
     const double new_tns = timing.guard_tns();
 
-    if (new_wns - wns < opt.wns_th || new_tns - tns < opt.tns_th) {
+    if (new_wns - wns < kWnsTh || new_tns - tns < kTnsTh) {
       // Not enough improvement: undo and tighten the threshold.
       for (CellId c : move_list) d.set_tier(c, kTopTier);
       for (CellId c : counter_list) d.set_tier(c, kBottomTier);
       res.moves_undone += static_cast<int>(move_list.size());
-      d_k *= opt.alpha;
+      d_k *= kAlpha;
       retime_moved(touched);
       util::log_debug("repartition iter ", res.iterations,
                       ": undone (wns ", new_wns, " vs ", wns, "), d_k=", d_k);

@@ -29,15 +29,9 @@ namespace m3d::part {
 using netlist::CellId;
 using netlist::Design;
 
-/// Algorithm 1 knobs (names follow the paper's pseudocode).
+/// Algorithm 1 knobs. Its thresholds (unbalance_th, d0, n_p, crit_th,
+/// alpha, wns_th, tns_th) are constants in repartition.cpp.
 struct RepartitionOptions {
-  double unbalance_th = 0.15;  ///< max |top−bottom|/total area unbalance
-  double d0 = 1.2;             ///< initial delay-threshold multiplier d_k
-  int n_paths = 50;            ///< paths examined per iteration (n_p)
-  double crit_th = 0.25;       ///< stop when slow_crit/all_crit below this
-  double alpha = 0.7;          ///< threshold tightening on rejected moves
-  double wns_th = 0.0;         ///< required WNS improvement per iteration
-  double tns_th = 0.0;         ///< required TNS improvement per iteration
   int max_iters = 12;
   sta::StaOptions sta;         ///< timing options for the ECO updates
   /// Worker pool for the per-iteration candidate scans (counterweight

@@ -35,6 +35,15 @@ bool movable(const Cell& c) { return !c.fixed && !c.is_port(); }
 /// independent of the pool size (including 1).
 constexpr int kChunk = 2048;
 
+/// Floorplan width/height ratio.
+constexpr double kAspect = 1.0;
+/// Net-centroid relaxation sweeps.
+constexpr int kRelaxIters = 60;
+/// Histogram-equalization passes (each spreads x, then y).
+constexpr int kSpreadIters = 3;
+/// Spreading histogram resolution per axis.
+constexpr int kGrid = 24;
+
 /// Evenly distribute ports around the floorplan perimeter.
 void place_ports(Design& d) {
   const auto& nl = d.nl();
@@ -139,7 +148,7 @@ void init_floorplan(Design& d, const PlaceOptions& opt) {
       (cell_area / opt.utilization + macro_area * 1.05) / tiers;
   // Each tier's macro share must fit in plan view.
   core = std::max(core, macro_area * 1.15 / tiers);
-  const double width = std::sqrt(core * opt.aspect);
+  const double width = std::sqrt(core * kAspect);
   const double height = core / width;
   d.set_floorplan({0.0, 0.0, width, height});
   place_macros(d);
@@ -174,7 +183,7 @@ void global_place(Design& d, const PlaceOptions& opt) {
   std::vector<double> cx(static_cast<std::size_t>(nn));
   std::vector<double> cy(static_cast<std::size_t>(nn));
   std::vector<int> cn(static_cast<std::size_t>(nn));
-  for (int iter = 0; iter < opt.relax_iters; ++iter) {
+  for (int iter = 0; iter < kRelaxIters; ++iter) {
     util::TraceSpan pass_span("relax_pass",
                               tracing ? std::to_string(iter) : std::string());
     pool.parallel_for(0, nn, [&](int ni) {
@@ -216,12 +225,11 @@ void global_place(Design& d, const PlaceOptions& opt) {
   }
 
   // --- density spreading: per-axis histogram equalization ------------------
-  const int g = std::max(4, opt.grid);
   const int nchunks = (nc + kChunk - 1) / kChunk;
   std::vector<std::vector<double>> chunk_mass(
       static_cast<std::size_t>(nchunks),
-      std::vector<double>(static_cast<std::size_t>(g), 0.0));
-  for (int pass = 0; pass < opt.spread_iters; ++pass) {
+      std::vector<double>(static_cast<std::size_t>(kGrid), 0.0));
+  for (int pass = 0; pass < kSpreadIters; ++pass) {
     for (int axis = 0; axis < 2; ++axis) {
       util::TraceSpan pass_span(
           "spread_pass", tracing ? std::to_string(pass) + (axis == 0 ? "/x" : "/y")
@@ -239,19 +247,19 @@ void global_place(Design& d, const PlaceOptions& opt) {
         for (CellId c = chunk * kChunk; c < c_end; ++c) {
           if (!mv[static_cast<std::size_t>(c)]) continue;
           const double v = axis == 0 ? d.pos(c).x : d.pos(c).y;
-          int b = static_cast<int>((v - lo) / span * g);
-          b = std::clamp(b, 0, g - 1);
+          int b = static_cast<int>((v - lo) / span * kGrid);
+          b = std::clamp(b, 0, kGrid - 1);
           m[static_cast<std::size_t>(b)] += d.cell_area(c);
         }
       }, /*grain=*/1);
-      std::vector<double> mass(static_cast<std::size_t>(g), 0.0);
+      std::vector<double> mass(static_cast<std::size_t>(kGrid), 0.0);
       for (int chunk = 0; chunk < nchunks; ++chunk)
-        for (int b = 0; b < g; ++b)
+        for (int b = 0; b < kGrid; ++b)
           mass[static_cast<std::size_t>(b)] +=
               chunk_mass[static_cast<std::size_t>(chunk)]
                         [static_cast<std::size_t>(b)];
-      std::vector<double> cum(static_cast<std::size_t>(g) + 1, 0.0);
-      for (int b = 0; b < g; ++b)
+      std::vector<double> cum(static_cast<std::size_t>(kGrid) + 1, 0.0);
+      for (int b = 0; b < kGrid; ++b)
         cum[static_cast<std::size_t>(b) + 1] =
             cum[static_cast<std::size_t>(b)] +
             mass[static_cast<std::size_t>(b)];
@@ -265,8 +273,8 @@ void global_place(Design& d, const PlaceOptions& opt) {
         if (!mv[static_cast<std::size_t>(c)]) return;
         Point p = d.pos(c);
         const double v = axis == 0 ? p.x : p.y;
-        double f = (v - lo) / span * g;
-        f = std::clamp(f, 0.0, static_cast<double>(g) - 1e-9);
+        double f = (v - lo) / span * kGrid;
+        f = std::clamp(f, 0.0, static_cast<double>(kGrid) - 1e-9);
         const int b = static_cast<int>(f);
         const double frac = f - b;
         const double cdf = (cum[static_cast<std::size_t>(b)] +

@@ -6,8 +6,9 @@
 /// form: (1) iterative net-centroid relaxation pulls connected cells
 /// together (the fixed ports/macros anchor the system), (2) per-axis
 /// histogram equalization spreads the resulting clump to uniform density,
-/// and (3) an Abacus-style row packer legalizes each tier onto its own row
-/// grid (9-track rows are shorter than 12-track rows, so each tier
+/// and (3) a Tetris-style packer legalizes each tier onto its own row grid,
+/// dropping every cell into the nearest free gap of the nearest row that
+/// holds it (9-track rows are shorter than 12-track rows, so each tier
 /// legalizes against its own library).
 ///
 /// In 3-D mode both tiers share the same x/y floorplan; overlap is only
@@ -25,13 +26,10 @@ namespace m3d::place {
 using netlist::CellId;
 using netlist::Design;
 
-/// Placement knobs.
+/// Placement knobs. The floorplan aspect ratio and the relaxation and
+/// spreading schedule are constants in place.cpp.
 struct PlaceOptions {
   double utilization = 0.65;  ///< target cell-area utilization of the core
-  double aspect = 1.0;        ///< floorplan width/height ratio
-  int relax_iters = 60;       ///< net-centroid relaxation sweeps
-  int spread_iters = 3;       ///< histogram-equalization passes
-  int grid = 24;              ///< spreading grid resolution per axis
   unsigned seed = 1;          ///< initial-placement scatter seed
   /// Worker pool for the relaxation/spreading passes and the spreading
   /// histogram; nullptr means exec::Pool::global(). Placements are

@@ -35,6 +35,8 @@
 #include <vector>
 
 #include "service/client.hpp"
+#include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -64,6 +66,17 @@ struct Args {
   std::exit(2);
 }
 
+/// The whole of flag `flag`'s value `v` as a T; anything else exits 2.
+template <typename T>
+T flag_number(const std::string& flag, const char* v) {
+  try {
+    return m3d::util::parse_token<T>(flag, v, v);
+  } catch (const m3d::util::Error& e) {
+    std::fprintf(stderr, "m3dctl: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 Client connect(const Args& a) {
   return a.port > 0 ? Client::connect_tcp(a.port)
                     : Client::connect_unix(a.socket);
@@ -79,20 +92,22 @@ bool parse_args(int argc, char** argv, Args* a) {
   };
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
+    auto int_value = [&] { return flag_number<int>(arg, value()); };
+    auto real_value = [&] { return flag_number<double>(arg, value()); };
     if (arg == "--socket") a->socket = value();
-    else if (arg == "--port") a->port = std::atoi(value());
+    else if (arg == "--port") a->port = int_value();
     else if (arg == "--design") a->spec.design = value();
-    else if (arg == "--scale") a->spec.scale = std::atof(value());
-    else if (arg == "--seed") a->spec.seed = std::atoi(value());
+    else if (arg == "--scale") a->spec.scale = real_value();
+    else if (arg == "--seed") a->spec.seed = int_value();
     else if (arg == "--config") {
       if (!m3d::service::parse_config(value(), &a->spec.config)) return false;
-    } else if (arg == "--period") a->spec.period_ns = std::atof(value());
-    else if (arg == "--rounds") a->spec.max_sizing_rounds = std::atoi(value());
-    else if (arg == "--eco") a->spec.eco_iters = std::atoi(value());
-    else if (arg == "--clients") a->clients = std::atoi(value());
-    else if (arg == "--requests") a->requests = std::atoi(value());
-    else if (arg == "--distinct") a->distinct = std::atoi(value());
-    else if (arg == "--timeout-ms") a->timeout_ms = std::atoi(value());
+    } else if (arg == "--period") a->spec.period_ns = real_value();
+    else if (arg == "--rounds") a->spec.max_sizing_rounds = int_value();
+    else if (arg == "--eco") a->spec.eco_iters = int_value();
+    else if (arg == "--clients") a->clients = int_value();
+    else if (arg == "--requests") a->requests = int_value();
+    else if (arg == "--distinct") a->distinct = int_value();
+    else if (arg == "--timeout-ms") a->timeout_ms = int_value();
     else if (arg == "--out") a->out = value();
     else if (arg == "--help" || arg == "-h") usage_exit();
     else if (!arg.empty() && arg[0] == '-') usage_exit();

@@ -20,6 +20,8 @@
 #include <string>
 
 #include "service/server.hpp"
+#include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -36,6 +38,16 @@ extern "C" void m3dd_signal_handler(int sig) {
 const char* env_or(const char* name, const char* def) {
   const char* v = std::getenv(name);
   return v && *v ? v : def;
+}
+
+/// The whole of flag `flag`'s value `v` as an int; anything else exits 2.
+int flag_int(const std::string& flag, const char* v) {
+  try {
+    return m3d::util::parse_token<int>(flag, v, v);
+  } catch (const m3d::util::Error& e) {
+    std::fprintf(stderr, "m3dd: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 void usage() {
@@ -70,10 +82,10 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--socket") opt.socket_path = value();
-    else if (arg == "--listen") opt.tcp_port = std::atoi(value());
+    else if (arg == "--listen") opt.tcp_port = flag_int(arg, value());
     else if (arg == "--state-dir") opt.state_dir = value();
     else if (arg == "--config") opt.config_file = value();
-    else if (arg == "--executors") opt.executors = std::atoi(value());
+    else if (arg == "--executors") opt.executors = flag_int(arg, value());
     else if (arg == "--quiet")
       m3d::util::set_log_level(m3d::util::LogLevel::Warn);
     else if (arg == "--help" || arg == "-h") {

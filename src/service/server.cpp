@@ -16,6 +16,8 @@
 
 #include "core/checkpoint.hpp"
 #include "io/reports.hpp"
+#include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/publish.hpp"
 #include "util/trace.hpp"
@@ -580,6 +582,12 @@ void Server::reload_config() {
     return;
   }
   QueueLimits lim = queue_.limits();
+  auto positive = [](const std::string& key, const std::string& value) {
+    const int v = util::parse_token<int>(key, value, value);
+    if (v < 1)
+      throw util::Error(key + ": value '" + value + "' is not positive");
+    return v;
+  };
   std::string line;
   while (std::getline(is, line)) {
     const std::size_t hash = line.find('#');
@@ -594,15 +602,26 @@ void Server::reload_config() {
     };
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    if (key == "max_queue") lim.max_queue = std::atoi(value.c_str());
-    else if (key == "max_inflight_per_client")
-      lim.max_inflight_per_client = std::atoi(value.c_str());
-    else if (key == "log_level") {
-      if (value == "debug") util::set_log_level(util::LogLevel::Debug);
-      else if (value == "info") util::set_log_level(util::LogLevel::Info);
-      else if (value == "warn") util::set_log_level(util::LogLevel::Warn);
-      else if (value == "error") util::set_log_level(util::LogLevel::Error);
-      else if (value == "silent") util::set_log_level(util::LogLevel::Silent);
+    // A bad line is ignored, so its key keeps the previous setting; the
+    // rest of the file still applies.
+    try {
+      if (key == "max_queue") {
+        lim.max_queue = positive(key, value);
+      } else if (key == "max_inflight_per_client") {
+        lim.max_inflight_per_client = positive(key, value);
+      } else if (key == "log_level") {
+        if (value == "debug") util::set_log_level(util::LogLevel::Debug);
+        else if (value == "info") util::set_log_level(util::LogLevel::Info);
+        else if (value == "warn") util::set_log_level(util::LogLevel::Warn);
+        else if (value == "error") util::set_log_level(util::LogLevel::Error);
+        else if (value == "silent") util::set_log_level(util::LogLevel::Silent);
+        else throw util::Error(key + ": unknown level '" + value + "'");
+      } else {
+        throw util::Error("unknown key '" + key + "'");
+      }
+    } catch (const util::Error& e) {
+      util::log_warn("m3dd: config ", opt_.config_file, ": ", e.what(),
+                     "; ignored");
     }
   }
   queue_.set_limits(lim);

@@ -91,7 +91,9 @@ class Server {
 
   /// Re-read config_file (max_queue / max_inflight_per_client /
   /// log_level) and apply — the SIGHUP handler's target. Missing file or
-  /// keys leave current values untouched.
+  /// keys leave current values untouched. A line whose value is not one
+  /// whole positive number (or a known level), or whose key is unknown,
+  /// logs a warning naming it and is ignored.
   void reload_config();
 
   const std::string& socket_path() const { return opt_.socket_path; }

@@ -26,6 +26,20 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 constexpr double kClockPinSlew = 0.025;  // slew asserted at FF clock pins
 
+// Port constraints (set_input_transition / set_input_delay /
+// set_output_delay), the same for every analysis.
+/// Slew asserted at primary inputs.
+constexpr double kInputSlewNs = 0.020;
+/// Arrival asserted at primary inputs.
+constexpr double kInputDelayNs = 0.0;
+/// Required margin at primary outputs.
+constexpr double kOutputMarginNs = 0.0;
+/// Give primary outputs a virtual capture clock at the design's mean flop
+/// latency (an output-delay constraint that includes the clock network
+/// latency). Without it every reg→port path loses the whole launch
+/// latency against an un-latencied required time.
+constexpr bool kCompensatePortLatency = true;
+
 // Pins per parallel_for chunk for level propagation, endpoints and the
 // retime buckets. A level of one chunk runs inline; the result is the
 // same either way (single-writer gather), only the scheduling differs.
@@ -129,10 +143,7 @@ class StaEngine {
   std::vector<int> level_;        // per pin: topological level (-1 if none)
   std::vector<std::vector<PinId>> levels_;  // pins per level, id-ascending
   std::vector<PinId> drv_pin_;    // per kNetSink pin: its net driver
-  std::vector<int> sink_ord_;     // per kNetSink pin: ordinal in sinks()
-  // Per-cell input/output pin lists (CSR; avoids per-call allocation).
-  std::vector<PinId> cell_in_, cell_out_;
-  std::vector<int> cell_in_off_, cell_out_off_;
+  std::vector<int> sink_ord_;     // per kNetSink pin: ordinal among sinks
   // Forward successors / predecessors per pin (CSR), participating only.
   std::vector<PinId> succ_, preds_;
   std::vector<int> succ_off_, preds_off_;
@@ -199,36 +210,6 @@ void StaEngine::build_structure() {
       ++participating_;
     }
 
-  // Per-cell pin lists in netlist pin order.
-  cell_in_off_.assign(nc + 1, 0);
-  cell_out_off_.assign(nc + 1, 0);
-  for (CellId c = 0; c < nl_.cell_count(); ++c)
-    for (PinId p : nl_.cell(c).pins) {
-      if (nl_.pin(p).dir == PinDir::Input)
-        ++cell_in_off_[static_cast<std::size_t>(c) + 1];
-      else
-        ++cell_out_off_[static_cast<std::size_t>(c) + 1];
-    }
-  for (std::size_t i = 0; i < nc; ++i) {
-    cell_in_off_[i + 1] += cell_in_off_[i];
-    cell_out_off_[i + 1] += cell_out_off_[i];
-  }
-  cell_in_.resize(static_cast<std::size_t>(cell_in_off_[nc]));
-  cell_out_.resize(static_cast<std::size_t>(cell_out_off_[nc]));
-  {
-    std::vector<int> wi(cell_in_off_.begin(), cell_in_off_.end() - 1);
-    std::vector<int> wo(cell_out_off_.begin(), cell_out_off_.end() - 1);
-    for (CellId c = 0; c < nl_.cell_count(); ++c)
-      for (PinId p : nl_.cell(c).pins) {
-        if (nl_.pin(p).dir == PinDir::Input)
-          cell_in_[static_cast<std::size_t>(
-              wi[static_cast<std::size_t>(c)]++)] = p;
-        else
-          cell_out_[static_cast<std::size_t>(
-              wo[static_cast<std::size_t>(c)]++)] = p;
-      }
-  }
-
   // ---- pin roles, net-arc sources, in-degrees ----------------------------
   role_.assign(np, Role::kNone);
   drv_pin_.assign(np, kInvalidId);
@@ -252,13 +233,12 @@ void StaEngine::build_structure() {
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
     const Cell& cc = nl_.cell(c);
     if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(c)]) continue;
-    const int nin = cell_in_off_[static_cast<std::size_t>(c) + 1] -
-                    cell_in_off_[static_cast<std::size_t>(c)];
-    for (int k = cell_out_off_[static_cast<std::size_t>(c)];
-         k < cell_out_off_[static_cast<std::size_t>(c) + 1]; ++k) {
-      const PinId o = cell_out_[static_cast<std::size_t>(k)];
+    const int nin = static_cast<int>(nl_.input_pins_of(c).size());
+    for (PinId o : nl_.output_pins_of(c)) {
       // In-degree counts *all* input pins (as the original Kahn traversal
       // did), so an output behind a never-ready input trips the loop check.
+      // A combinational cell has no clock pin, so input_pins_of is all of
+      // them.
       indeg[static_cast<std::size_t>(o)] += nin;
       if (part_[static_cast<std::size_t>(o)])
         role_[static_cast<std::size_t>(o)] = Role::kCombOut;
@@ -281,9 +261,7 @@ void StaEngine::build_structure() {
     } else {
       const Cell& cc = nl_.cell(up.cell);
       if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(up.cell)]) return;
-      const auto ci = static_cast<std::size_t>(up.cell);
-      for (int k = cell_out_off_[ci]; k < cell_out_off_[ci + 1]; ++k)
-        fn(cell_out_[static_cast<std::size_t>(k)]);
+      for (PinId o : nl_.output_pins_of(up.cell)) fn(o);
     }
   };
   for (PinId p = 0; p < nl_.pin_count(); ++p) {
@@ -392,12 +370,9 @@ void StaEngine::build_structure() {
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
     const Cell& cc = nl_.cell(c);
     if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(c)]) continue;
-    const auto ci = static_cast<std::size_t>(c);
-    const std::size_t nin =
-        static_cast<std::size_t>(cell_in_off_[ci + 1] - cell_in_off_[ci]);
-    for (int k = cell_out_off_[ci]; k < cell_out_off_[ci + 1]; ++k)
-      cell_arc_[static_cast<std::size_t>(cell_out_[static_cast<std::size_t>(k)])]
-          .assign(nin * 2, 0.0);
+    const std::size_t nin = nl_.input_pins_of(c).size();
+    for (PinId o : nl_.output_pins_of(c))
+      cell_arc_[static_cast<std::size_t>(o)].assign(nin * 2, 0.0);
   }
   res_.setup_at_endpoint_.assign(np, 0.0);
   res_.design_ = &d_;
@@ -465,11 +440,11 @@ void StaEngine::init_launch(PinId p) {
       for (int t : {0, 1}) {
         // PI arrival/slew are external constraints (set_input_delay), not
         // device delays: every corner lane sees the same value.
-        std::fill_n(res_.arr_[t].data() + pb, K, opt_.input_delay_ns);
+        std::fill_n(res_.arr_[t].data() + pb, K, kInputDelayNs);
         // Primary inputs do not launch hold races: port min-arrival is an
         // external constraint (set_input_delay -min) we do not model, so
         // PI-launched paths stay unconstrained for hold.
-        res_.slew_[t][static_cast<std::size_t>(p)] = opt_.input_slew_ns;
+        res_.slew_[t][static_cast<std::size_t>(p)] = kInputSlewNs;
       }
       break;
     case CellKind::Seq: {
@@ -597,9 +572,7 @@ void StaEngine::compute_forward(PinId p) {
       auto& row = cell_arc_[pi];
       std::fill(row.begin(), row.end(), 0.0);
       const CellId c = nl_.pin(p).cell;
-      const auto ci = static_cast<std::size_t>(c);
-      for (int k = cell_in_off_[ci]; k < cell_in_off_[ci + 1]; ++k)
-        eval_cell_arc(c, cell_in_[static_cast<std::size_t>(k)], p);
+      for (PinId in : nl_.input_pins_of(c)) eval_cell_arc(c, in, p);
       break;
     }
     default:
@@ -623,7 +596,7 @@ void StaEngine::eval_endpoint(PinId p) {
     setup = d_.macro(pp.cell)->setup_ns;
     lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(pp.cell);
   } else {  // PrimaryOut
-    setup = opt_.output_margin_ns;
+    setup = kOutputMarginNs;
     lat = port_latency_;
   }
   const std::size_t K = static_cast<std::size_t>(K_);
@@ -702,10 +675,8 @@ void StaEngine::compute_required(PinId p) {
       const tech::LibCell* lc = d_.lib_cell(pp.cell);
       const auto& arc = lc->arc(pp.index);
       const double* fac = factors(pp.cell);
-      const auto ci = static_cast<std::size_t>(pp.cell);
-      for (int s = cell_out_off_[ci]; s < cell_out_off_[ci + 1]; ++s) {
-        const auto oi =
-            static_cast<std::size_t>(cell_out_[static_cast<std::size_t>(s)]);
+      for (PinId o : nl_.output_pins_of(pp.cell)) {
+        const auto oi = static_cast<std::size_t>(o);
         for (int t : {0, 1}) {
           const double dly =
               cell_arc_[oi][static_cast<std::size_t>(pp.index * 2 + t)];
@@ -725,7 +696,7 @@ void StaEngine::compute_required(PinId p) {
 void StaEngine::compute_port_latency() {
   // Virtual-clock latency for primary outputs: mean flop latency.
   port_latency_ = 0.0;
-  if (opt_.compensate_port_latency && !opt_.ideal_clock) {
+  if (kCompensatePortLatency && !opt_.ideal_clock) {
     double sum = 0.0;
     int count = 0;
     for (CellId c = 0; c < nl_.cell_count(); ++c) {
@@ -903,9 +874,7 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
         const CellId sc = nl_.pin(s).cell;
         const Cell& scc = nl_.cell(sc);
         if (!scc.is_comb() || clkbuf_[static_cast<std::size_t>(sc)]) return;
-        const auto sci = static_cast<std::size_t>(sc);
-        for (int k = cell_out_off_[sci]; k < cell_out_off_[sci + 1]; ++k)
-          seed(cell_out_[static_cast<std::size_t>(k)]);
+        for (PinId o : nl_.output_pins_of(sc)) seed(o);
       });
     }
   }

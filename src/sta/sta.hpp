@@ -44,19 +44,13 @@ using netlist::Design;
 using netlist::NetId;
 using netlist::PinId;
 
-/// Analysis knobs.
+/// Analysis knobs. The port constraints (primary-input slew and arrival,
+/// primary-output margin and virtual capture clock) are constants in
+/// sta.cpp.
 struct StaOptions {
-  double input_slew_ns = 0.020;   ///< slew asserted at primary inputs
-  double input_delay_ns = 0.0;    ///< arrival asserted at primary inputs
-  double output_margin_ns = 0.0;  ///< required margin at primary outputs
   bool boundary_derates = true;   ///< model hetero voltage-boundary effects
   bool ideal_clock = false;       ///< ignore CTS latencies (pre-CTS timing)
   bool hold_analysis = true;      ///< also run the min-delay (hold) check
-  /// Give primary outputs a virtual capture clock at the design's mean
-  /// flop latency (an output-delay constraint that includes the clock
-  /// network latency). Without this every reg→port path loses the whole
-  /// launch latency against an un-latencied required time.
-  bool compensate_port_latency = true;
   /// Worker pool for the level-synchronous propagation, the endpoint
   /// constraints and the retime buckets (192-pin chunks); nullptr means
   /// exec::Pool::global(). Results are byte-identical for any pool size,

@@ -12,8 +12,8 @@ namespace mc = m3d::cost;
 
 TEST(Cost, WaferCostsMatchTableIV) {
   mc::CostModel m;
-  EXPECT_NEAR(m.wafer_cost_2d(), 0.96, 1e-12);
-  EXPECT_NEAR(m.wafer_cost_3d(), 1.97, 1e-12);
+  EXPECT_NEAR(m.wafer_cost(1), 0.96, 1e-12);
+  EXPECT_NEAR(m.wafer_cost(2), 1.97, 1e-12);
 }
 
 TEST(Cost, WaferAreaFor300mm) {
@@ -37,35 +37,35 @@ TEST(Cost, YieldDecreasesWithArea) {
 
 TEST(Cost, ThreeDYieldDegraded) {
   mc::CostModel m;
-  EXPECT_NEAR(m.die_yield_3d(10.0) / m.die_yield_2d(10.0), 0.95, 1e-12);
+  EXPECT_NEAR(m.die_yield(10.0, 2) / m.die_yield_2d(10.0), 0.95, 1e-12);
 }
 
 TEST(Cost, DieCostReproducesTableVI_Cpu) {
   // Paper Table VI CPU: Si area 0.390 mm² over two tiers → 0.195 mm²
   // footprint, hetero-3-D die cost 6.26 × 10⁻⁶ C′.
   mc::CostModel m;
-  const double cost = m.die_cost(0.195, /*three_d=*/true);
+  const double cost = m.die_cost(0.195, /*tiers=*/2);
   EXPECT_NEAR(cost * 1e6, 6.26, 0.15);
 }
 
 TEST(Cost, DieCostReproducesTableVI_Aes) {
   // AES: Si area 0.126 mm² → footprint 0.063 mm², die cost 1.97e-6 C′.
   mc::CostModel m;
-  const double cost = m.die_cost(0.063, /*three_d=*/true);
+  const double cost = m.die_cost(0.063, /*tiers=*/2);
   EXPECT_NEAR(cost * 1e6, 1.97, 0.08);
 }
 
 TEST(Cost, PublishedFormulaDiffersByYield) {
   mc::CostModel m;
   const double a = 0.2;
-  EXPECT_NEAR(m.die_cost_as_published(a, true),
-              m.die_cost(a, true) / m.die_yield_3d(a), 1e-15);
+  EXPECT_NEAR(m.die_cost_as_published(a, 2),
+              m.die_cost(a, 2) / m.die_yield(a, 2), 1e-15);
 }
 
 TEST(Cost, SmallerDieIsCheaper) {
   mc::CostModel m;
-  EXPECT_LT(m.die_cost(0.1, false), m.die_cost(0.2, false));
-  EXPECT_LT(m.die_cost(0.1, true), m.die_cost(0.2, true));
+  EXPECT_LT(m.die_cost(0.1, 1), m.die_cost(0.2, 1));
+  EXPECT_LT(m.die_cost(0.1, 2), m.die_cost(0.2, 2));
 }
 
 TEST(Cost, ThreeDDieCostVsTwoSeparateDies) {
@@ -73,8 +73,8 @@ TEST(Cost, ThreeDDieCostVsTwoSeparateDies) {
   // same silicon when the area is large (yield wins), a core paper trade.
   mc::CostModel m;
   const double big = 1.2;  // mm² of silicon
-  const double cost_2d = m.die_cost(big, false);
-  const double cost_3d = m.die_cost(big / 2.0, true);
+  const double cost_2d = m.die_cost(big, 1);
+  const double cost_3d = m.die_cost(big / 2.0, 2);
   // 3-D wafer is ~2× the cost but the die is half area with better yield;
   // at this size the 3-D premium is modest.
   EXPECT_LT(cost_3d / cost_2d, 1.15);
@@ -111,8 +111,8 @@ TEST(Cost, GuardsInvalidInputs) {
 
 TEST(Cost, NTierWaferCostReproducesPublished) {
   mc::CostModel m;
-  EXPECT_NEAR(m.wafer_cost(1), m.wafer_cost_2d(), 1e-12);
-  EXPECT_NEAR(m.wafer_cost(2), m.wafer_cost_3d(), 1e-12);
+  EXPECT_EQ(m.wafer_cost(1), 0.30 + 0.66);
+  EXPECT_EQ(m.wafer_cost(2), 2.0 * (0.30 + 0.66) + 0.05);
   // Each extra tier adds one FEOL + BEOL pass and one bond premium.
   EXPECT_NEAR(m.wafer_cost(3), 3 * 0.96 + 2 * 0.05, 1e-12);
   // A uniform per-tier stack must price identically to the int form.
@@ -120,11 +120,17 @@ TEST(Cost, NTierWaferCostReproducesPublished) {
   EXPECT_NEAR(m.wafer_cost(stack), m.wafer_cost(4), 1e-12);
 }
 
-TEST(Cost, NTierDieCostMatchesBoolForm) {
+TEST(Cost, NTierDieCostMatchesPublishedEquations) {
+  // One and two tiers are equations (1)-(5) as printed for 2-D and 3-D,
+  // bit for bit: C / (DPW · Y) with Y_3D = β · Y_2D.
   mc::CostModel m;
   for (double a : {0.5, 5.0, 50.0}) {
-    EXPECT_DOUBLE_EQ(m.die_cost(a, 1), m.die_cost(a, false)) << a;
-    EXPECT_DOUBLE_EQ(m.die_cost(a, 2), m.die_cost(a, true)) << a;
+    const double dpw = m.dies_per_wafer(a);
+    const double y2d = m.die_yield_2d(a);
+    EXPECT_EQ(m.die_cost(a, 1), (0.30 + 0.66) / (dpw * y2d)) << a;
+    EXPECT_EQ(m.die_cost(a, 2),
+              (2.0 * (0.30 + 0.66) + 0.05) / (dpw * (0.95 * y2d)))
+        << a;
   }
 }
 
@@ -164,10 +170,10 @@ TEST(Cost, PublishedFormulaDivergesFromStandardAtLowYield) {
   // yield) sizes the published form overstates cost by exactly 1/yield.
   mc::CostModel m;
   const double a = 100.0;
-  const double y = m.die_yield_3d(a);
+  const double y = m.die_yield(a, 2);
   ASSERT_LT(y, 0.5);
-  EXPECT_NEAR(m.die_cost_as_published(a, true) / m.die_cost(a, true),
-              1.0 / y, 1e-9);
+  EXPECT_NEAR(m.die_cost_as_published(a, 2) / m.die_cost(a, 2), 1.0 / y,
+              1e-9);
 }
 
 TEST(Cost, FoldCrossoverBracketsTheSignChange) {

@@ -382,24 +382,19 @@ TEST_F(ExecFlowCache, CornerSpecsNeverShareAnEntry) {
 }
 
 TEST_F(ExecFlowCache, PartitionOptionsNeverShareAnEntry) {
-  // Every FmOptions field that shapes a partition is load-bearing for the
-  // key, both in the partition stage's options and in the timing
-  // partition's residual bin FM. Vector fields start populated so each
-  // tweak changes an element, not just a length.
+  // Every FmOptions field the partition stage reads is load-bearing for
+  // the key. Vector fields start populated so each tweak changes an
+  // element, not just a length.
   auto base = tiny_opts();
-  for (m3d::part::FmOptions* fm : {&base.fm, &base.timing_part.fm}) {
-    fm->tier_share = {0.5, 0.5};
-    fm->tier_area_cap_um2 = {0.0, 0.0};
-    fm->tier_process = {m3d::cost::TierProcess{}, m3d::cost::TierProcess{}};
-  }
+  base.fm.tier_share = {0.5, 0.5};
+  base.fm.tier_area_cap_um2 = {0.0, 0.0};
+  base.fm.tier_process = {m3d::cost::TierProcess{}, m3d::cost::TierProcess{}};
   using Tweak = std::function<void(m3d::part::FmOptions&)>;
   const std::vector<std::pair<const char*, Tweak>> tweaks = {
       {"tier_share", [](auto& o) { o.tier_share[1] = 0.6; }},
       {"balance_tol", [](auto& o) { o.balance_tol += 0.05; }},
-      {"max_passes", [](auto& o) { o.max_passes += 1; }},
       {"bins", [](auto& o) { o.bins += 1; }},
       {"seed", [](auto& o) { o.seed += 1; }},
-      {"cost_weight", [](auto& o) { o.cost_weight = 1e4; }},
       {"tier_area_cap_um2", [](auto& o) { o.tier_area_cap_um2[1] = 500.0; }},
       {"tier_process", [](auto& o) { o.tier_process[1].feol_fraction = 0.2; }},
   };
@@ -408,11 +403,54 @@ TEST_F(ExecFlowCache, PartitionOptionsNeverShareAnEntry) {
     auto a = base;
     tweak(a.fm);
     EXPECT_NE(me::FlowCache::options_hash(a), h0) << "fm." << field;
-    auto b = base;
-    tweak(b.timing_part.fm);
-    EXPECT_NE(me::FlowCache::options_hash(b), h0)
-        << "timing_part.fm." << field;
   }
+}
+
+TEST_F(ExecFlowCache, FieldsRunFlowOverwritesShareOneEntry) {
+  // run_flow overwrites these fields before it reads them, so they must
+  // not split the key: flows that differ only here give the same bits.
+  const auto base = tiny_opts();
+  using Tweak = std::function<void(mc::FlowOptions&)>;
+  const std::vector<std::pair<const char*, Tweak>> tweaks = {
+      {"place.utilization", [](auto& o) { o.place.utilization = 0.5; }},
+      {"opt.routed", [](auto& o) { o.opt.routed = false; }},
+      {"fm.cost_weight", [](auto& o) { o.fm.cost_weight = 1e4; }},
+      {"fm.utilization", [](auto& o) { o.fm.utilization = 0.5; }},
+      {"timing_part.fm.balance_tol",
+       [](auto& o) { o.timing_part.fm.balance_tol += 0.05; }},
+      {"timing_part.fm.bins", [](auto& o) { o.timing_part.fm.bins += 1; }},
+      {"timing_part.fm.seed", [](auto& o) { o.timing_part.fm.seed += 1; }},
+      {"timing_part.fm.tier_share",
+       [](auto& o) { o.timing_part.fm.tier_share = {0.4, 0.6}; }},
+      {"timing_part.fm.tier_area_cap_um2",
+       [](auto& o) { o.timing_part.fm.tier_area_cap_um2 = {0.0, 500.0}; }},
+      {"timing_part.fm.tier_process",
+       [](auto& o) {
+         o.timing_part.fm.tier_process = {m3d::cost::TierProcess{},
+                                          {0.2, 0.5}};
+       }},
+      {"timing_part.fm.cost_weight",
+       [](auto& o) { o.timing_part.fm.cost_weight = 1e4; }},
+      {"timing_part.fm.utilization",
+       [](auto& o) { o.timing_part.fm.utilization = 0.5; }},
+  };
+  const auto h0 = me::FlowCache::options_hash(base);
+  auto all = base;
+  for (const auto& [field, tweak] : tweaks) {
+    auto a = base;
+    tweak(a);
+    EXPECT_EQ(me::FlowCache::options_hash(a), h0) << field;
+    tweak(all);
+  }
+  EXPECT_EQ(me::FlowCache::options_hash(all), h0);
+
+  // One Hetero-3D flow (the configuration that runs the timing partition)
+  // with every field changed reports the same metrics.
+  const auto nl = tiny();
+  const auto a = mc::run_flow(nl, mc::Config::Hetero3D, base);
+  const auto b = mc::run_flow(nl, mc::Config::Hetero3D, all);
+  EXPECT_EQ(m3d::io::metrics_csv({a.metrics}),
+            m3d::io::metrics_csv({b.metrics}));
 }
 
 TEST_F(ExecFlowCache, EvictsLeastRecentlyUsed) {

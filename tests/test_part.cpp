@@ -250,7 +250,8 @@ TEST(Repartition, ImprovesOrHoldsWnsAndRespectsBalance) {
   opt.max_iters = 6;
   const auto res = mp::repartition_eco(d, opt);
   EXPECT_GE(res.wns_after, res.wns_before - 1e-9);
-  EXPECT_LE(res.final_unbalance, opt.unbalance_th + 0.35);
+  constexpr double kUnbalanceTh = 0.15;  // repartition.cpp's budget
+  EXPECT_LE(res.final_unbalance, kUnbalanceTh + 0.35);
   EXPECT_GE(res.iterations, 1);
 }
 

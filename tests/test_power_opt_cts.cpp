@@ -411,6 +411,10 @@ TEST(Cts, NullPoolRunsOnTheGlobalPool) {
 
 namespace {
 
+/// opt.cpp's kBufferDrive and kMaxTransitionFo4.
+constexpr int kBufferDrive = 4;
+constexpr double kMaxTransitionFo4 = 8.0;
+
 /// Reference for optimize_timing: the same sweeps, but after each one the
 /// whole design is routed again and timed by a fresh full STA, so nothing
 /// rests on retime(). Adds the cells the recovery-repair upsize changed
@@ -424,14 +428,14 @@ mo::OptResult full_rebuild_optimize(mn::Design& d, const mo::OptOptions& opt,
     return ms::run_sta(d, &routes, opt.sta);
   };
   res.buffers_added =
-      mo::insert_fanout_buffers(d, opt.max_fanout, opt.buffer_drive);
+      mo::insert_fanout_buffers(d, opt.max_fanout, kBufferDrive);
   if (opt.routed)
     res.buffers_added +=
-        mo::insert_wire_repeaters(d, opt.max_wire_um, opt.buffer_drive);
+        mo::insert_wire_repeaters(d, opt.max_wire_um, kBufferDrive);
   ms::StaResult timing = time_design();
   res.wns_before = timing.wns();
   for (int round = 0; round < opt.max_sizing_rounds; ++round) {
-    int changed = mo::fix_max_transition(d, timing, opt.max_transition_fo4);
+    int changed = mo::fix_max_transition(d, timing, kMaxTransitionFo4);
     if (timing.wns() < opt.target_slack_ns)
       changed += mo::upsize_critical(d, timing, opt.target_slack_ns);
     res.cells_upsized += changed;

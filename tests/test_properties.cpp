@@ -144,11 +144,11 @@ TEST_P(RouteProperty, TreeBoundsHoldOnRandomPlacements) {
     // Star upper bound.
     double star = 0.0;
     const auto dpos = d.pin_pos(net.driver);
-    for (auto s : d.nl().sinks(n))
-      star += m3d::util::manhattan(dpos, d.pin_pos(s));
+    std::vector<m3d::netlist::PinId> sinks;
+    d.nl().sinks_into(n, sinks);
+    for (auto s : sinks) star += m3d::util::manhattan(dpos, d.pin_pos(s));
     EXPECT_LE(r.length_um, star + 1e-9);
     // Each sink's tree path at least its Manhattan distance.
-    const auto sinks = d.nl().sinks(n);
     for (std::size_t i = 0; i < sinks.size(); ++i)
       EXPECT_GE(r.sink_path_um[i] + 1e-9,
                 m3d::util::manhattan(dpos, d.pin_pos(sinks[i])));
@@ -166,17 +166,17 @@ TEST_P(CostProperty, YieldAndCostWellBehaved) {
   const double area = GetParam();
   m3d::cost::CostModel m;
   const double y2 = m.die_yield_2d(area);
-  const double y3 = m.die_yield_3d(area);
+  const double y3 = m.die_yield(area, 2);
   EXPECT_GT(y2, 0.0);
   EXPECT_LE(y2, 0.95 + 1e-12);
   EXPECT_LT(y3, y2);
   EXPECT_GT(m.dies_per_wafer(area), 0.0);
   // Cost strictly increases with area (superlinearly via yield).
-  const double c1 = m.die_cost(area, false);
-  const double c2 = m.die_cost(area * 2.0, false);
+  const double c1 = m.die_cost(area, 1);
+  const double c2 = m.die_cost(area * 2.0, 1);
   EXPECT_GT(c2, 2.0 * c1 * 0.99);
   // Folding halves the footprint; the premium stays bounded.
-  const double fold = m.die_cost(area / 2.0, true) / c1;
+  const double fold = m.die_cost(area / 2.0, 2) / c1;
   EXPECT_GT(fold, 0.2);
   EXPECT_LT(fold, 1.15);
 }

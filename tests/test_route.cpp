@@ -68,7 +68,8 @@ TEST(Route, SinkOrderMatchesNetlistSinks) {
   f.d.set_pos(f.s1, {5, 0});
   f.d.set_pos(f.s2, {50, 0});
   const auto r = mr::route_net(f.d, f.net);
-  const auto sinks = f.d.nl().sinks(f.net);
+  std::vector<mn::PinId> sinks;
+  f.d.nl().sinks_into(f.net, sinks);
   ASSERT_EQ(sinks.size(), 2u);
   // sinks[0] is s1's pin (distance 5), sinks[1] is s2's (50).
   EXPECT_LT(r.sink_path_um[0], r.sink_path_um[1]);
@@ -307,16 +308,17 @@ TEST(Route, SpatialPrimMatchesNaiveReference) {
   ASSERT_EQ(r.sink_path_um.size(), static_cast<std::size_t>(kSinks));
 
   // Naive Prim reference, replicating route_net's documented small-net
-  // branch: terminals are driver then sinks in Netlist::sinks order.
+  // branch: terminals are driver then sinks in Netlist::for_each_sink
+  // order.
   const auto& dnl = d.nl();
   std::vector<m3d::util::Point> pt;
   std::vector<int> tier;
   pt.push_back(d.pin_pos(dnl.net(net).driver));
   tier.push_back(d.tier(dnl.pin(dnl.net(net).driver).cell));
-  for (mn::PinId p : dnl.sinks(net)) {
+  dnl.for_each_sink(net, [&](mn::PinId p) {
     pt.push_back(d.pin_pos(p));
     tier.push_back(d.tier(dnl.pin(p).cell));
-  }
+  });
   const std::size_t k = pt.size();
   std::vector<char> in_tree(k, 0);
   std::vector<double> best(k, std::numeric_limits<double>::max());

@@ -358,6 +358,39 @@ TEST_F(ServiceDaemon, FourClientsGetDirectRunFlowAnswers) {
   EXPECT_FALSE(fs::exists(sock_));
 }
 
+TEST_F(ServiceDaemon, ConfigReloadIgnoresBadValuesAndAppliesGoodOnes) {
+  const std::string cfg = base_ + "/m3dd.conf";
+  ms::ServerOptions so;
+  so.socket_path = sock_;
+  so.config_file = cfg;
+  so.limits.max_queue = 64;
+  so.limits.max_inflight_per_client = 8;
+  ms::Server server(so);
+  auto limits = [&] {
+    const ms::Json stats = server.stats_json();
+    const ms::Json* q = stats.find("queue");
+    EXPECT_NE(q, nullptr);
+    return std::pair(q ? q->int_or("max_queue", -1) : -1,
+                     q ? q->int_or("max_inflight_per_client", -1) : -1);
+  };
+
+  // A trailing letter, an int overflow and an unknown level: each line is
+  // ignored, and the daemon keeps what it had.
+  std::ofstream(cfg) << "max_queue=8x\n"
+                     << "max_inflight_per_client=99999999999\n"
+                     << "log_level=verbose\n";
+  server.reload_config();
+  EXPECT_EQ(limits(), std::pair(64, 8));
+  EXPECT_EQ(mu::log_level(), mu::LogLevel::Silent);
+
+  // A valid file applies.
+  std::ofstream(cfg) << "max_queue = 48  # deeper queue\n"
+                     << "max_inflight_per_client=3\n"
+                     << "log_level=silent\n";
+  server.reload_config();
+  EXPECT_EQ(limits(), std::pair(48, 3));
+}
+
 TEST_F(ServiceDaemon, StatusCancelAndProtocolErrors) {
   me::Pool pool(1);
   me::FlowCache cache(8);

@@ -397,6 +397,54 @@ TEST(Env, IntKnobsAcceptOnlyAWholeToken) {
   }
 }
 
+TEST(Env, RealKnobsAcceptOnlyAWholeToken) {
+  // M3D_BENCH_SCALE (bench::bench_scale and bench_mcsta) reads through
+  // util::env_double; "abc" must not read as scale 0.
+  const char* name = "M3D_BENCH_SCALE";
+  ScopedEnv env(name, nullptr);
+  EXPECT_EQ(mu::env_double(name), std::nullopt);
+  env.set("");
+  EXPECT_EQ(mu::env_double(name), std::nullopt);
+  for (const auto& [text, value] :
+       {std::pair<const char*, double>{"0.5", 0.5}, {"2", 2.0},
+        {"1e-1", 0.1}, {"0", 0.0}}) {
+    env.set(text);
+    EXPECT_EQ(mu::env_double(name), value) << text;
+  }
+  for (const char* bad : {"abc", "0.5x", " 0.5", "0.5 ", "0.5,1", "inf",
+                          "nan", "1e999"}) {
+    env.set(bad);
+    const std::string what = error_of([&] { mu::env_double(name); });
+    EXPECT_NE(what.find(name), std::string::npos) << bad;
+    EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Env, ListKnobsAcceptOnlyWholeTokens) {
+  // M3D_SCALE_POINTS (bench_scale) reads through util::env_list; "16,1oo"
+  // must not run the points 16 and 1.
+  const char* name = "M3D_SCALE_POINTS";
+  ScopedEnv env(name, nullptr);
+  EXPECT_EQ(mu::env_list(name), std::nullopt);
+  env.set("");
+  EXPECT_EQ(mu::env_list(name), std::nullopt);
+  env.set("16");
+  EXPECT_EQ(mu::env_list(name), (std::vector<double>{16.0}));
+  env.set("1,4,16");
+  EXPECT_EQ(mu::env_list(name), (std::vector<double>{1.0, 4.0, 16.0}));
+  env.set("0.5,-1");
+  EXPECT_EQ(mu::env_list(name), (std::vector<double>{0.5, -1.0}));
+  for (const char* bad : {"16,1oo", "x", "16,", ",16", "16,,100", "16;100",
+                          " 16", "16 ,100", "1e999"}) {
+    env.set(bad);
+    const std::string what = error_of([&] { mu::env_list(name); });
+    EXPECT_NE(what.find(name), std::string::npos) << bad;
+    EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(Env, TierPairKnobsAcceptOnlyWholeTokens) {
   for (const char* name : {"M3D_TIER_SIGMA", "M3D_TIER_DERATE"}) {
     ScopedEnv env(name, nullptr);
