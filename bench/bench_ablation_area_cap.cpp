@@ -8,12 +8,15 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
 using util::TextTable;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   const auto nl = bench::build("cpu");
   const double period = bench::target_period_ns(nl);
@@ -40,4 +43,10 @@ int main() {
   }
   t.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -11,12 +11,15 @@
 
 #include "ckt/fo4.hpp"
 #include "tech/tech_lib.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
 using util::TextTable;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   const auto fast = ckt::fast_inverter();
 
   TextTable t(
@@ -57,4 +60,10 @@ int main() {
       "level-shifter-free operation;\nthe 0.90/0.81 V pair used throughout "
       "the paper sits at a 10 %% gap.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -19,12 +19,15 @@
 #include "power/power.hpp"
 #include "route/route.hpp"
 #include "thermal/thermal.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
 using util::TextTable;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   const auto nl = bench::build("cpu");
   const double period = bench::target_period_ns(nl);
@@ -74,4 +77,10 @@ int main() {
       "Shape checks: 3-D hotter than 2-D at equal power; hetero cooler and "
       "with less top-tier drop than homogeneous 12-track 3-D.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

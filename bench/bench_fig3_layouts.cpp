@@ -8,11 +8,14 @@
 
 #include "common.hpp"
 #include "io/svg.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   const auto nl = bench::build("cpu");
   const double period = bench::target_period_ns(nl);
@@ -49,4 +52,10 @@ int main() {
       "rows), the right panel the 9-track top tier (0.9 um rows) — the cell-"
       "height contrast of the paper's zoomed view.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -8,11 +8,14 @@
 
 #include "common.hpp"
 #include "io/svg.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   const auto nl = bench::build("cpu");
   const double period = bench::target_period_ns(nl);
@@ -56,4 +59,10 @@ int main() {
   }
   t.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -43,6 +43,7 @@
 #include "sta/sta.hpp"
 #include "tech/corners.hpp"
 #include "util/env.hpp"
+#include "util/main.hpp"
 
 namespace {
 
@@ -60,9 +61,7 @@ struct Point {
   bool identity_ok = false;
 };
 
-}  // namespace
-
-int main() {
+int run(int, char**) {
   m3d::bench::quiet_logs();
 
   const double scale =
@@ -166,4 +165,10 @@ int main() {
   os << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
   return all_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

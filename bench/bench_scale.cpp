@@ -44,6 +44,7 @@
 #include "sta/sta.hpp"
 #include "tech/corners.hpp"
 #include "util/env.hpp"
+#include "util/main.hpp"
 
 namespace {
 
@@ -80,9 +81,7 @@ struct Point {
   int cut = 0;
 };
 
-}  // namespace
-
-int main() {
+int run(int, char**) {
   m3d::bench::quiet_logs();
 
   std::vector<Point> points;
@@ -191,4 +190,10 @@ int main() {
   os << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

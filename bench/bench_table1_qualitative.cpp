@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
@@ -35,9 +36,7 @@ std::vector<int> rank(const std::vector<double>& v, bool higher_is_better) {
   return out;
 }
 
-}  // namespace
-
-int main() {
+int run(int, char**) {
   bench::quiet_logs();
   std::printf(
       "Fig. 1 — the five configurations:\n"
@@ -101,4 +100,10 @@ int main() {
       "  Footprint 4/5/1/2(+3), Si Area 5/5/1/1(+3), Die Cost 5/4/2/1(+3)\n",
       "9T-2D, 9T-3D, 12T-2D, 12T-3D, Hetero");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "ckt/fo4.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using m3d::ckt::fast_inverter;
@@ -27,9 +28,7 @@ namespace {
 
 double pct(double a, double b) { return (a - b) / b * 100.0; }
 
-}  // namespace
-
-int main() {
+int run(int, char**) {
   Fo4Config c1;  // fast/fast
   Fo4Config c2;  // fast driver, slow loads
   c2.load = slow_inverter();
@@ -72,4 +71,10 @@ int main() {
       "  Case-IV vs III: slews +14.2/+8.1 %%, delays +6.4/+22.3 %%, "
       "leakage -1.3 %%, power +9.0 %%\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

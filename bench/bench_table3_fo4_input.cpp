@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "ckt/fo4.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using m3d::ckt::fast_inverter;
@@ -26,9 +27,8 @@ using m3d::util::TextTable;
 
 namespace {
 double pct(double a, double b) { return (a - b) / b * 100.0; }
-}  // namespace
 
-int main() {
+int run(int, char**) {
   Fo4Config f1;  // fast cells, native input
   Fo4Config f2;  // fast cells, input from the slow tier
   f2.input_vdd = 0.81;
@@ -73,4 +73,10 @@ int main() {
       "  slow cells, 0.90 V input: delays -5.3/-5.1 %%, leakage -44.9 %%, "
       "power -0.6 %%\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

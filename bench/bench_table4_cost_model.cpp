@@ -6,12 +6,15 @@
 #include <cstdio>
 
 #include "cost/cost.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using m3d::cost::CostModel;
 using m3d::util::TextTable;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   CostModel m;
 
   TextTable assumptions("Table IV — cost model assumptions [Ku ICCAD'16]");
@@ -60,4 +63,10 @@ int main() {
       "as yield loss on large 2-D dies grows — the Ku et al. trade that\n"
       "heterogeneous 3-D then improves by shrinking the die outright.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -14,12 +14,15 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
 using util::TextTable;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   const auto nl = bench::build("cpu");
   const double period = bench::target_period_ns(nl);
@@ -64,4 +67,10 @@ int main() {
       "paper reference (Table V): WNS -0.489 -> -0.060 ns, power 224.1 -> "
       "198.8 mW, WL/frequency unchanged.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -13,10 +13,13 @@
 
 #include "common.hpp"
 #include "io/reports.hpp"
+#include "util/main.hpp"
 
 using namespace m3d;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   // One sweep over the exec pool: per-netlist frequency searches and the
   // hetero flows run as a task graph (M3D_THREADS controls the width),
@@ -39,4 +42,10 @@ int main() {
   std::ofstream(csv_path) << io::metrics_csv(hetero);
   std::printf("CSV written to %s\n", csv_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -17,11 +17,14 @@
 
 #include "common.hpp"
 #include "io/reports.hpp"
+#include "util/main.hpp"
 #include "util/stats.hpp"
 
 using namespace m3d;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   // The full 4-netlist × 5-config grid as one task-graph sweep over the
   // exec pool. The 2D-12T data point of each netlist is a flow-cache hit:
@@ -65,4 +68,10 @@ int main() {
   std::ofstream(csv_path) << io::metrics_csv(all);
   std::printf("CSV written to %s\n", csv_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

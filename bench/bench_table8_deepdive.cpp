@@ -17,11 +17,14 @@
 
 #include "common.hpp"
 #include "io/reports.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
 using namespace m3d;
 
-int main() {
+namespace {
+
+int run(int, char**) {
   bench::quiet_logs();
   // Three implementations of the CPU design as one cached sweep; the
   // 2D-12T run is the frequency search's own winning flow (cache hit).
@@ -49,4 +52,10 @@ int main() {
       het.avg_stage_delay_tier_ns[0] * 1000.0,
       het.avg_stage_delay_tier_ns[1] * 1000.0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -22,16 +22,19 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/checkpoint.hpp"
 #include "core/flow.hpp"
 #include "exec/flow_cache.hpp"
 #include "gen/designs.hpp"
 #include "io/reports.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
+#include "util/main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace m3d;
   util::set_log_level(util::LogLevel::Info);
   // SIGINT/SIGTERM land at the next checkpoint boundary: the boundary
@@ -41,11 +44,14 @@ int main(int argc, char** argv) {
 
   gen::GenOptions gen_opts;
   const char* which = argc > 1 ? argv[1] : "aes";
-  gen_opts.scale = argc > 2 ? std::atof(argv[2]) : 0.05;
+  gen_opts.scale =
+      argc > 2 ? util::parse_token<double>("scale", argv[2], argv[2]) : 0.05;
   const netlist::Netlist nl = gen::make_design(which, gen_opts);
 
   core::FlowOptions opt;
-  opt.clock_period_ns = argc > 3 ? std::atof(argv[3]) : 1.2;
+  opt.clock_period_ns =
+      argc > 3 ? util::parse_token<double>("period_ns", argv[3], argv[3])
+               : 1.2;
   opt.opt.max_sizing_rounds = 2;
   opt.repart.max_iters = 3;
 
@@ -90,4 +96,10 @@ int main(int argc, char** argv) {
                  (unsigned long long)s.disk_writes);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -5,16 +5,23 @@
 //   $ ./build/examples/cost_explorer [die_area_mm2] [power_mw] [freq_ghz]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "cost/cost.hpp"
+#include "util/env.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace m3d;
-  const double area = argc > 1 ? std::atof(argv[1]) : 2.0;   // 2-D die, mm²
-  const double power = argc > 2 ? std::atof(argv[2]) : 500.0;  // mW
-  const double freq = argc > 3 ? std::atof(argv[3]) : 1.5;     // GHz
+  // An argument that is not one whole number is a util::Error (exit 2).
+  const auto arg = [&](int i, const char* name, double dflt) {
+    return argc > i ? util::parse_token<double>(name, argv[i], argv[i]) : dflt;
+  };
+  const double area = arg(1, "die_area_mm2", 2.0);  // 2-D die, mm²
+  const double power = arg(2, "power_mw", 500.0);
+  const double freq = arg(3, "freq_ghz", 1.5);
 
   cost::CostModel m;
 
@@ -66,4 +73,10 @@ int main(int argc, char** argv) {
       "The heterogeneous shrink turns 3-D from a cost premium into a cost "
       "advantage at any size — the paper's central cost claim.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

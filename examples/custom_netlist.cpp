@@ -15,8 +15,11 @@
 #include "sta/sta.hpp"
 #include "tech/library_factory.hpp"
 #include "util/log.hpp"
+#include "util/main.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace m3d;
   using tech::CellFunc;
   util::set_log_level(util::LogLevel::Info);
@@ -114,4 +117,10 @@ int main() {
                 st.wire_length_um);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -17,7 +17,6 @@
 // non-zero when any sweep point's flow failed.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,7 +28,9 @@
 #include "exec/task_graph.hpp"
 #include "gen/designs.hpp"
 #include "part/fm.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
+#include "util/main.hpp"
 
 namespace {
 
@@ -92,12 +93,11 @@ bool dominates(const m3d::core::DesignMetrics& a,
          a.cost_per_cm2 < b.cost_per_cm2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace m3d;
   const std::string design = argc > 1 ? argv[1] : "aes";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.05;
+  const double scale =
+      argc > 2 ? util::parse_token<double>("scale", argv[2], argv[2]) : 0.05;
   const std::string out_dir = argc > 3 ? argv[3] : "bench_artifacts";
   util::set_log_level(util::LogLevel::Error);
   // Early, so a trace sink pointed into out_dir (M3D_TRACE) can open its
@@ -282,4 +282,10 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(st.disk_hits),
                static_cast<unsigned long long>(st.disk_writes));
   return failed == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

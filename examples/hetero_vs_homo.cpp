@@ -12,7 +12,6 @@
 //     netlist ∈ {netcard, aes, ldpc, cpu}, default cpu
 
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <string>
 #include <vector>
@@ -21,16 +20,21 @@
 #include "exec/flow_cache.hpp"
 #include "gen/designs.hpp"
 #include "io/svg.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
+#include "util/main.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace m3d;
   util::set_log_level(util::LogLevel::Warn);
 
   const std::string which = argc > 1 ? argv[1] : "cpu";
   gen::GenOptions gen_opts;
-  gen_opts.scale = argc > 2 ? std::atof(argv[2]) : 0.3;
+  gen_opts.scale =
+      argc > 2 ? util::parse_token<double>("scale", argv[2], argv[2]) : 0.3;
   const auto nl = gen::make_design(which, gen_opts);
 
   // Use the paper's methodology: the 12-track 2-D maximum achievable
@@ -90,4 +94,10 @@ int main(int argc, char** argv) {
     std::printf("layout written: %s\n", path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

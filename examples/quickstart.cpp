@@ -10,20 +10,24 @@
 // single struct.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/flow.hpp"
 #include "gen/designs.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
+#include "util/main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace m3d;
   util::set_log_level(util::LogLevel::Info);
 
   // 1. A netlist. Generators for the paper's four designs are built in;
   //    scale shrinks them for quick experiments.
   gen::GenOptions gen_opts;
-  gen_opts.scale = argc > 1 ? std::atof(argv[1]) : 0.3;
+  gen_opts.scale =
+      argc > 1 ? util::parse_token<double>("scale", argv[1], argv[1]) : 0.3;
   const netlist::Netlist nl = gen::make_cpu(gen_opts);
   std::printf("netlist: %s with %d cells, %d macros\n", nl.name().c_str(),
               nl.stats().cells, nl.stats().macros);
@@ -54,4 +58,10 @@ int main(int argc, char** argv) {
               m.critical_path.cells_on_tier[0],
               m.critical_path.path_delay_ns);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return m3d::util::run_main(argc, argv, run);
 }

@@ -272,6 +272,9 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   }
 
   // ---- clock tree ----------------------------------------------------------
+  // The 3-D mode and the trunk tier follow from the configuration alone;
+  // a 2-D configuration keeps the CtsOptions defaults (the CTS reads both
+  // only on two-tier designs).
   cts::CtsOptions copt = opt.cts;
   if (cfg == Config::Hetero3D) {
     copt.mode = opt.enable_cover_cts ? cts::Mode3D::CoverCell
@@ -280,6 +283,9 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   } else if (config_is_3d(cfg)) {
     copt.mode = cts::Mode3D::CoverCell;
     copt.prefer_low_power_trunk = false;  // homogeneous: no power asymmetry
+  } else {
+    copt.mode = cts::CtsOptions{}.mode;
+    copt.prefer_low_power_trunk = cts::CtsOptions{}.prefer_low_power_trunk;
   }
   if (!ckpt.done(flow::Stage::Cts)) {
     {

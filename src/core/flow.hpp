@@ -85,6 +85,8 @@ struct FlowOptions {
   /// `part_cost_weight` and `utilization`.
   part::FmOptions fm;
   part::RepartitionOptions repart;
+  /// cts.mode and cts.prefer_low_power_trunk are overwritten from the
+  /// configuration (a 2-D one gets the CtsOptions defaults).
   cts::CtsOptions cts;
 
   // Heterogeneous-flow enhancements (Table V / ablations). Only consulted

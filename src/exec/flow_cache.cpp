@@ -73,8 +73,9 @@ std::uint64_t FlowCache::options_hash(const core::FlowOptions& o) {
   // and the nested ones) stay out: flow results are byte-identical for any
   // pool size. So do the fields run_flow overwrites before reading them:
   // place.utilization, opt.routed, fm.cost_weight and fm.utilization come
-  // from the flow-level knobs, and timing_part.fm is replaced by the
-  // partition stage's FM options.
+  // from the flow-level knobs, timing_part.fm is replaced by the
+  // partition stage's FM options, and cts.mode and
+  // cts.prefer_low_power_trunk follow from the configuration.
   Hasher h;
   h.mix(o.clock_period_ns);
   h.mix(o.utilization);
@@ -105,8 +106,6 @@ std::uint64_t FlowCache::options_hash(const core::FlowOptions& o) {
   h.mix(o.repart.max_iters);
   mix_sta(h, o.repart.sta);
   // cts
-  h.mix(static_cast<int>(o.cts.mode));
-  h.mix(o.cts.prefer_low_power_trunk);
   h.mix(o.cts.balance_skew);
   // hetero enhancements
   h.mix(o.enable_timing_partition);

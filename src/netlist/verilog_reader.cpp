@@ -89,7 +89,7 @@ bool parse_std_type(const std::string& type, tech::CellFunc* func,
   if (dstr.empty()) return false;
   for (char c : dstr)
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  for (int f = 0; f <= static_cast<int>(tech::CellFunc::Dff); ++f) {
+  for (int f = 0; f < tech::kCellFuncCount; ++f) {
     if (fname == tech::func_name(static_cast<tech::CellFunc>(f))) {
       *func = static_cast<tech::CellFunc>(f);
       *drive = util::parse_token<int>("cell type", type, dstr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -124,11 +125,30 @@ class StaEngine {
                double* slew_add, bool* via_miv, double* wirelen) const;
   double arc_derate(CellId cell, PinId in_pin) const;
   void init_launch(PinId p);
-  void eval_cell_arc(CellId c, PinId in_pin, PinId out_pin);
+  /// The arc from `in_pin` of combinational cell `c` (library view `lc`)
+  /// to `out_pin`, which drives `load` fF: stores the arc's delays in the
+  /// output's row and folds the arc into the output's arrivals.
+  void eval_cell_arc(CellId c, const tech::LibCell& lc, double load,
+                     PinId in_pin, PinId out_pin);
+
+  /// The cell-arc row of pin `pi`: [in*2 + T] for a combinational output,
+  /// empty for every other pin.
+  double* arc_row(std::size_t pi) { return cell_arc_.data() + arc_off_[pi]; }
+  double* arc_row_end(std::size_t pi) {
+    return cell_arc_.data() + arc_off_[pi + 1];
+  }
 
   void compute_port_latency();
   void run_level(const std::vector<PinId>& pins, bool forward);
   void aggregate();
+
+  /// retime()'s body: seed the dirty cone, then walk it forward and
+  /// backward. Leaves the scratch all-clear when it returns.
+  void retime_cone(const std::vector<CellId>& dirty);
+  /// Clear the seen flags of the dirty cells and their nets.
+  void clear_seen(const std::vector<CellId>& dirty);
+  /// Clear every flag and bucket a retime_cone that threw left set.
+  void drop_retime_scratch(const std::vector<CellId>& dirty);
 
   const Design& d_;
   const netlist::Netlist& nl_;
@@ -166,13 +186,34 @@ class StaEngine {
   // corner-shared (delay-only derating: slews, wire delays and clock
   // constraints do not vary across the modeled corners).
   std::vector<double> arr_min_[2];
-  std::vector<double> net_arc_delay_;          // per sink pin
-  std::vector<std::vector<double>> cell_arc_;  // per out pin: [in*2 + T]
+  std::vector<double> net_arc_delay_;  // per sink pin
+  // Cell-arc delays, flat with per-pin offsets (CSR): pin p's row is
+  // cell_arc_[arc_off_[p], arc_off_[p + 1]), nonempty only for
+  // combinational outputs.
+  std::vector<double> cell_arc_;
+  std::vector<int> arc_off_;
+  std::size_t max_arc_row_ = 0;  // longest row
   std::vector<double> ep_slack_;     // +inf = unreachable endpoint
   std::vector<double> ep_hold_;      // +inf = no hold check at endpoint
   std::vector<double> ep_required_;  // capture-edge required time
   double port_latency_ = 0.0;
+  /// res_ is a complete timing of the design: false until a run()
+  /// completes, and from the start of each run() or retime() until it
+  /// completes, so one that throws leaves retime() refusing until run().
   bool has_run_ = false;
+
+  // ---- retime scratch -----------------------------------------------------
+  // Sized by the first retime, all-clear between calls: each retime
+  // resets exactly the flags and buckets it touched, so it costs
+  // O(touched pins), not O(pins + cells + nets + levels).
+  std::vector<char> fwd_pending_, bwd_pending_;  // per pin
+  std::vector<char> cell_seen_;                  // per cell
+  std::vector<char> net_seen_;                   // per net
+  std::vector<std::vector<PinId>> fwd_wl_, bwd_wl_;  // per level
+  std::vector<PinId> redo_eps_;
+  std::vector<double> fwd_olds_;  // per bucket slot: forward capture
+  std::vector<double> req_olds_;  // per bucket slot: required capture
+  std::vector<std::pair<double, PinId>> eps_;  // aggregate()'s sort buffer
 
   StaResult res_;
 };
@@ -366,14 +407,18 @@ void StaEngine::build_structure() {
   res_.lanes_ = K_;
   res_.corners_ = K_;
   net_arc_delay_.assign(np, 0.0);
-  cell_arc_.assign(np, {});
+  arc_off_.assign(np + 1, 0);
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
     const Cell& cc = nl_.cell(c);
     if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(c)]) continue;
     const std::size_t nin = nl_.input_pins_of(c).size();
-    for (PinId o : nl_.output_pins_of(c))
-      cell_arc_[static_cast<std::size_t>(o)].assign(nin * 2, 0.0);
+    for (PinId o : nl_.output_pins_of(c)) {
+      arc_off_[static_cast<std::size_t>(o) + 1] = static_cast<int>(nin * 2);
+      max_arc_row_ = std::max(max_arc_row_, nin * 2);
+    }
   }
+  for (std::size_t i = 0; i < np; ++i) arc_off_[i + 1] += arc_off_[i];
+  cell_arc_.assign(static_cast<std::size_t>(arc_off_[np]), 0.0);
   res_.setup_at_endpoint_.assign(np, 0.0);
   res_.design_ = &d_;
 }
@@ -482,12 +527,10 @@ void StaEngine::init_launch(PinId p) {
   }
 }
 
-void StaEngine::eval_cell_arc(CellId c, PinId in_pin, PinId out_pin) {
-  const tech::LibCell* lc = d_.lib_cell(c);
+void StaEngine::eval_cell_arc(CellId c, const tech::LibCell& lc,
+                              double load, PinId in_pin, PinId out_pin) {
   const Pin& ip = nl_.pin(in_pin);
-  const auto& arc = lc->arc(ip.index);
-  const Pin& op = nl_.pin(out_pin);
-  const double load = op.net == kInvalidId ? 0.0 : net_load_ff(op.net);
+  const auto& arc = lc.arc(ip.index);
   const double derate = arc_derate(c, in_pin);
   const double* fac = factors(c);
   const std::size_t K = static_cast<std::size_t>(K_);
@@ -503,7 +546,7 @@ void StaEngine::eval_cell_arc(CellId c, PinId in_pin, PinId out_pin) {
     if (ain[0] == kNegInf) continue;
     const double s_in = std::max(res_.slew_[in_t][pi], 1e-4);
     const double dly = arc.delay[t].lookup(s_in, load) * derate;
-    cell_arc_[po][static_cast<std::size_t>(ip.index * 2 + t)] = dly;
+    arc_row(po)[ip.index * 2 + t] = dly;
     double* arrt = res_.arr_[t].data() + pob;
     const double* amin_in = arr_min_[in_t].data() + pib;
     double* amin_out = arr_min_[t].data() + pob;
@@ -569,10 +612,14 @@ void StaEngine::compute_forward(PinId p) {
       break;
     }
     case Role::kCombOut: {
-      auto& row = cell_arc_[pi];
-      std::fill(row.begin(), row.end(), 0.0);
-      const CellId c = nl_.pin(p).cell;
-      for (PinId in : nl_.input_pins_of(c)) eval_cell_arc(c, in, p);
+      std::fill(arc_row(pi), arc_row_end(pi), 0.0);
+      // One library lookup and one load sum per output, shared by every
+      // input arc.
+      const Pin& pp = nl_.pin(p);
+      const tech::LibCell& lc = *d_.lib_cell(pp.cell);
+      const double load = pp.net == kInvalidId ? 0.0 : net_load_ff(pp.net);
+      for (PinId in : nl_.input_pins_of(pp.cell))
+        eval_cell_arc(pp.cell, lc, load, in, p);
       break;
     }
     default:
@@ -678,8 +725,7 @@ void StaEngine::compute_required(PinId p) {
       for (PinId o : nl_.output_pins_of(pp.cell)) {
         const auto oi = static_cast<std::size_t>(o);
         for (int t : {0, 1}) {
-          const double dly =
-              cell_arc_[oi][static_cast<std::size_t>(pp.index * 2 + t)];
+          const double dly = arc_row(oi)[pp.index * 2 + t];
           const int in_t = arc.inverting ? opp(t) : t;
           const double* reqo = res_.req_[t].data() + oi * K;
           double* r = req[in_t];
@@ -724,18 +770,17 @@ void StaEngine::run_level(const std::vector<PinId>& pins, bool forward) {
 
 void StaEngine::aggregate() {
   const std::size_t K = static_cast<std::size_t>(K_);
-  std::vector<std::pair<double, PinId>> eps;
-  eps.reserve(ep_pins_.size());
+  eps_.clear();
   for (std::size_t i = 0; i < ep_pins_.size(); ++i)
     if (ep_slack_[i * K] != kPosInf)
-      eps.emplace_back(ep_slack_[i * K], ep_pins_[i]);
-  std::sort(eps.begin(), eps.end());
+      eps_.emplace_back(ep_slack_[i * K], ep_pins_[i]);
+  std::sort(eps_.begin(), eps_.end());
   res_.endpoints_.clear();
   res_.endpoint_slack_.clear();
-  res_.wns_ = eps.empty() ? 0.0 : eps.front().first;
+  res_.wns_ = eps_.empty() ? 0.0 : eps_.front().first;
   res_.tns_ = 0.0;
   res_.violated_ = 0;
-  for (const auto& [slack, pin] : eps) {
+  for (const auto& [slack, pin] : eps_) {
     res_.endpoints_.push_back(pin);
     res_.endpoint_slack_.push_back(slack);
     if (slack < 0.0) {
@@ -789,6 +834,7 @@ void StaEngine::aggregate() {
 }
 
 const StaResult& StaEngine::run() {
+  has_run_ = false;
   compute_port_latency();
   const bool tracing = util::trace_enabled();
   // One span around the whole K-lane sweep: forward + endpoints +
@@ -837,9 +883,63 @@ const StaResult& StaEngine::run() {
 
 const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
   M3D_CHECK_MSG(has_run_, "Sta::retime() requires a prior run()");
-  util::TraceSpan span("sta_retime",
-                       std::to_string(dirty.size()) + " dirty cells");
-  const std::size_t np = static_cast<std::size_t>(nl_.pin_count());
+  if (fwd_pending_.empty()) {
+    const auto np = static_cast<std::size_t>(nl_.pin_count());
+    fwd_pending_.assign(np, 0);
+    bwd_pending_.assign(np, 0);
+    cell_seen_.assign(static_cast<std::size_t>(nl_.cell_count()), 0);
+    net_seen_.assign(static_cast<std::size_t>(nl_.net_count()), 0);
+    fwd_wl_.assign(levels_.size(), {});
+    bwd_wl_.assign(levels_.size(), {});
+  }
+  for (CellId c : dirty)
+    M3D_CHECK_MSG(c >= 0 && static_cast<std::size_t>(c) < cell_seen_.size(),
+                  "Sta::retime(): no cell " << c);
+  std::optional<util::TraceSpan> span;
+  if (util::trace_enabled())
+    span.emplace("sta_retime", std::to_string(dirty.size()) + " dirty cells");
+  // A retime that throws leaves res_ half-updated: only a fresh run()
+  // makes the engine usable again.
+  has_run_ = false;
+  try {
+    retime_cone(dirty);
+    aggregate();
+  } catch (...) {
+    drop_retime_scratch(dirty);
+    throw;
+  }
+  has_run_ = true;
+  return res_;
+}
+
+void StaEngine::clear_seen(const std::vector<CellId>& dirty) {
+  for (CellId c : dirty) {
+    cell_seen_[static_cast<std::size_t>(c)] = 0;
+    for (PinId p : nl_.cell(c).pins)
+      if (const NetId n = nl_.pin(p).net; n != kInvalidId)
+        net_seen_[static_cast<std::size_t>(n)] = 0;
+  }
+}
+
+void StaEngine::drop_retime_scratch(const std::vector<CellId>& dirty) {
+  clear_seen(dirty);
+  for (auto& bucket : fwd_wl_) {
+    for (PinId p : bucket) fwd_pending_[static_cast<std::size_t>(p)] = 0;
+    bucket.clear();
+  }
+  for (auto& bucket : bwd_wl_) {
+    for (PinId p : bucket) bwd_pending_[static_cast<std::size_t>(p)] = 0;
+    bucket.clear();
+  }
+  redo_eps_.clear();
+}
+
+void StaEngine::retime_cone(const std::vector<CellId>& dirty) {
+  // Seeded level ranges; lo > hi while nothing is seeded. Forward seeds
+  // only reach higher levels and backward seeds lower ones, so each walk
+  // below visits only [lo, hi] and clears every bucket it visits.
+  int fwd_lo = INT_MAX, fwd_hi = -1;
+  int bwd_lo = INT_MAX, bwd_hi = -1;
 
   // ---- seed: pins whose *computation* changed ----------------------------
   // A tier move or drive change of cell c swaps its library cell, which
@@ -848,25 +948,24 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
   // tier move re-estimated routes and per-sink crossing flags), and —
   // because the boundary derate at a sink's input feeds its cell's output
   // arcs — the output pins of every sink's combinational cell.
-  std::vector<char> fwd_pending(np, 0);
-  std::vector<std::vector<PinId>> wl(levels_.size());
   auto seed = [&](PinId p) {
     const auto pi = static_cast<std::size_t>(p);
-    if (!part_[pi] || fwd_pending[pi]) return;
-    fwd_pending[pi] = 1;
-    wl[static_cast<std::size_t>(level_[pi])].push_back(p);
+    if (!part_[pi] || fwd_pending_[pi]) return;
+    fwd_pending_[pi] = 1;
+    const int lv = level_[pi];
+    fwd_wl_[static_cast<std::size_t>(lv)].push_back(p);
+    fwd_lo = std::min(fwd_lo, lv);
+    fwd_hi = std::max(fwd_hi, lv);
   };
-  std::vector<char> cell_seen(static_cast<std::size_t>(nl_.cell_count()), 0);
-  std::vector<char> net_seen(static_cast<std::size_t>(nl_.net_count()), 0);
   for (CellId c : dirty) {
-    if (cell_seen[static_cast<std::size_t>(c)]) continue;
-    cell_seen[static_cast<std::size_t>(c)] = 1;
+    if (cell_seen_[static_cast<std::size_t>(c)]) continue;
+    cell_seen_[static_cast<std::size_t>(c)] = 1;
     for (PinId p : nl_.cell(c).pins) {
       seed(p);
       const NetId n = nl_.pin(p).net;
       if (n == kInvalidId || nl_.net(n).is_clock) continue;
-      if (net_seen[static_cast<std::size_t>(n)]) continue;
-      net_seen[static_cast<std::size_t>(n)] = 1;
+      if (net_seen_[static_cast<std::size_t>(n)]) continue;
+      net_seen_[static_cast<std::size_t>(n)] = 1;
       const auto& net = nl_.net(n);
       if (net.driver != kInvalidId) seed(net.driver);
       nl_.for_each_sink(n, [&](PinId s) {
@@ -878,24 +977,26 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
       });
     }
   }
+  clear_seen(dirty);
 
   // ---- forward worklist by ascending level -------------------------------
-  std::vector<char> bwd_pending(np, 0);
-  std::vector<std::vector<PinId>> bwl(levels_.size());
   auto bwd_seed = [&](PinId p) {
     const auto pi = static_cast<std::size_t>(p);
-    if (!part_[pi] || bwd_pending[pi]) return;
-    bwd_pending[pi] = 1;
-    bwl[static_cast<std::size_t>(level_[pi])].push_back(p);
+    if (!part_[pi] || bwd_pending_[pi]) return;
+    bwd_pending_[pi] = 1;
+    const int lv = level_[pi];
+    bwd_wl_[static_cast<std::size_t>(lv)].push_back(p);
+    bwd_lo = std::min(bwd_lo, lv);
+    bwd_hi = std::max(bwd_hi, lv);
   };
-  std::vector<PinId> redo_eps;
   // Lane-aware old-value capture: a pin's forward state is 4 corner-lane
-  // blocks (arr rise/fall, arr_min rise/fall) plus the two corner-shared
-  // slews and the stored net-arc delay in the trailing slots. Change
-  // detection stays bitwise over every lane, so retime() remains
-  // bit-identical to run() for any K.
+  // blocks (arr rise/fall, arr_min rise/fall), then the two corner-shared
+  // slews and the stored net-arc delay, then its cell-arc row (empty but
+  // for a combinational output). Change detection stays bitwise over
+  // every lane, so retime() remains bit-identical to run() for any K.
   const std::size_t K = static_cast<std::size_t>(K_);
-  const std::size_t fwd_words = 4 * K + 3;
+  const std::size_t lane_words = 4 * K;
+  const std::size_t fwd_words = lane_words + 3 + max_arc_row_;
   auto capture_fwd = [&](std::size_t pi, double* dst) {
     const std::size_t pb = pi * K;
     for (int t : {0, 1}) {
@@ -909,6 +1010,7 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
     dst[0] = res_.slew_[0][pi];
     dst[1] = res_.slew_[1][pi];
     dst[2] = net_arc_delay_[pi];
+    std::copy(arc_row(pi), arc_row_end(pi), dst + 3);
   };
   // Successors read arr/arr_min/slew; a bitwise compare over the lanes
   // decides whether the change propagates.
@@ -930,27 +1032,21 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
   // makes the bitwise compares and seeds the worklists. Propagation
   // decisions happen in the exact serial order, so results are
   // bit-identical at any pool size.
-  std::vector<double> olds;  // flat, fwd_words per slot
-  std::vector<std::vector<double>> old_rows;
   int recomputed = 0;
-  for (std::size_t lv = 0; lv < wl.size(); ++lv) {
-    auto& bucket = wl[lv];
+  for (int lv = fwd_lo; lv <= fwd_hi; ++lv) {
+    auto& bucket = fwd_wl_[static_cast<std::size_t>(lv)];
     if (bucket.empty()) continue;
     std::sort(bucket.begin(), bucket.end());
     const int bn = static_cast<int>(bucket.size());
-    olds.resize(static_cast<std::size_t>(bn) * fwd_words);
-    old_rows.resize(static_cast<std::size_t>(bn));
+    if (fwd_olds_.size() < static_cast<std::size_t>(bn) * fwd_words)
+      fwd_olds_.resize(static_cast<std::size_t>(bn) * fwd_words);
     pool_.parallel_for(
         0, bn,
         [&](int i) {
           const auto ii = static_cast<std::size_t>(i);
           const PinId p = bucket[ii];
-          const auto pi = static_cast<std::size_t>(p);
-          capture_fwd(pi, olds.data() + ii * fwd_words);
-          if (role_[pi] == Role::kCombOut)
-            old_rows[ii] = cell_arc_[pi];
-          else
-            old_rows[ii].clear();
+          capture_fwd(static_cast<std::size_t>(p),
+                      fwd_olds_.data() + ii * fwd_words);
           compute_forward(p);
         },
         kPinChunk);
@@ -959,7 +1055,7 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
       const PinId p = bucket[ii];
       const auto pi = static_cast<std::size_t>(p);
       ++recomputed;
-      const double* o = olds.data() + ii * fwd_words;
+      const double* o = fwd_olds_.data() + ii * fwd_words;
       const bool fwd_changed = fwd_changed_at(pi, o);
       if (fwd_changed)
         for (int k = succ_off_[pi]; k < succ_off_[pi + 1]; ++k)
@@ -969,25 +1065,27 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
       // got faster): re-gather the predecessors' required times then.
       const bool arcs_changed =
           (role_[pi] == Role::kNetSink &&
-           o[fwd_words - 1] != net_arc_delay_[pi]) ||
-          (role_[pi] == Role::kCombOut && old_rows[ii] != cell_arc_[pi]);
+           o[lane_words + 2] != net_arc_delay_[pi]) ||
+          !std::equal(arc_row(pi), arc_row_end(pi), o + lane_words + 3);
       if (fwd_changed || arcs_changed) {
         bwd_seed(p);
         for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
           bwd_seed(preds_[static_cast<std::size_t>(k)]);
       }
-      if (ep_index_[pi] >= 0) redo_eps.push_back(p);
+      if (ep_index_[pi] >= 0) redo_eps_.push_back(p);
+      fwd_pending_[pi] = 0;
     }
+    bucket.clear();
   }
 
   // ---- endpoint constraints ----------------------------------------------
-  for (const PinId p : redo_eps) {
+  for (const PinId p : redo_eps_) {
     eval_endpoint(p);
     bwd_seed(p);  // required time may have changed (setup remap)
   }
+  redo_eps_.clear();
 
   // ---- backward worklist by descending level -----------------------------
-  std::vector<double> old_reqs;  // flat, 2*K words per slot
   auto capture_req = [&](std::size_t pi, double* dst) {
     const std::size_t pb = pi * K;
     std::copy_n(res_.req_[0].data() + pb, K, dst);
@@ -998,37 +1096,38 @@ const StaResult& StaEngine::retime(const std::vector<CellId>& dirty) {
     return !std::equal(o, o + K, res_.req_[0].data() + pb) ||
            !std::equal(o + K, o + 2 * K, res_.req_[1].data() + pb);
   };
-  for (std::size_t lv = bwl.size(); lv-- > 0;) {
-    auto& bucket = bwl[lv];
+  for (int lv = bwd_hi; lv >= bwd_lo; --lv) {
+    auto& bucket = bwd_wl_[static_cast<std::size_t>(lv)];
     if (bucket.empty()) continue;
     std::sort(bucket.begin(), bucket.end());
     const int bn = static_cast<int>(bucket.size());
     // Same shape as the forward pass: pooled capture and recompute,
     // serial seeding in sorted order.
-    old_reqs.resize(static_cast<std::size_t>(bn) * 2 * K);
+    if (req_olds_.size() < static_cast<std::size_t>(bn) * 2 * K)
+      req_olds_.resize(static_cast<std::size_t>(bn) * 2 * K);
     pool_.parallel_for(
         0, bn,
         [&](int i) {
           const auto ii = static_cast<std::size_t>(i);
           const PinId p = bucket[ii];
           capture_req(static_cast<std::size_t>(p),
-                      old_reqs.data() + ii * 2 * K);
+                      req_olds_.data() + ii * 2 * K);
           compute_required(p);
         },
         kPinChunk);
     for (int i = 0; i < bn; ++i) {
       const auto ii = static_cast<std::size_t>(i);
       const auto pi = static_cast<std::size_t>(bucket[ii]);
-      if (req_changed_at(pi, old_reqs.data() + ii * 2 * K))
+      if (req_changed_at(pi, req_olds_.data() + ii * 2 * K))
         for (int k = preds_off_[pi]; k < preds_off_[pi + 1]; ++k)
           bwd_seed(preds_[static_cast<std::size_t>(k)]);
+      bwd_pending_[pi] = 0;
     }
+    bucket.clear();
   }
 
   if (util::trace_enabled())
     util::trace_counter("sta_retime_pins", static_cast<double>(recomputed));
-  aggregate();
-  return res_;
 }
 
 }  // namespace detail

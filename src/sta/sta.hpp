@@ -240,7 +240,11 @@ class Sta {
   /// library cell: a tier move (with the routes of their incident nets
   /// re-estimated) or a drive change. Requires a prior run(). Order and
   /// duplicates in `dirty_cells` do not matter. An empty dirty set is a
-  /// no-op; the full cell set degenerates to run().
+  /// no-op; the full cell set degenerates to run(). A retime or run()
+  /// that throws (say, a cell whose drive its library lacks) leaves the
+  /// engine needing run() again: until then retime() throws as it does
+  /// before a first run. Its scratch lives in the engine and is reset
+  /// through what it touched, so a retime costs O(touched pins).
   const StaResult& retime(const std::vector<CellId>& dirty_cells);
 
   /// Last computed result (valid after run()).

@@ -35,6 +35,9 @@ enum class CellFunc {
   Dff,      // D flip-flop with CLK and Q
 };
 
+/// Number of CellFunc values (Dff is the last).
+inline constexpr int kCellFuncCount = static_cast<int>(CellFunc::Dff) + 1;
+
 /// Number of signal (non-clock) inputs for a function.
 int func_input_count(CellFunc f);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -260,6 +261,21 @@ struct Group {
     const auto* v = find(name);
     return v != nullptr && !v->empty() ? to_number((*v)[0], name) : dflt;
   }
+  /// A whole-number attribute in [1, INT_MAX] (a drive, a track or layer
+  /// count); anything else is a util::Error naming this group and the
+  /// value, never an out-of-range cast.
+  int positive_int(const std::string& name, int dflt) const {
+    const auto* v = find(name);
+    if (v == nullptr || v->empty()) return dflt;
+    const std::string& text = (*v)[0];
+    const double x = to_number(text, name);
+    constexpr int kMax = std::numeric_limits<int>::max();
+    M3D_CHECK_MSG(x >= 1.0 && x <= kMax && x == std::floor(x),
+                  type << " " << (args.empty() ? "" : args[0]) << ": "
+                       << name << " '" << text
+                       << "' is not a whole number in [1, " << kMax << "]");
+    return static_cast<int>(x);
+  }
 };
 
 class Parser {
@@ -380,7 +396,7 @@ NldmTable parse_table(const Group& g) {
 }
 
 CellFunc func_from_name(const std::string& s) {
-  for (int f = 0; f <= static_cast<int>(CellFunc::Dff); ++f)
+  for (int f = 0; f < kCellFuncCount; ++f)
     if (s == func_name(static_cast<CellFunc>(f)))
       return static_cast<CellFunc>(f);
   M3D_CHECK_MSG(false, "unknown m3d_function '" << s << "'");
@@ -394,14 +410,14 @@ TechLib parse_liberty(const std::string& text) {
   const Group top = p.parse_top();
   M3D_CHECK_MSG(!top.args.empty(), "library group has no name");
 
-  TechLib lib(top.args[0], static_cast<int>(top.num("m3d_tracks", 12)),
+  TechLib lib(top.args[0], top.positive_int("m3d_tracks", 12),
               top.num("nom_voltage", 0.9), top.num("m3d_vthp", 0.32),
               top.num("m3d_row_height", 1.2));
   WireModel wire;
   wire.res_kohm_per_um = top.num("m3d_wire_res", wire.res_kohm_per_um);
   wire.cap_ff_per_um = top.num("m3d_wire_cap", wire.cap_ff_per_um);
   wire.signal_layers =
-      static_cast<int>(top.num("m3d_wire_layers", wire.signal_layers));
+      top.positive_int("m3d_wire_layers", wire.signal_layers);
   lib.set_wire(wire);
   MivModel miv;
   miv.res_kohm = top.num("m3d_miv_res", miv.res_kohm);
@@ -432,7 +448,7 @@ TechLib parse_liberty(const std::string& text) {
     LibCell c;
     c.name = cell.args[0];
     c.func = func_from_name(cell.attr("m3d_function", "INV"));
-    c.drive = static_cast<int>(cell.num("m3d_drive", 1));
+    c.drive = cell.positive_int("m3d_drive", 1);
     c.width_um = cell.num("m3d_width");
     c.leakage_uw = cell.num("cell_leakage_power");
     c.internal_energy_fj = cell.num("m3d_internal_energy");

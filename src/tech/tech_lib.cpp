@@ -59,10 +59,16 @@ bool func_is_buffering(CellFunc f) {
 
 int TechLib::add_cell(LibCell cell) {
   const int idx = static_cast<int>(cells_.size());
-  const auto key = std::make_pair(static_cast<int>(cell.func), cell.drive);
-  M3D_CHECK_MSG(by_func_drive_.find(key) == by_func_drive_.end(),
+  const auto f = static_cast<std::size_t>(cell.func);
+  M3D_CHECK_MSG(f < ladders_.size(), "cell " << cell.name
+                                            << " has no valid function");
+  auto& rungs = ladders_[f];
+  const auto at = std::lower_bound(
+      rungs.begin(), rungs.end(), cell.drive,
+      [](const Rung& r, int drive) { return r.drive < drive; });
+  M3D_CHECK_MSG(at == rungs.end() || at->drive != cell.drive,
                 "duplicate cell " << cell.name);
-  by_func_drive_[key] = idx;
+  rungs.insert(at, Rung{cell.drive, idx});
   cells_.push_back(std::move(cell));
   return idx;
 }
@@ -86,40 +92,49 @@ const MacroCell& TechLib::macro(int idx) const {
   return macros_[static_cast<std::size_t>(idx)];
 }
 
+const std::vector<TechLib::Rung>& TechLib::ladder(CellFunc func) const {
+  static const std::vector<Rung> kNone;
+  const auto f = static_cast<std::size_t>(func);
+  return f < ladders_.size() ? ladders_[f] : kNone;
+}
+
 const LibCell* TechLib::find(CellFunc func, int drive) const {
   const int idx = find_index(func, drive);
   return idx < 0 ? nullptr : &cells_[static_cast<std::size_t>(idx)];
 }
 
 int TechLib::find_index(CellFunc func, int drive) const {
-  const auto it = by_func_drive_.find({static_cast<int>(func), drive});
-  return it == by_func_drive_.end() ? -1 : it->second;
+  for (const Rung& r : ladder(func)) {
+    if (r.drive == drive) return r.idx;
+    if (r.drive > drive) break;
+  }
+  return -1;
 }
 
 int TechLib::find_macro(std::string_view name) const {
-  const auto it = macro_by_name_.find(std::string(name));
+  const auto it = macro_by_name_.find(name);
   return it == macro_by_name_.end() ? -1 : it->second;
 }
 
 std::vector<int> TechLib::drives_for(CellFunc func) const {
   std::vector<int> out;
-  for (const auto& [key, idx] : by_func_drive_)
-    if (key.first == static_cast<int>(func)) out.push_back(key.second);
-  std::sort(out.begin(), out.end());
+  for (const Rung& r : ladder(func)) out.push_back(r.drive);
   return out;
 }
 
 int TechLib::upsize(CellFunc func, int drive) const {
-  const auto drives = drives_for(func);
-  auto it = std::upper_bound(drives.begin(), drives.end(), drive);
-  return it == drives.end() ? -1 : *it;
+  for (const Rung& r : ladder(func))
+    if (r.drive > drive) return r.drive;
+  return -1;
 }
 
 int TechLib::downsize(CellFunc func, int drive) const {
-  const auto drives = drives_for(func);
-  auto it = std::lower_bound(drives.begin(), drives.end(), drive);
-  if (it == drives.begin()) return -1;
-  return *(it - 1);
+  int below = -1;
+  for (const Rung& r : ladder(func)) {
+    if (r.drive >= drive) break;
+    below = r.drive;
+  }
+  return below;
 }
 
 double boundary_delay_derate(double driver_input_vdd, double cell_vdd,

@@ -2,9 +2,12 @@
 /// \file tech_lib.hpp
 /// \brief A complete technology library: cells, macros, wires, voltages.
 
+#include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tech/lib_cell.hpp"
@@ -36,7 +39,8 @@ class TechLib {
   const MivModel& miv() const { return miv_; }
   void set_miv(const MivModel& m) { miv_ = m; }
 
-  /// Register a cell; name must be unique. Returns its index.
+  /// Register a cell; its (function, drive) must be unique. Returns its
+  /// index.
   int add_cell(LibCell cell);
 
   /// Register a macro; name must be unique. Returns its index.
@@ -51,7 +55,9 @@ class TechLib {
   /// Cell lookup by function and drive; returns nullptr if absent.
   const LibCell* find(CellFunc func, int drive) const;
 
-  /// Index of a cell by function and drive; -1 if absent.
+  /// Index of a cell by function and drive; -1 if absent. Walks the
+  /// function's drive ladder (a handful of entries): this runs once per
+  /// Design::lib_cell call, i.e. once per timing arc and sink pin cap.
   int find_index(CellFunc func, int drive) const;
 
   /// Macro lookup by name; returns -1 if absent.
@@ -80,10 +86,19 @@ class TechLib {
   double row_height_um_;
   WireModel wire_;
   MivModel miv_;
+  /// One rung of a drive ladder: a drive strength and its cell index.
+  struct Rung {
+    int drive;
+    int idx;
+  };
+  /// The rungs of `func`, by ascending drive; empty for an out-of-range
+  /// func.
+  const std::vector<Rung>& ladder(CellFunc func) const;
+
   std::vector<LibCell> cells_;
   std::vector<MacroCell> macros_;
-  std::map<std::pair<int, int>, int> by_func_drive_;  // (func, drive) -> idx
-  std::map<std::string, int> macro_by_name_;
+  std::array<std::vector<Rung>, kCellFuncCount> ladders_;  // per CellFunc
+  std::map<std::string, int, std::less<>> macro_by_name_;
 };
 
 /// Voltage-boundary derating between two tiers (paper §II-B, Tables II/III).

@@ -433,6 +433,10 @@ TEST_F(ExecFlowCache, FieldsRunFlowOverwritesShareOneEntry) {
        [](auto& o) { o.timing_part.fm.cost_weight = 1e4; }},
       {"timing_part.fm.utilization",
        [](auto& o) { o.timing_part.fm.utilization = 0.5; }},
+      {"cts.mode",
+       [](auto& o) { o.cts.mode = m3d::cts::Mode3D::PerDie; }},
+      {"cts.prefer_low_power_trunk",
+       [](auto& o) { o.cts.prefer_low_power_trunk = false; }},
   };
   const auto h0 = me::FlowCache::options_hash(base);
   auto all = base;

@@ -329,3 +329,30 @@ TEST(Interchange, MalformedNumericTokensAreTypedErrors) {
       parse_l, with_token(lib, {"related_pin : \"A"}, "99999999999"),
       "A99999999999");
 }
+
+TEST(Liberty, RejectsMalformedDrive) {
+  // The first cell's drive, rewritten. Only a whole number in
+  // [1, INT_MAX] loads; anything else is a util::Error naming the cell
+  // and the value, never an out-of-range cast or a misleading duplicate.
+  const std::string lib = mt::liberty_string(*mt::make_12track());
+  const std::size_t at = lib.find("m3d_drive : ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t name_at = lib.rfind("cell (", at) + 6;
+  const std::string cell = lib.substr(name_at, lib.find(')', name_at) - name_at);
+  const auto parse_l = [](const std::string& t) { mt::parse_liberty(t); };
+  for (const std::string bad :
+       {"1e30", "-4", "0", "2.5", "2147483648", "-2147483649"}) {
+    SCOPED_TRACE(bad);
+    const std::string text = with_token(lib, {"m3d_drive : "}, bad);
+    expect_error_naming(parse_l, text, cell);
+    expect_error_naming(parse_l, text, "'" + bad + "'");
+  }
+  // A larger drive the library lacks loads as written.
+  const auto big = mt::parse_liberty(with_token(lib, {"m3d_drive : "}, "16"));
+  const auto orig = mt::parse_liberty(lib);
+  const mt::LibCell& first = orig.cell(0);
+  ASSERT_EQ(first.name, cell);
+  EXPECT_EQ(big.find(first.func, first.drive), nullptr);
+  ASSERT_NE(big.find(first.func, 16), nullptr);
+  EXPECT_EQ(big.find(first.func, 16)->name, cell);
+}

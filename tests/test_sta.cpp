@@ -596,6 +596,112 @@ TEST(StaRetime, ThrowsBeforeFirstRun) {
   EXPECT_THROW(sta.retime({}), m3d::util::Error);
 }
 
+TEST(StaRetime, ScratchIsCleanAcrossManyRetimes) {
+  // One engine, 40 retimes in a row. The flags, buckets and capture
+  // buffers it keeps between calls must come back all-clear every time,
+  // whatever the dirty list held: nothing, repeated cells, resizes, tier
+  // moves, or every cell.
+  mt::CornerSpec sweep;
+  sweep.count = 16;
+  sweep.derate[1] = 1.05;
+  sweep.sigma[0] = 0.03;
+  sweep.sigma[1] = 0.08;
+  for (const int corners : {1, 16}) {
+    SCOPED_TRACE("K=" + std::to_string(corners));
+    auto d = routed_hetero("aes", 0.05, 0.7);
+    ms::StaOptions o;
+    if (corners > 1) o.corners = sweep;
+    auto routes = mr::route_design(d);
+    ms::Sta sta(d, &routes, o);
+    sta.run();
+
+    const auto cells = movable_std_cells(d);
+    std::vector<mn::CellId> all(static_cast<std::size_t>(d.nl().cell_count()));
+    for (mn::CellId c = 0; c < d.nl().cell_count(); ++c) all[c] = c;
+    std::mt19937 rng(31);
+    std::uniform_int_distribution<std::size_t> pick(0, cells.size() - 1);
+    std::uniform_int_distribution<int> howmany(1, 16);
+    std::uniform_int_distribution<int> edit(0, 2);  // move, down, up
+    for (int round = 0; round < 40; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      std::vector<mn::CellId> dirty, moved;
+      if (round == 20) {
+        const mn::CellId c = cells[pick(rng)];
+        d.set_tier(c, 1 - d.tier(c));
+        moved = all;
+        dirty = all;
+      } else if (round % 7 != 3) {  // rounds 3, 10, ... retime nothing
+        const int k = howmany(rng);
+        for (int i = 0; i < k; ++i) {
+          const mn::CellId c = cells[pick(rng)];
+          const int e = edit(rng);
+          if (e == 0) {
+            d.set_tier(c, 1 - d.tier(c));
+            moved.push_back(c);
+            dirty.push_back(c);
+          } else if (resize_step(d, c, e == 2)) {
+            dirty.push_back(c);
+          }
+          if (!dirty.empty() && i % 3 == 0) dirty.push_back(dirty.front());
+        }
+      }
+      mr::update_routes_for_cells(d, moved, &routes);
+      const auto& inc = sta.retime(dirty);
+
+      auto fresh_routes = mr::route_design(d);
+      ms::Sta ref(d, &fresh_routes, o);
+      const auto& full = ref.run();
+      expect_identical(inc, full, d);
+      ASSERT_EQ(ms::timing_fingerprint(inc), ms::timing_fingerprint(full));
+    }
+  }
+}
+
+TEST(StaRetime, ThrowingRetimeRequiresRun) {
+  auto d = routed_hetero("aes", 0.05, 0.7);
+  auto routes = mr::route_design(d);
+  ms::Sta sta(d, &routes);
+  sta.run();
+  mn::CellId c = mn::kInvalidId;
+  for (const mn::CellId m : movable_std_cells(d))
+    if (d.nl().cell(m).is_comb()) {
+      c = m;
+      break;
+    }
+  ASSERT_NE(c, mn::kInvalidId);
+  const auto func = d.nl().cell(c).func;
+  const int drive = d.nl().cell(c).drive;
+
+  // 1. A drive the library lacks: the retime throws.
+  ASSERT_EQ(d.lib_of(c).find(func, 3), nullptr);
+  d.nl().set_drive(c, 3);
+  EXPECT_THROW(sta.retime({c}), m3d::util::Error);
+
+  // 2. With the drive restored, the engine still needs a run(): the
+  //    failed retime left its timing half-updated.
+  d.nl().set_drive(c, drive);
+  try {
+    sta.retime({c});
+    ADD_FAILURE() << "retime after a throwing retime did not throw";
+  } catch (const m3d::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("requires a prior run()"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // 3. run() recovers it: equal to a fresh engine, and a retime of the
+  //    same cone afterwards (no stale flag may skip a pin) too.
+  ms::Sta ref(d, &routes);
+  expect_identical(sta.run(), ref.run(), d);
+  ASSERT_EQ(ms::timing_fingerprint(sta.result()),
+            ms::timing_fingerprint(ref.result()));
+  d.set_tier(c, 1 - d.tier(c));
+  mr::update_routes_for_cells(d, {c}, &routes);
+  const auto& inc = sta.retime({c});
+  ms::Sta moved_ref(d, &routes);
+  expect_identical(inc, moved_ref.run(), d);
+}
+
 TEST(Sta, ByteIdenticalAcrossPoolSizes) {
   // Wide generated design so real levels clear the parallel threshold.
   auto d = routed_hetero("netcard", kWideScale, 0.8);

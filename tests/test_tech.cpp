@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "tech/liberty.hpp"
 #include "tech/library_factory.hpp"
 #include "tech/nldm.hpp"
 #include "tech/tech_lib.hpp"
@@ -165,6 +169,68 @@ TEST(TechLib, FindAndDriveLadder) {
   EXPECT_EQ(lib->downsize(mt::CellFunc::Inv, 1), -1);
   const auto drives = lib->drives_for(mt::CellFunc::Nand2);
   EXPECT_EQ(drives, (std::vector<int>{1, 2, 4, 8}));
+}
+
+namespace {
+
+/// Every drive-ladder query of `lib`, for every function and drives
+/// -1..20, against a scan of cell(i).
+void expect_ladders_match_scan(const mt::TechLib& lib) {
+  for (int f = 0; f < mt::kCellFuncCount; ++f) {
+    const auto func = static_cast<mt::CellFunc>(f);
+    SCOPED_TRACE(mt::func_name(func));
+    std::vector<int> drives;
+    for (int i = 0; i < lib.cell_count(); ++i)
+      if (lib.cell(i).func == func) drives.push_back(lib.cell(i).drive);
+    std::sort(drives.begin(), drives.end());
+    EXPECT_EQ(lib.drives_for(func), drives);
+    for (int drive = -1; drive <= 20; ++drive) {
+      int want = -1;
+      for (int i = 0; i < lib.cell_count(); ++i)
+        if (lib.cell(i).func == func && lib.cell(i).drive == drive) want = i;
+      EXPECT_EQ(lib.find_index(func, drive), want) << "drive " << drive;
+      EXPECT_EQ(lib.find(func, drive), want < 0 ? nullptr : &lib.cell(want))
+          << "drive " << drive;
+      int up = -1, down = -1;
+      for (int d : drives) {
+        if (d > drive && up < 0) up = d;
+        if (d < drive) down = d;
+      }
+      EXPECT_EQ(lib.upsize(func, drive), up) << "drive " << drive;
+      EXPECT_EQ(lib.downsize(func, drive), down) << "drive " << drive;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(TechLib, DriveLadderMatchesBruteForce) {
+  expect_ladders_match_scan(*mt::make_12track());
+  expect_ladders_match_scan(*mt::make_9track());
+
+  // A Liberty round trip rewritten to an irregular ladder: the k-th cell
+  // written gets drive 1 + 7k mod 19, so each function's four cells get
+  // four distinct drives in 1..19, in no particular order.
+  std::string text = mt::liberty_string(*mt::make_12track());
+  const std::string key = "m3d_drive : ";
+  int k = 0;
+  for (std::size_t pos = text.find(key); pos != std::string::npos;
+       pos = text.find(key, pos), ++k) {
+    pos += key.size();
+    const std::size_t end = text.find(';', pos);
+    text.replace(pos, end - pos, std::to_string(1 + 7 * k % 19));
+  }
+  ASSERT_EQ(k, mt::make_12track()->cell_count());
+  const auto irregular = mt::parse_liberty(text);
+  ASSERT_EQ(irregular.cell_count(), k);
+  expect_ladders_match_scan(irregular);
+
+  // A duplicate (function, drive) still throws.
+  auto lib = mt::parse_liberty(text);
+  mt::LibCell dup = lib.cell(5);
+  dup.name = "DUP";
+  EXPECT_THROW(lib.add_cell(dup), m3d::util::Error);
+  EXPECT_EQ(lib.cell_count(), k);
 }
 
 TEST(TechLib, MacrosPresentAndIdenticalAcrossLibraries) {
