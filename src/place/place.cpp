@@ -16,7 +16,6 @@
 
 namespace m3d::place {
 
-using netlist::Cell;
 using netlist::kBottomTier;
 using netlist::kInvalidId;
 using netlist::NetId;
@@ -26,7 +25,11 @@ using util::Rect;
 
 namespace {
 
-bool movable(const Cell& c) { return !c.fixed && !c.is_port(); }
+bool movable(const netlist::Netlist& nl, CellId c) {
+  const netlist::CellKind k = nl.cell_kind(c);
+  return !nl.cell_fixed(c) && k != netlist::CellKind::PrimaryIn &&
+         k != netlist::CellKind::PrimaryOut;
+}
 
 /// Items per parallel_for chunk. The per-item kernels write single-writer
 /// slots, so only the scheduling depends on it. The spreading histogram
@@ -166,66 +169,120 @@ void global_place(Design& d, const PlaceOptions& opt) {
   const int nn = nl.net_count();
   const bool tracing = util::trace_enabled();
 
-  // --- initial scatter (serial: one shared RNG stream) --------------------
-  std::vector<char> mv(static_cast<std::size_t>(nc), 0);
+  // --- flat state, built once per call ------------------------------------
+  // The sweeps below read only these arrays; the Design sees the result
+  // once, at the end. px/py hold every cell (fixed cells anchor the nets);
+  // movable cells are listed in ascending id with their area. The initial
+  // scatter is serial: one shared RNG stream.
+  std::vector<double> px(static_cast<std::size_t>(nc));
+  std::vector<double> py(static_cast<std::size_t>(nc));
+  std::vector<CellId> mcell;
+  std::vector<double> marea;
   for (CellId c = 0; c < nc; ++c) {
-    if (!movable(nl.cell(c))) continue;
-    mv[static_cast<std::size_t>(c)] = 1;
-    d.set_pos(c, {rng.uniform(fp.xlo, fp.xhi), rng.uniform(fp.ylo, fp.yhi)});
+    Point p = d.pos(c);
+    if (movable(nl, c)) {
+      p = {rng.uniform(fp.xlo, fp.xhi), rng.uniform(fp.ylo, fp.yhi)};
+      mcell.push_back(c);
+      marea.push_back(d.cell_area(c));
+    }
+    px[static_cast<std::size_t>(c)] = p.x;
+    py[static_cast<std::size_t>(c)] = p.y;
   }
+  const int nm = static_cast<int>(mcell.size());
+
+  // Relaxed nets: non-clock (CTS owns the clock topology) with >= 2 pins;
+  // no other net's centroid is ever read. net_cell lists the cells of each
+  // relaxed net's pins in net pin order, net_den its pin count - 1.
+  std::vector<int> slot(static_cast<std::size_t>(nn), -1);
+  std::vector<int> net_off{0};
+  std::vector<CellId> net_cell;
+  std::vector<double> net_den;
+  net_cell.reserve(static_cast<std::size_t>(nl.pin_count()));
+  for (NetId n = 0; n < nn; ++n) {
+    if (nl.net_is_clock(n)) continue;
+    const netlist::PinSpan pins = nl.net(n).pins;
+    if (pins.size() < 2) continue;
+    slot[static_cast<std::size_t>(n)] = static_cast<int>(net_den.size());
+    for (PinId p : pins) net_cell.push_back(nl.pin(p).cell);
+    net_off.push_back(static_cast<int>(net_cell.size()));
+    net_den.push_back(static_cast<double>(pins.size() - 1));
+  }
+  const int nr = static_cast<int>(net_den.size());
+  // Per movable cell, its relaxed nets in cell pin order (a net reached
+  // through two pins is listed twice).
+  std::vector<int> cell_off{0};
+  std::vector<int> cell_net;
+  cell_net.reserve(static_cast<std::size_t>(nl.pin_count()));
+  for (CellId c : mcell) {
+    for (PinId p : nl.cell(c).pins) {
+      const NetId n = nl.pin(p).net;
+      if (n != kInvalidId && slot[static_cast<std::size_t>(n)] >= 0)
+        cell_net.push_back(slot[static_cast<std::size_t>(n)]);
+    }
+    cell_off.push_back(static_cast<int>(cell_net.size()));
+  }
+
+  // Each loop runs fn(i) for i in [0, n) in kChunk-item chunks, one pool
+  // item per chunk.
+  auto chunked = [&](int n, auto&& fn) {
+    pool.parallel_for(0, (n + kChunk - 1) / kChunk, [&](int k) {
+      const int end = std::min(n, (k + 1) * kChunk);
+      for (int i = k * kChunk; i < end; ++i) fn(i);
+    });
+  };
 
   // --- net-centroid relaxation --------------------------------------------
   // x_i <- average of centroids of nets incident to i (fixed cells anchor).
   // Both passes are single-writer — each net owns its centroid slot, each
   // cell its position — and the update is Jacobi-style (centroids are
   // frozen while cells move), so the parallel result is byte-identical to
-  // the serial one.
-  std::vector<double> cx(static_cast<std::size_t>(nn));
-  std::vector<double> cy(static_cast<std::size_t>(nn));
-  std::vector<int> cn(static_cast<std::size_t>(nn));
+  // the serial one. Every sum runs in pin order.
+  std::vector<double> cx(static_cast<std::size_t>(nr));
+  std::vector<double> cy(static_cast<std::size_t>(nr));
   for (int iter = 0; iter < kRelaxIters; ++iter) {
     util::TraceSpan pass_span("relax_pass",
                               tracing ? std::to_string(iter) : std::string());
-    pool.parallel_for(0, nn, [&](int ni) {
-      const NetId n = ni;
+    chunked(nr, [&](int r) {
+      const auto ri = static_cast<std::size_t>(r);
       double x = 0.0, y = 0.0;
-      int k = 0;
-      const auto& net = nl.net(n);
-      if (!net.is_clock) {  // CTS owns the clock topology
-        for (PinId p : net.pins) {
-          const Point q = d.pin_pos(p);
-          x += q.x;
-          y += q.y;
-          ++k;
-        }
+      for (int j = net_off[ri]; j < net_off[ri + 1]; ++j) {
+        const auto c = static_cast<std::size_t>(
+            net_cell[static_cast<std::size_t>(j)]);
+        x += px[c];
+        y += py[c];
       }
-      cx[static_cast<std::size_t>(n)] = x;
-      cy[static_cast<std::size_t>(n)] = y;
-      cn[static_cast<std::size_t>(n)] = k;
-    }, kChunk);
-    pool.parallel_for(0, nc, [&](int ci) {
-      const CellId c = ci;
-      if (!mv[static_cast<std::size_t>(c)]) return;
-      double sx = 0.0, sy = 0.0;
-      int k = 0;
-      for (PinId p : nl.cell(c).pins) {
-        const NetId n = nl.pin(p).net;
-        if (n == kInvalidId || nl.net(n).is_clock) continue;
-        const int cnt = cn[static_cast<std::size_t>(n)];
-        if (cnt < 2) continue;
-        // Centroid of the net excluding this pin (removes self-pull).
-        const Point self = d.pos(c);
-        sx += (cx[static_cast<std::size_t>(n)] - self.x) / (cnt - 1);
-        sy += (cy[static_cast<std::size_t>(n)] - self.y) / (cnt - 1);
-        ++k;
-      }
+      cx[ri] = x;
+      cy[ri] = y;
+    });
+    chunked(nm, [&](int i) {
+      const auto ii = static_cast<std::size_t>(i);
+      const int k = cell_off[ii + 1] - cell_off[ii];
       if (k == 0) return;
-      d.set_pos(c, fp.clamp({sx / k, sy / k}));
-    }, kChunk);
+      const auto c = static_cast<std::size_t>(mcell[ii]);
+      const double self_x = px[c], self_y = py[c];
+      double sx = 0.0, sy = 0.0;
+      for (int j = cell_off[ii]; j < cell_off[ii + 1]; ++j) {
+        const auto r =
+            static_cast<std::size_t>(cell_net[static_cast<std::size_t>(j)]);
+        // Centroid of the net excluding this pin (removes self-pull).
+        sx += (cx[r] - self_x) / net_den[r];
+        sy += (cy[r] - self_y) / net_den[r];
+      }
+      const Point p = fp.clamp({sx / k, sy / k});
+      px[c] = p.x;
+      py[c] = p.y;
+    });
   }
 
   // --- density spreading: per-axis histogram equalization ------------------
+  // The histogram sums one partial per fixed 2,048-id range of cell ids
+  // (chunk k holds movable cells mcell[chunk_lo[k] .. chunk_lo[k+1])).
   const int nchunks = (nc + kChunk - 1) / kChunk;
+  std::vector<int> chunk_lo(static_cast<std::size_t>(nchunks) + 1, nm);
+  for (int k = 0; k < nchunks; ++k)
+    chunk_lo[static_cast<std::size_t>(k)] = static_cast<int>(
+        std::lower_bound(mcell.begin(), mcell.end(), k * kChunk) -
+        mcell.begin());
   std::vector<std::vector<double>> chunk_mass(
       static_cast<std::size_t>(nchunks),
       std::vector<double>(static_cast<std::size_t>(kGrid), 0.0));
@@ -237,19 +294,20 @@ void global_place(Design& d, const PlaceOptions& opt) {
       const double lo = axis == 0 ? fp.xlo : fp.ylo;
       const double hi = axis == 0 ? fp.xhi : fp.yhi;
       const double span = hi - lo;
+      const std::vector<double>& pv = axis == 0 ? px : py;
       // Per-chunk partial histograms over fixed cell-id ranges, combined
       // serially in chunk order: the reduction order — and therefore the
       // floating-point result — does not depend on the pool size.
       pool.parallel_for(0, nchunks, [&](int chunk) {
-        auto& m = chunk_mass[static_cast<std::size_t>(chunk)];
+        const auto ck = static_cast<std::size_t>(chunk);
+        auto& m = chunk_mass[ck];
         std::fill(m.begin(), m.end(), 0.0);
-        const int c_end = std::min(nc, (chunk + 1) * kChunk);
-        for (CellId c = chunk * kChunk; c < c_end; ++c) {
-          if (!mv[static_cast<std::size_t>(c)]) continue;
-          const double v = axis == 0 ? d.pos(c).x : d.pos(c).y;
+        for (auto i = static_cast<std::size_t>(chunk_lo[ck]);
+             i < static_cast<std::size_t>(chunk_lo[ck + 1]); ++i) {
+          const double v = pv[static_cast<std::size_t>(mcell[i])];
           int b = static_cast<int>((v - lo) / span * kGrid);
           b = std::clamp(b, 0, kGrid - 1);
-          m[static_cast<std::size_t>(b)] += d.cell_area(c);
+          m[static_cast<std::size_t>(b)] += marea[i];
         }
       }, /*grain=*/1);
       std::vector<double> mass(static_cast<std::size_t>(kGrid), 0.0);
@@ -268,10 +326,10 @@ void global_place(Design& d, const PlaceOptions& opt) {
       // Blend toward the equalized coordinate to avoid oscillation. Each
       // cell reads the frozen histogram and writes only its own position.
       const double blend = 0.5;
-      pool.parallel_for(0, nc, [&](int ci) {
-        const CellId c = ci;
-        if (!mv[static_cast<std::size_t>(c)]) return;
-        Point p = d.pos(c);
+      chunked(nm, [&](int i) {
+        const auto c =
+            static_cast<std::size_t>(mcell[static_cast<std::size_t>(i)]);
+        Point p{px[c], py[c]};
         const double v = axis == 0 ? p.x : p.y;
         double f = (v - lo) / span * kGrid;
         f = std::clamp(f, 0.0, static_cast<double>(kGrid) - 1e-9);
@@ -286,10 +344,15 @@ void global_place(Design& d, const PlaceOptions& opt) {
           p.x = nv;
         else
           p.y = nv;
-        d.set_pos(c, fp.clamp(p));
-      }, kChunk);
+        p = fp.clamp(p);
+        px[c] = p.x;
+        py[c] = p.y;
+      });
     }
   }
+  for (CellId c : mcell)
+    d.set_pos(c, {px[static_cast<std::size_t>(c)],
+                  py[static_cast<std::size_t>(c)]});
   util::log_info("global place done");
 }
 
@@ -674,7 +737,12 @@ void legalize(Design& d) {
   const Rect fp = d.floorplan();
   const auto obstacles = macro_obstacles(d);
 
-  for (int tier = 0; tier < d.num_tiers(); ++tier) {
+  // Tiers share no row and no cell, so each tier's row build and pack is
+  // one task on the global pool (a 2-D design runs inline): a task reads
+  // and writes only its own tier's cells. The no-row counts are logged in
+  // tier order after the join, so the log does not depend on scheduling.
+  std::vector<int> unplaced(static_cast<std::size_t>(d.num_tiers()), 0);
+  exec::pool_or_global(nullptr).parallel_for(0, d.num_tiers(), [&](int tier) {
     const double row_h = d.lib(tier).row_height_um();
     const int nrows = std::max(1, static_cast<int>(fp.height() / row_h));
 
@@ -698,7 +766,7 @@ void legalize(Design& d) {
     //  2. everything else Tetris-packs into the remaining gaps.
     std::vector<CellId> aligned, rest;
     for (CellId c = 0; c < nl.cell_count(); ++c) {
-      if (!movable(nl.cell(c)) || d.tier(c) != tier) continue;
+      if (!movable(nl, c) || d.tier(c) != tier) continue;
       const double rel = (d.pos(c).y - fp.ylo) / row_h - 0.5;
       if (std::abs(rel - std::round(rel)) < 1e-9 && rel > -0.25 &&
           rel < nrows - 0.75)
@@ -712,7 +780,7 @@ void legalize(Design& d) {
     std::vector<CellId> cells = std::move(aligned);
     cells.insert(cells.end(), rest.begin(), rest.end());
 
-    int unplaced = 0;
+    int n_unplaced = 0;
     for (CellId c : cells) {
       const double w = d.cell_width(c);
       const Point want = d.pos(c);
@@ -735,12 +803,14 @@ void legalize(Design& d) {
           }
         }
       }
-      if (!placed) ++unplaced;
+      if (!placed) ++n_unplaced;
     }
-    if (unplaced > 0)
-      util::log_warn("legalize: ", unplaced, " cells found no row on tier ",
-                     tier, " (utilization too high?)");
-  }
+    unplaced[static_cast<std::size_t>(tier)] = n_unplaced;
+  }, /*grain=*/1);
+  for (int tier = 0; tier < d.num_tiers(); ++tier)
+    if (const int n = unplaced[static_cast<std::size_t>(tier)]; n > 0)
+      util::log_warn("legalize: ", nl.name(), ": ", n,
+                     " cells found no row on tier ", tier);
   util::log_info("legalization done");
 }
 
@@ -785,7 +855,7 @@ void rescale_to_utilization(Design& d, double utilization) {
                     old_fp.ylo + old_fp.height() * ratio};
   d.set_floorplan(new_fp);
   for (CellId c = 0; c < nl.cell_count(); ++c) {
-    if (!movable(nl.cell(c))) continue;
+    if (!movable(nl, c)) continue;
     const Point p = d.pos(c);
     d.set_pos(c, new_fp.clamp({old_fp.xlo + (p.x - old_fp.xlo) * ratio,
                                old_fp.ylo + (p.y - old_fp.ylo) * ratio}));

@@ -49,7 +49,9 @@ void init_floorplan(Design& d, const PlaceOptions& opt = {});
 void global_place(Design& d, const PlaceOptions& opt = {});
 
 /// Snap cells to rows and remove same-tier overlaps, avoiding macro
-/// regions. Positions after this are final placements.
+/// regions. Positions after this are final placements. Each tier is packed
+/// by one task on exec::Pool::global(); the result does not depend on the
+/// pool size.
 void legalize(Design& d);
 
 /// Resize the floorplan to restore `utilization` after cell area changed

@@ -14,7 +14,6 @@
 
 namespace m3d::sta {
 
-using netlist::Cell;
 using netlist::CellKind;
 using netlist::kInvalidId;
 using netlist::Pin;
@@ -221,7 +220,7 @@ class StaEngine {
 bool StaEngine::pin_participates(PinId p) const {
   const Pin& pp = nl_.pin(p);
   if (pp.is_clock) return false;
-  if (pp.net != kInvalidId && nl_.net(pp.net).is_clock) return false;
+  if (pp.net != kInvalidId && nl_.net_is_clock(pp.net)) return false;
   if (clkbuf_[static_cast<std::size_t>(pp.cell)]) return false;
   return true;
 }
@@ -231,16 +230,19 @@ void StaEngine::build_structure() {
   const std::size_t nc = static_cast<std::size_t>(nl_.cell_count());
 
   clkbuf_.assign(nc, 0);
+  // A combinational cell has no clock pin: its inputs and outputs are
+  // all its pins.
+  auto on_clock_net = [&](PinId p) {
+    const NetId n = nl_.pin(p).net;
+    return n != kInvalidId && nl_.net_is_clock(n);
+  };
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const Cell& cc = nl_.cell(c);
-    if (!cc.is_comb()) continue;
-    for (PinId p : cc.pins) {
-      const Pin& pp = nl_.pin(p);
-      if (pp.net != kInvalidId && nl_.net(pp.net).is_clock) {
-        clkbuf_[static_cast<std::size_t>(c)] = 1;
-        break;
-      }
-    }
+    if (nl_.cell_kind(c) != CellKind::Comb) continue;
+    const auto ins = nl_.input_pins_of(c);
+    const auto outs = nl_.output_pins_of(c);
+    if (std::any_of(ins.begin(), ins.end(), on_clock_net) ||
+        std::any_of(outs.begin(), outs.end(), on_clock_net))
+      clkbuf_[static_cast<std::size_t>(c)] = 1;
   }
 
   part_.assign(np, 0);
@@ -258,22 +260,23 @@ void StaEngine::build_structure() {
   std::vector<int> indeg(np, 0);
 
   for (NetId n = 0; n < nl_.net_count(); ++n) {
-    const auto& net = nl_.net(n);
-    if (net.is_clock || net.driver == kInvalidId) continue;
-    if (!part_[static_cast<std::size_t>(net.driver)]) continue;
+    const PinId drv = nl_.net_driver(n);
+    if (nl_.net_is_clock(n) || drv == kInvalidId) continue;
+    if (!part_[static_cast<std::size_t>(drv)]) continue;
     std::size_t i = 0;
     nl_.for_each_sink(n, [&](PinId s) {
       const std::size_t ord = i++;
       if (!part_[static_cast<std::size_t>(s)]) return;
       role_[static_cast<std::size_t>(s)] = Role::kNetSink;
-      drv_pin_[static_cast<std::size_t>(s)] = net.driver;
+      drv_pin_[static_cast<std::size_t>(s)] = drv;
       sink_ord_[static_cast<std::size_t>(s)] = static_cast<int>(ord);
       ++indeg[static_cast<std::size_t>(s)];
     });
   }
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const Cell& cc = nl_.cell(c);
-    if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(c)]) continue;
+    if (nl_.cell_kind(c) != CellKind::Comb ||
+        clkbuf_[static_cast<std::size_t>(c)])
+      continue;
     const int nin = static_cast<int>(nl_.input_pins_of(c).size());
     for (PinId o : nl_.output_pins_of(c)) {
       // In-degree counts *all* input pins (as the original Kahn traversal
@@ -295,13 +298,14 @@ void StaEngine::build_structure() {
   auto for_each_succ = [&](PinId u, auto&& fn) {
     const Pin& up = nl_.pin(u);
     if (up.dir == PinDir::Output) {
-      if (up.net == kInvalidId || nl_.net(up.net).is_clock) return;
+      if (up.net == kInvalidId || nl_.net_is_clock(up.net)) return;
       nl_.for_each_sink(up.net, [&](PinId s) {
         if (part_[static_cast<std::size_t>(s)]) fn(s);
       });
     } else {
-      const Cell& cc = nl_.cell(up.cell);
-      if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(up.cell)]) return;
+      if (nl_.cell_kind(up.cell) != CellKind::Comb ||
+          clkbuf_[static_cast<std::size_t>(up.cell)])
+        return;
       for (PinId o : nl_.output_pins_of(up.cell)) fn(o);
     }
   };
@@ -384,7 +388,7 @@ void StaEngine::build_structure() {
     if (!part_[static_cast<std::size_t>(p)]) continue;
     const Pin& pp = nl_.pin(p);
     if (pp.dir != PinDir::Input) continue;
-    const CellKind k = nl_.cell(pp.cell).kind;
+    const CellKind k = nl_.cell_kind(pp.cell);
     if (k != CellKind::Seq && k != CellKind::Macro &&
         k != CellKind::PrimaryOut)
       continue;
@@ -409,8 +413,9 @@ void StaEngine::build_structure() {
   net_arc_delay_.assign(np, 0.0);
   arc_off_.assign(np + 1, 0);
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const Cell& cc = nl_.cell(c);
-    if (!cc.is_comb() || clkbuf_[static_cast<std::size_t>(c)]) continue;
+    if (nl_.cell_kind(c) != CellKind::Comb ||
+        clkbuf_[static_cast<std::size_t>(c)])
+      continue;
     const std::size_t nin = nl_.input_pins_of(c).size();
     for (PinId o : nl_.output_pins_of(c)) {
       arc_off_[static_cast<std::size_t>(o) + 1] = static_cast<int>(nin * 2);
@@ -464,7 +469,7 @@ double StaEngine::arc_derate(CellId cell, PinId in_pin) const {
   if (!opt_.boundary_derates || d_.num_tiers() < 2) return 1.0;
   const Pin& pp = nl_.pin(in_pin);
   if (pp.net == kInvalidId) return 1.0;
-  const PinId drv = nl_.net(pp.net).driver;
+  const PinId drv = nl_.net_driver(pp.net);
   if (drv == kInvalidId) return 1.0;
   const int tier_drv = d_.tier(nl_.pin(drv).cell);
   const int tier_cell = d_.tier(cell);
@@ -476,11 +481,10 @@ double StaEngine::arc_derate(CellId cell, PinId in_pin) const {
 
 void StaEngine::init_launch(PinId p) {
   const Pin& pp = nl_.pin(p);
-  const Cell& cc = nl_.cell(pp.cell);
   const double lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(pp.cell);
   const std::size_t K = static_cast<std::size_t>(K_);
   const std::size_t pb = static_cast<std::size_t>(p) * K;
-  switch (cc.kind) {
+  switch (nl_.cell_kind(pp.cell)) {
     case CellKind::PrimaryIn:
       for (int t : {0, 1}) {
         // PI arrival/slew are external constraints (set_input_delay), not
@@ -631,15 +635,15 @@ void StaEngine::eval_endpoint(PinId p) {
   const auto pi = static_cast<std::size_t>(p);
   const int ei = ep_index_[pi];
   const Pin& pp = nl_.pin(p);
-  const Cell& cc = nl_.cell(pp.cell);
+  const CellKind kind = nl_.cell_kind(pp.cell);
   double setup = 0.0;
   double lat = 0.0;
   double hold_req = 0.0;
-  if (cc.kind == CellKind::Seq) {
+  if (kind == CellKind::Seq) {
     setup = d_.lib_cell(pp.cell)->setup_ns;
     hold_req = d_.lib_cell(pp.cell)->hold_ns;
     lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(pp.cell);
-  } else if (cc.kind == CellKind::Macro) {
+  } else if (kind == CellKind::Macro) {
     setup = d_.macro(pp.cell)->setup_ns;
     lat = opt_.ideal_clock ? 0.0 : d_.clock_latency(pp.cell);
   } else {  // PrimaryOut
@@ -651,7 +655,7 @@ void StaEngine::eval_endpoint(PinId p) {
   const std::size_t eb = static_cast<std::size_t>(ei) * K;
   // Hold check (min-delay race): earliest arrival vs capture edge.
   std::fill_n(ep_hold_.data() + eb, K, kPosInf);
-  if (opt_.hold_analysis && cc.kind != CellKind::PrimaryOut) {
+  if (opt_.hold_analysis && kind != CellKind::PrimaryOut) {
     for (std::size_t k = 0; k < K; ++k) {
       double earliest = kPosInf;
       for (int t : {0, 1})
@@ -712,8 +716,8 @@ void StaEngine::compute_required(PinId p) {
       }
     }
   } else {
-    const Cell& cc = nl_.cell(pp.cell);
-    if (cc.is_comb() && !clkbuf_[static_cast<std::size_t>(pp.cell)]) {
+    if (nl_.cell_kind(pp.cell) == CellKind::Comb &&
+        !clkbuf_[static_cast<std::size_t>(pp.cell)]) {
       // Gather through this cell's arcs: required at each output minus the
       // stored forward arc delay (scaled by the lane's corner factor, the
       // exact delay the forward pass added), with the inverting transition
@@ -746,8 +750,8 @@ void StaEngine::compute_port_latency() {
     double sum = 0.0;
     int count = 0;
     for (CellId c = 0; c < nl_.cell_count(); ++c) {
-      const Cell& cc = nl_.cell(c);
-      if (!cc.is_sequential() && !cc.is_macro()) continue;
+      const CellKind k = nl_.cell_kind(c);
+      if (k != CellKind::Seq && k != CellKind::Macro) continue;
       sum += d_.clock_latency(c);
       ++count;
     }
@@ -963,16 +967,16 @@ void StaEngine::retime_cone(const std::vector<CellId>& dirty) {
     for (PinId p : nl_.cell(c).pins) {
       seed(p);
       const NetId n = nl_.pin(p).net;
-      if (n == kInvalidId || nl_.net(n).is_clock) continue;
+      if (n == kInvalidId || nl_.net_is_clock(n)) continue;
       if (net_seen_[static_cast<std::size_t>(n)]) continue;
       net_seen_[static_cast<std::size_t>(n)] = 1;
-      const auto& net = nl_.net(n);
-      if (net.driver != kInvalidId) seed(net.driver);
+      if (const PinId drv = nl_.net_driver(n); drv != kInvalidId) seed(drv);
       nl_.for_each_sink(n, [&](PinId s) {
         seed(s);
         const CellId sc = nl_.pin(s).cell;
-        const Cell& scc = nl_.cell(sc);
-        if (!scc.is_comb() || clkbuf_[static_cast<std::size_t>(sc)]) return;
+        if (nl_.cell_kind(sc) != CellKind::Comb ||
+            clkbuf_[static_cast<std::size_t>(sc)])
+          return;
         for (PinId o : nl_.output_pins_of(sc)) seed(o);
       });
     }
