@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "gen/designs.hpp"
 #include "netlist/design.hpp"
 #include "netlist/verilog_reader.hpp"
@@ -11,6 +13,7 @@
 #include "route/route.hpp"
 #include "tech/liberty.hpp"
 #include "tech/library_factory.hpp"
+#include "util/rng.hpp"
 
 namespace mg = m3d::gen;
 namespace mn = m3d::netlist;
@@ -126,6 +129,23 @@ mn::Netlist sample() {
   g.scale = 0.06;
   return mg::make_cpu(g);  // has macros, flops, clock net, ports
 }
+
+/// A hand-written module: blank lines, indentation, a plain comment.
+const char* const kAdder = R"(
+    module adder (
+      input a,
+      input b,
+      output s
+    );
+      wire na;  // plain
+      wire nb;
+      wire ns;
+      assign na = a;
+      assign nb = b;
+      XOR2_X2 u0 (.A0(na), .A1(nb), .Z(ns));
+      assign s = ns;
+    endmodule
+  )";
 }  // namespace
 
 TEST(Verilog, RoundTripPreservesStats) {
@@ -237,28 +257,292 @@ TEST(Verilog, ReaderRejectsMalformedInput) {
 }
 
 TEST(Verilog, HandwrittenModuleParses) {
-  const std::string text = R"(
-    module adder (
-      input a,
-      input b,
-      output s
-    );
-      wire na;  // plain
-      wire nb;
-      wire ns;
-      assign na = a;
-      assign nb = b;
-      XOR2_X2 u0 (.A0(na), .A1(nb), .Z(ns));
-      assign s = ns;
-    endmodule
-  )";
-  const auto nl = mn::parse_verilog(text);
+  const auto nl = mn::parse_verilog(kAdder);
   EXPECT_EQ(nl.name(), "adder");
   EXPECT_EQ(nl.stats().cells, 1);
   EXPECT_EQ(nl.stats().ports, 3);
   const auto& gate = nl.cell(3);
   EXPECT_EQ(gate.func, m3d::tech::CellFunc::Xor2);
   EXPECT_EQ(gate.drive, 2);
+}
+
+// ------------------------------------------- open pins, errors, fixed point
+
+namespace {
+
+/// A netlist validate() accepts that has unconnected pins: an inverter
+/// whose output drives nothing, a flop whose Q is unused, and a macro
+/// with an unused second output Z1.
+mn::Netlist open_pins() {
+  mn::Netlist nl("open_pins");
+  const auto a = nl.add_input_port("a");
+  const auto clk = nl.add_input_port("clk");
+  const auto z = nl.add_output_port("z");
+  const auto na = nl.add_net("na");
+  const auto nclk = nl.add_net("nclk", /*is_clock=*/true);
+  const auto nz = nl.add_net("nz");
+  nl.connect(na, nl.output_pin(a));
+  nl.connect(nclk, nl.output_pin(clk));
+  nl.connect(nz, nl.input_pin(z, 0));
+  const auto inv = nl.add_comb("u_inv", mt::CellFunc::Inv, 1);
+  nl.connect(na, nl.input_pin(inv, 0));
+  const auto ff = nl.add_dff("u_ff", 1);
+  nl.connect(na, nl.input_pin(ff, 0));
+  nl.connect(nclk, nl.clock_pin(ff));
+  const auto ram = nl.add_macro("u_ram", "SRAM_1KX32", 2, 2);
+  nl.connect(na, nl.input_pin(ram, 0));
+  nl.connect(na, nl.input_pin(ram, 1));
+  nl.connect(nclk, nl.clock_pin(ram));
+  nl.connect(nz, nl.output_pin(ram, 0));
+  nl.validate();
+  return nl;
+}
+
+/// Every column the reader fills agrees between `a` and `b`: per cell its
+/// kind, function, drive, names and pins; per net its name, clock flag,
+/// driver and pin list in order; per pin its net.
+void expect_same_columns(const mn::Netlist& a, const mn::Netlist& b) {
+  ASSERT_EQ(a.name(), b.name());
+  ASSERT_EQ(a.cell_count(), b.cell_count());
+  ASSERT_EQ(a.net_count(), b.net_count());
+  ASSERT_EQ(a.pin_count(), b.pin_count());
+  for (mn::CellId c = 0; c < a.cell_count(); ++c) {
+    const mn::Cell& x = a.cell(c);
+    const mn::Cell& y = b.cell(c);
+    ASSERT_EQ(static_cast<int>(x.kind), static_cast<int>(y.kind)) << c;
+    ASSERT_EQ(static_cast<int>(x.func), static_cast<int>(y.func)) << c;
+    ASSERT_EQ(x.drive, y.drive) << "cell " << c;
+    ASSERT_EQ(x.name, y.name) << "cell " << c;
+    ASSERT_EQ(x.macro_name, y.macro_name) << "cell " << c;
+    ASSERT_TRUE(x.pins == y.pins) << "cell " << c;
+  }
+  for (mn::NetId n = 0; n < a.net_count(); ++n) {
+    const mn::Net& x = a.net(n);
+    const mn::Net& y = b.net(n);
+    ASSERT_EQ(x.name, y.name) << "net " << n;
+    ASSERT_EQ(x.is_clock, y.is_clock) << "net " << n;
+    ASSERT_EQ(x.driver, y.driver) << "net " << n;
+    ASSERT_TRUE(x.pins == y.pins) << "net " << n << " pin list";
+  }
+  for (mn::PinId p = 0; p < a.pin_count(); ++p)
+    ASSERT_EQ(a.pin(p).net, b.pin(p).net) << "pin " << p;
+}
+
+/// Parsing `text` throws a util::Error whose message contains `fragment`
+/// and names `line` ("line N", N not followed by another digit).
+void expect_error_at(const std::string& text, const std::string& fragment,
+                     int line) {
+  try {
+    mn::parse_verilog(text);
+    ADD_FAILURE() << "parsed despite '" << fragment << "'";
+  } catch (const m3d::util::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(fragment), std::string::npos) << msg;
+    const std::string at = "line " + std::to_string(line);
+    const std::size_t pos = msg.find(at);
+    const std::size_t end = pos + at.size();
+    EXPECT_TRUE(pos != std::string::npos &&
+                (end == msg.size() ||
+                 !std::isdigit(static_cast<unsigned char>(msg[end]))))
+        << msg;
+  }
+}
+
+}  // namespace
+
+TEST(Verilog, OpenPinsRoundTrip) {
+  const auto orig = open_pins();
+  const std::string text = mn::verilog_string(orig);
+  EXPECT_NE(text.find("u_inv (.A0(na), .Z(/*open*/));"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("u_ff (.A0(na), .CK(nclk), .Z(/*open*/));"),
+            std::string::npos);
+  EXPECT_NE(text.find(".Z(nz), .Z1(/*open*/));"), std::string::npos);
+
+  const auto back = mn::parse_verilog(text);
+  EXPECT_EQ(mn::verilog_string(back), text);
+  expect_same_columns(orig, back);
+  EXPECT_EQ(back.output_pins_of(5).size(), 2u);  // u_ram keeps its Z1
+
+  // An open input still fails validate(), which names the cell.
+  std::string open_input = text;
+  const std::string conn = "u_inv (.A0(na)";
+  open_input.replace(open_input.find(conn), conn.size(), "u_inv (.A0()");
+  try {
+    mn::parse_verilog(open_input);
+    ADD_FAILURE() << "an open input parsed";
+  } catch (const m3d::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unconnected input pin on cell u_inv"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Verilog, ErrorsNameTheirLine) {
+  // Lines 1-6 declare and bind the nets, line 7 is the statement under
+  // test, and a valid statement follows it.
+  const auto module = [](const std::string& stmt) {
+    return "module m (input a, input clk, output z);\n"
+           "  wire n;\n"
+           "  wire o;\n"
+           "  wire c;  // clock\n"
+           "  assign n = a;\n"
+           "  assign c = clk;\n"
+           "  " +
+           stmt +
+           "\n"
+           "  assign z = o;\n"
+           "endmodule\n";
+  };
+  struct Case {
+    const char* stmt;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"INV_X1 u (.A0(nope), .Z(o));", "undeclared net 'nope'"},
+      {"INV_X1 u (.A0(n), .Q0(o));", "unknown pin 'Q0' on u"},
+      {"INV_X1 u (.Ax(n), .Z(o));", "pin: malformed value 'Ax'"},
+      {"INV_X99999999999 u (.A0(n), .Z(o));",
+       "cell type: malformed value 'INV_X99999999999'"},
+      {"RAM u (.A0(n));", "macro 'u' needs A and Z pins"},
+      {"INV_X1 u (.A0(n), .A0(n), .Z(o));", "pin already connected (cell u)"},
+      {"INV_X1 u (.A0(o), .Z(n));", "net n already has a driver"},
+      {"INV_X1 u (.A5(n), .Z(o));", "cell u has no input pin 5"},
+      {"INV_X1 \\ u (.A0(n), .Z(o));", "empty escaped identifier"},
+      {"INV_X1 u (.A0(n), .CK(c), .Z(o));", "cell u has no clock pin"},
+      {"assign n = o;", "assign without a port"},
+      // A statement over three lines names the line it starts on.
+      {"INV_X1 u (\n    .A0(nope),\n    .Z(o));", "undeclared net 'nope'"},
+      // Syntax errors name the offending token's line.
+      {"INV_X1 u (.A0(n), .Z(o);", "expected '.' at line 7, got ';'"},
+      {"/* open", "unterminated comment"},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.stmt);
+    expect_error_at(module(k.stmt), k.error, 7);
+  }
+  expect_error_at("module m ();\n  wire w;\n", "missing endmodule", 3);
+  expect_error_at("module m (\n  inout a\n);\nendmodule\n",
+                  "bad port direction 'inout'", 2);
+}
+
+// Writer → reader → writer is the identity on the text, and two parses of
+// that text agree in every column, so the ids and each net's pin order
+// (which mesh_structural's op digest depends on) are the reader's own
+// and stable. (The generators' net pin order differs from the reader's,
+// so the second netlist is compared with a parse, not with the generator.)
+TEST(Verilog, ReparseIsAFixedPoint) {
+  for (const char* design : {"aes", "ldpc", "netcard", "cpu", "mesh"}) {
+    SCOPED_TRACE(design);
+    mg::GenOptions g;
+    g.scale = 0.05;
+    const std::string t = mn::verilog_string(mg::make_design(design, g));
+    const auto a = mn::parse_verilog(t);
+    EXPECT_EQ(mn::verilog_string(a), t);
+    const auto b = mn::parse_verilog(mn::verilog_string(a));
+    expect_same_columns(a, b);
+  }
+  SCOPED_TRACE("open pins");
+  const std::string t = mn::verilog_string(open_pins());
+  const auto a = mn::parse_verilog(t);
+  EXPECT_EQ(mn::verilog_string(a), t);
+  expect_same_columns(a, mn::parse_verilog(mn::verilog_string(a)));
+}
+
+// ----------------------------------------------------------------- fuzzing
+
+namespace {
+
+/// `text` with one random edit: a flipped, inserted or deleted byte; a
+/// deleted or duplicated line; a truncation; or an inserted `\`, `/*`,
+/// `(`, `.` or run of digits.
+std::string mutate(const std::string& text, m3d::util::Rng& rng) {
+  std::string m = text;
+  const auto at = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(m.size()) - 1));
+  const std::size_t nl_before = m.rfind('\n', at);
+  const std::size_t line_begin =
+      nl_before == std::string::npos ? 0 : nl_before + 1;
+  const std::size_t nl_after = m.find('\n', at);
+  const std::size_t line_end =
+      nl_after == std::string::npos ? m.size() : nl_after + 1;
+  switch (rng.uniform_int(0, 10)) {
+    case 0:
+      m[at] = static_cast<char>(m[at] ^ rng.uniform_int(1, 255));
+      break;
+    case 1:
+      m.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+      break;
+    case 2:
+      m.erase(at, 1);
+      break;
+    case 3:
+      m.erase(line_begin, line_end - line_begin);
+      break;
+    case 4:
+      m.insert(line_begin, m.substr(line_begin, line_end - line_begin));
+      break;
+    case 5:
+      m.resize(at);
+      break;
+    case 6:
+      m.insert(at, "\\");
+      break;
+    case 7:
+      m.insert(at, "/*");
+      break;
+    case 8:
+      m.insert(at, "(");
+      break;
+    case 9:
+      m.insert(at, ".");
+      break;
+    default: {
+      std::string digits(static_cast<std::size_t>(rng.uniform_int(1, 12)),
+                         '0');
+      for (char& d : digits) d = static_cast<char>('0' + rng.uniform_int(0, 9));
+      m.insert(at, digits);
+    }
+  }
+  return m;
+}
+
+/// Parses `mutants` mutants of small writer texts and the hand-written
+/// adder. Each must parse or throw util::Error: any other exception fails
+/// the test, and a crash or sanitizer report ends it.
+void fuzz_reader(int mutants, std::uint64_t seed) {
+  mg::GenOptions g;
+  g.scale = 0.02;  // the generators' smallest mesh and cpu
+  const std::string corpus[] = {mn::verilog_string(mg::make_mesh(g)),
+                                mn::verilog_string(mg::make_cpu(g)), kAdder};
+  m3d::util::Rng rng(seed);
+  int parsed = 0, rejected = 0;
+  for (int i = 0; i < mutants; ++i) {
+    const std::string text = mutate(corpus[i % 3], rng);
+    try {
+      mn::parse_verilog(text);
+      ++parsed;
+    } catch (const m3d::util::Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "mutant " << i << " threw a non-std exception";
+    }
+  }
+  EXPECT_EQ(parsed + rejected, mutants);
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+}  // namespace
+
+TEST(VerilogFuzz, MutantsParseOrThrowTypedErrors) { fuzz_reader(2000, 24); }
+
+// Ten times deeper; the ASan+UBSan CI job runs it through
+// --gtest_also_run_disabled_tests.
+TEST(VerilogFuzz, DISABLED_DeepMutantsParseOrThrowTypedErrors) {
+  fuzz_reader(20000, 2024);
 }
 
 // ------------------------------------------------------- numeric tokens
