@@ -11,11 +11,15 @@
 /// clock net before routing, exactly as the full flow does.
 ///
 /// Emits <artifact_dir>/BENCH_scale.json with, per point: cell/net
-/// counts, per-stage and total seconds, peak RSS, and `linear_ratio` —
-/// (total_s / cells) normalized to the first (smallest) point. A curve
-/// whose ratios stay near 1.0 is linear in the cell count; the CI
-/// scale-smoke job asserts a budgeted single point, the full sweep is for
-/// the artifact.
+/// counts, per-stage and total seconds, peak RSS, `linear_ratio` —
+/// (total_s / cells) normalized to the first (smallest) point — and
+/// `digest`, a hex digest of the final design (netlist::state_digest) and
+/// of a single-corner signoff STA at 1.0 ns (sta::timing_fingerprint),
+/// both taken after the timed stages. A curve whose ratios stay near 1.0
+/// is linear in the cell count; the CI scale-smoke job asserts a budgeted
+/// single point and reruns it at one worker, whose digest must match, and
+/// the full sweep is for the artifact. The host's core count is recorded
+/// as `nproc`.
 ///
 /// Knobs: M3D_SCALE_POINTS — comma-separated generator scales (e.g.
 /// "1,4,16"; an element that is not one whole number throws, and
@@ -28,9 +32,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -44,6 +50,7 @@
 #include "sta/sta.hpp"
 #include "tech/corners.hpp"
 #include "util/env.hpp"
+#include "util/hash.hpp"
 #include "util/main.hpp"
 
 namespace {
@@ -79,6 +86,7 @@ struct Point {
   long rss_kb = 0;
   double wirelength_um = 0.0;
   int cut = 0;
+  std::uint64_t digest = 0;  ///< final state + signoff timing
 };
 
 int run(int, char**) {
@@ -122,12 +130,14 @@ int run(int, char**) {
 
     // CTS before routing, as in run_flow: the raw clock net (2·lw per
     // router tile — 400k sinks at scale 100) is replaced by a buffered
-    // tree of small subnets. Routing the raw net instead would walk
-    // Θ(k^1.5) tree-path hops for the per-sink delays, which no real
-    // flow stage does.
+    // tree of small subnets, and the latencies are annotated again at the
+    // legal positions. Routing the raw net instead would walk Θ(k^1.5)
+    // tree-path hops for the per-sink delays, which no real flow stage
+    // does.
     t = Clock::now();
     m3d::cts::build_clock_tree(d);
     m3d::place::legalize(d);
+    m3d::cts::annotate_clock_latencies(d);
     p.cts_s = seconds_since(t);
 
     // Route on the shared pool, as run_flow does; per-net results and
@@ -153,6 +163,16 @@ int run(int, char**) {
 
     p.total_s = seconds_since(t_total);
     p.rss_kb = m3d::bench::peak_rss_kb();
+
+    // Untimed, and after the RSS sample: the digest every pool size must
+    // reproduce.
+    d.set_clock_period_ns(1.0);
+    m3d::sta::StaOptions signoff;
+    signoff.pool = &m3d::exec::Pool::global();
+    m3d::util::Hasher h;
+    h.mix(m3d::netlist::state_digest(d));
+    h.mix(m3d::sta::timing_fingerprint(m3d::sta::run_sta(d, &est, signoff)));
+    p.digest = h.h;
     points.push_back(p);
 
     const double base =
@@ -170,7 +190,10 @@ int run(int, char**) {
   const double base =
       points.front().total_s / std::max(1, points.front().cells);
   os << "{\n  \"design\": \"mesh\",\n  \"stages\": "
-        "\"generate+place+partition+cts+route\",\n  \"points\": [\n";
+        "\"generate+place+partition+cts+route\",\n  \"nproc\": "
+     << std::thread::hardware_concurrency()
+     << ",\n  \"pool_workers\": " << m3d::exec::Pool::global().size()
+     << ",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     const double ratio = (p.total_s / std::max(1, p.cells)) / base;
@@ -181,10 +204,12 @@ int run(int, char**) {
         "\"place_s\": %.3f, \"part_s\": %.3f, \"cts_s\": %.3f, "
         "\"route_s\": %.3f, \"sta_s\": %.3f, \"sta_corners\": %d, "
         "\"total_s\": %.3f, \"peak_rss_kb\": %ld, \"wirelength_um\": %.0f, "
-        "\"cut\": %d, \"linear_ratio\": %.3f}%s\n",
+        "\"cut\": %d, \"linear_ratio\": %.3f, \"digest\": \"%016" PRIx64
+        "\"}%s\n",
         p.scale, p.cells, p.nets, p.gen_s, p.place_s, p.part_s, p.cts_s,
         p.route_s, p.sta_s, p.sta_corners, p.total_s, p.rss_kb,
-        p.wirelength_um, p.cut, ratio, i + 1 < points.size() ? "," : "");
+        p.wirelength_um, p.cut, ratio, p.digest,
+        i + 1 < points.size() ? "," : "");
     os << buf;
   }
   os << "  ]\n}\n";

@@ -11,6 +11,7 @@
 
 namespace m3d::cts {
 
+using netlist::CellKind;
 using netlist::kBottomTier;
 using netlist::kInvalidId;
 using netlist::kTopTier;
@@ -267,6 +268,72 @@ bool is_clock_buffer_cell(const Design& d, CellId c) {
          d.nl().net(d.nl().pin(out[0]).net).is_clock;
 }
 
+/// SinkStep::next of a flop or macro sink: the walk ends there with a
+/// latency.
+constexpr NetId kLatencySink = -2;
+
+/// What the latency walk does at one sink of a clock net.
+struct SinkStep {
+  double wire_ns = 0.0;  ///< wire (and MIV) delay from the driver
+  CellId cell = kInvalidId;
+  /// kLatencySink, the net a combinational sink drives from its first
+  /// output (the walk recurses into it), or kInvalidId (the walk stops).
+  NetId next = kInvalidId;
+};
+
+/// What the latency walk adds along one clock net.
+struct NetTiming {
+  double length_um = 0.0;  ///< routed wirelength
+  /// Insertion delay of the driving cell when it is a combinational
+  /// cell's first output, at this net's routed load; 0 otherwise.
+  double buffer_ns = 0.0;
+};
+
+/// Route net `n` and time it: fills one step per sink (sinks_into()
+/// order) into `steps`.
+NetTiming time_clock_net(const Design& d, NetId n,
+                         route::RouteScratch& scratch, SinkStep* steps) {
+  const Netlist& nl = d.nl();
+  const auto& wire = d.lib(kBottomTier).wire();
+  const auto& miv = d.lib(kBottomTier).miv();
+  const route::NetRoute nr = route::route_net(d, n, scratch);
+  NetTiming nt;
+  nt.length_um = nr.length_um;
+  double load = nr.wire_cap_ff;
+  std::size_t i = 0;
+  nl.for_each_sink(n, [&](PinId s) {
+    const double cap = d.pin_cap_ff(s);
+    load += cap;
+    const double len = i < nr.sink_path_um.size() ? nr.sink_path_um[i] : 0.0;
+    SinkStep& st = steps[i];
+    st.wire_ns = wire.elmore_ns(len, cap);
+    if (i < nr.sink_crosses_tier.size() && nr.sink_crosses_tier[i])
+      st.wire_ns += miv.res_kohm * cap * tech::kRCtoNs;
+    st.cell = nl.pin(s).cell;
+    st.next = kInvalidId;
+    const CellKind kind = nl.cell_kind(st.cell);
+    if (kind == CellKind::Seq || kind == CellKind::Macro) {
+      st.next = kLatencySink;
+    } else if (kind == CellKind::Comb) {
+      const auto outs = nl.output_pins_of(st.cell);
+      if (!outs.empty()) st.next = nl.pin(outs[0]).net;
+    }
+    ++i;
+  });
+  const PinId drv = nl.net_driver(n);
+  const CellId dc = nl.pin(drv).cell;
+  if (nl.cell_kind(dc) == CellKind::Comb && !nl.input_pins_of(dc).empty() &&
+      nl.output_pins_of(dc)[0] == drv) {
+    const auto& arc = d.lib_cell(dc)->arc(0);
+    nt.buffer_ns =
+        0.5 * (arc.delay[static_cast<int>(Transition::Rise)].lookup(
+                   kClockSlew, load) +
+               arc.delay[static_cast<int>(Transition::Fall)].lookup(
+                   kClockSlew, load));
+  }
+  return nt;
+}
+
 }  // namespace
 
 ClockTreeReport build_clock_tree(Design& d, const CtsOptions& opt) {
@@ -395,99 +462,95 @@ ClockTreeReport annotate_clock_latencies(Design& d, exec::Pool* pool) {
   const NetId root = find_clock_root(d);
   M3D_CHECK(root != kInvalidId);
 
-  // Pre-compute per-clock-net routed load.
-  const auto& wire = d.lib(kBottomTier).wire();
-  const auto& miv = d.lib(kBottomTier).miv();
-
-  // Pre-route every driven clock net — the expensive part of the walk — as
-  // a pooled gather in fixed 128-net chunks (one net per slot); the DFS
-  // below then only looks routes up, so its latency arithmetic runs in the
-  // exact serial order.
+  // Time every driven clock net — route it, then each sink's wire delay
+  // and its driving buffer's insertion delay — as a pooled gather in fixed
+  // 128-net chunks, each net writing only its own slots. The walk below
+  // then only adds, in the exact serial order.
   std::vector<NetId> clock_nets;
-  std::vector<int> route_index(static_cast<std::size_t>(nl.net_count()), -1);
+  std::vector<int> net_index(static_cast<std::size_t>(nl.net_count()), -1);
+  std::vector<int> step_off{0};
   for (NetId n = 0; n < nl.net_count(); ++n) {
-    const auto& net = nl.net(n);
-    if (!net.is_clock || net.driver == kInvalidId) continue;
-    route_index[static_cast<std::size_t>(n)] =
+    if (!nl.net_is_clock(n) || nl.net_driver(n) == kInvalidId) continue;
+    net_index[static_cast<std::size_t>(n)] =
         static_cast<int>(clock_nets.size());
     clock_nets.push_back(n);
+    step_off.push_back(step_off.back() + nl.fanout(n));
   }
-  std::vector<route::NetRoute> clock_routes(clock_nets.size());
-  {
-    constexpr int kChunk = 128;
-    const int count = static_cast<int>(clock_nets.size());
-    exec::pool_or_global(pool).parallel_for(
-        0, (count + kChunk - 1) / kChunk,
-        [&](int c) {
-          route::RouteScratch scratch;
-          const int hi = std::min(count, (c + 1) * kChunk);
-          for (int i = c * kChunk; i < hi; ++i)
-            clock_routes[static_cast<std::size_t>(i)] = route::route_net(
-                d, clock_nets[static_cast<std::size_t>(i)], scratch);
-        },
-        /*grain=*/1);
-  }
+  const int count = static_cast<int>(clock_nets.size());
+  std::vector<NetTiming> timing(clock_nets.size());
+  std::vector<SinkStep> steps(static_cast<std::size_t>(step_off.back()));
+  std::vector<CellId> buffer_of(clock_nets.size(), kInvalidId);
+  exec::for_chunks(
+      exec::pool_or_global(pool), count, /*chunk=*/128,
+      [&](int, int lo, int hi) {
+        route::RouteScratch scratch;
+        for (int i = lo; i < hi; ++i) {
+          const auto ii = static_cast<std::size_t>(i);
+          const NetId n = clock_nets[ii];
+          timing[ii] =
+              time_clock_net(d, n, scratch, steps.data() + step_off[ii]);
+          // Each clock buffer's first output drives exactly one clock
+          // net, which names it here.
+          const PinId drv = nl.net_driver(n);
+          const CellId dc = nl.pin(drv).cell;
+          if (is_clock_buffer_cell(d, dc) && nl.output_pins_of(dc)[0] == drv)
+            buffer_of[ii] = dc;
+        }
+      });
 
-  // Iterative DFS over (net, arrival-at-driver-output).
+  // Iterative DFS over (net, arrival-at-driver-output). A net off the
+  // clock nets (a walk through a non-clock cell) is timed where it is met,
+  // into `walk` when the walk visits it and into `probe` when only its
+  // driver's insertion delay is needed.
+  route::RouteScratch scratch;
+  std::vector<SinkStep> walk, probe;
+  const auto time_met = [&](NetId n, std::vector<SinkStep>& buf) {
+    buf.resize(static_cast<std::size_t>(nl.fanout(n)));
+    return time_clock_net(d, n, scratch, buf.data());
+  };
   std::vector<std::pair<NetId, double>> stack{{root, 0.0}};
-  std::vector<PinId> sink_buf;
   bool any_sink = false;
   rep.min_latency_ns = std::numeric_limits<double>::max();
   while (!stack.empty()) {
     const auto [net_id, arr] = stack.back();
     stack.pop_back();
-    const auto& net = nl.net(net_id);
-    if (net.driver == kInvalidId) continue;
-    const int ri = route_index[static_cast<std::size_t>(net_id)];
-    route::NetRoute fallback;
-    if (ri < 0) fallback = route::route_net(d, net_id);
-    const route::NetRoute& nr =
-        ri >= 0 ? clock_routes[static_cast<std::size_t>(ri)] : fallback;
-    rep.wirelength_um += nr.length_um;
-    nl.sinks_into(net_id, sink_buf);
-    for (std::size_t i = 0; i < sink_buf.size(); ++i) {
-      const PinId s = sink_buf[i];
-      const double len =
-          i < nr.sink_path_um.size() ? nr.sink_path_um[i] : 0.0;
-      double wire_delay = wire.elmore_ns(len, d.pin_cap_ff(s));
-      if (i < nr.sink_crosses_tier.size() && nr.sink_crosses_tier[i])
-        wire_delay += miv.res_kohm * d.pin_cap_ff(s) * tech::kRCtoNs;
-      const double at_sink = arr + wire_delay;
-      const CellId sc = nl.pin(s).cell;
-      const auto& scc = nl.cell(sc);
-      if (scc.is_sequential() || scc.is_macro()) {
-        d.set_clock_latency(sc, at_sink);
+    if (nl.net_driver(net_id) == kInvalidId) continue;
+    const int ni = net_index[static_cast<std::size_t>(net_id)];
+    const NetTiming nt = ni >= 0 ? timing[static_cast<std::size_t>(ni)]
+                                 : time_met(net_id, walk);
+    const SinkStep* sink =
+        ni >= 0 ? steps.data() + step_off[static_cast<std::size_t>(ni)]
+                : walk.data();
+    rep.wirelength_um += nt.length_um;
+    const int fanout = nl.fanout(net_id);
+    for (int i = 0; i < fanout; ++i) {
+      const SinkStep& s = sink[i];
+      const double at_sink = arr + s.wire_ns;
+      if (s.next == kLatencySink) {
+        d.set_clock_latency(s.cell, at_sink);
         rep.max_latency_ns = std::max(rep.max_latency_ns, at_sink);
         rep.min_latency_ns = std::min(rep.min_latency_ns, at_sink);
         ++rep.sink_count;
         any_sink = true;
-      } else if (scc.is_comb()) {
+      } else if (s.next != kInvalidId) {
         // A clock buffer: add its insertion delay and recurse.
-        const tech::LibCell* lc = d.lib_cell(sc);
-        const auto outs = nl.output_pins_of(sc);
-        if (outs.empty() || nl.pin(outs[0]).net == kInvalidId) continue;
-        const NetId onet = nl.pin(outs[0]).net;
-        const int oi = route_index[static_cast<std::size_t>(onet)];
-        double load = oi >= 0
-                          ? clock_routes[static_cast<std::size_t>(oi)]
-                                .wire_cap_ff
-                          : route::route_net(d, onet).wire_cap_ff;
-        nl.for_each_sink(onet, [&](PinId q) { load += d.pin_cap_ff(q); });
-        const auto& arc = lc->arc(0);
-        const double dly =
-            0.5 * (arc.delay[static_cast<int>(Transition::Rise)].lookup(
-                       kClockSlew, load) +
-                   arc.delay[static_cast<int>(Transition::Fall)].lookup(
-                       kClockSlew, load));
-        stack.push_back({onet, at_sink + dly});
+        const int oi = net_index[static_cast<std::size_t>(s.next)];
+        const double dly = oi >= 0
+                               ? timing[static_cast<std::size_t>(oi)].buffer_ns
+                               : time_met(s.next, probe).buffer_ns;
+        stack.push_back({s.next, at_sink + dly});
       }
     }
   }
   if (!any_sink) rep.min_latency_ns = 0.0;
   rep.max_skew_ns = rep.max_latency_ns - rep.min_latency_ns;
 
-  for (CellId c = 0; c < nl.cell_count(); ++c) {
-    if (!is_clock_buffer_cell(d, c)) continue;
+  // Buffer area sums in cell order.
+  std::vector<CellId> buffers;
+  for (const CellId c : buffer_of)
+    if (c != kInvalidId) buffers.push_back(c);
+  std::sort(buffers.begin(), buffers.end());
+  for (const CellId c : buffers) {
     ++rep.buffer_count;
     ++rep.buffer_count_tier[d.tier(c) == kTopTier ? 1 : 0];
     rep.buffer_area_um2 += d.cell_area(c);

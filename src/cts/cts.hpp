@@ -47,10 +47,11 @@ struct CtsOptions {
   /// Skew balancing: pad fast leaf branches with delay buffers until every
   /// leaf's insertion delay is within one pad-buffer delay of the slowest.
   bool balance_skew = true;
-  /// Worker pool for the bisection planning and the clock-net routing
-  /// sweeps; nullptr means exec::Pool::global(). The built tree is bitwise
-  /// identical at any pool size (each subtree owns a precomputed counter
-  /// range), so this field must stay out of exec::FlowCache::options_hash.
+  /// Worker pool for the bisection planning and the clock-net routing and
+  /// timing sweeps; nullptr means exec::Pool::global(). The built tree is
+  /// bitwise identical at any pool size (each subtree owns a precomputed
+  /// counter range), so this field must stay out of
+  /// exec::FlowCache::options_hash.
   exec::Pool* pool = nullptr;
 };
 
@@ -73,10 +74,11 @@ struct ClockTreeReport {
 ClockTreeReport build_clock_tree(Design& d, const CtsOptions& opt = {});
 
 /// Recompute per-sink clock latencies from the current netlist + placement
-/// and store them in the design. Returns updated metrics. The clock nets
-/// are pre-routed in parallel on `pool` (exec::Pool::global() when null;
-/// the tree walk itself is serial); results are byte-identical at any
-/// pool size.
+/// and store them in the design. Returns updated metrics. Every clock net
+/// is routed and timed (each sink's wire delay, the insertion delay of its
+/// driving buffer) in parallel on `pool` (exec::Pool::global() when null);
+/// the tree walk then only adds, serially. Results are byte-identical at
+/// any pool size.
 ClockTreeReport annotate_clock_latencies(Design& d,
                                          exec::Pool* pool = nullptr);
 

@@ -171,6 +171,22 @@ inline Pool& pool_or_global(Pool* pool) {
   return pool != nullptr ? *pool : Pool::global();
 }
 
+/// fn(c, lo, hi) for every `chunk`-sized slice [lo, hi) of [0, n), slice c
+/// starting at c * chunk: one parallel_for over the slice indices, so a
+/// range of one slice runs inline. A sweep whose slice c writes only the
+/// slots of [lo, hi) (and its own slot c of a per-slice array) gives the
+/// same result at any pool size.
+template <typename Fn>
+void for_chunks(Pool& pool, int n, int chunk, Fn&& fn) {
+  pool.parallel_for(
+      0, (n + chunk - 1) / chunk,
+      [&](int c) {
+        const int lo = c * chunk;
+        fn(c, lo, lo + chunk < n ? lo + chunk : n);
+      },
+      /*grain=*/1);
+}
+
 /// Deterministic parallel gather: runs `fn(i, out)` for i in [0, n) where
 /// each chunk of `grain` items appends to its own vector, then
 /// concatenates the chunk results in ascending chunk order —

@@ -22,7 +22,10 @@
 /// instance's own connection list (A-pins in, Z-pins out, CK clock).
 ///
 /// Cells, nets and pins are created in file order, so writer → reader
-/// keeps every id and every net's pin order.
+/// keeps every id and every net's pin order. Names are unique: a second
+/// `wire` of one name, a second port of one name, or an instance named
+/// like a port or an earlier instance is an error. Nets and cells (ports
+/// and instances) are separate name spaces.
 ///
 /// Net activities are not part of Verilog; they reset to defaults
 /// (structure round-trips losslessly, activities do not).
@@ -31,7 +34,10 @@
 /// so nothing is allocated per token or per instance; one counting pass
 /// sizes the netlist and the name tables up front, and each net or port
 /// name reference costs one hash lookup (an `assign` tries its right-hand
-/// side as a port first). The parse is serial.
+/// side as a port first), and each wire name one hash insert. The cell
+/// names are checked once, after the last statement, by sorting their
+/// hashes, so a redeclared cell is reported after any error in a later
+/// statement. The parse is serial.
 
 #include <string>
 
@@ -41,9 +47,9 @@ namespace m3d::netlist {
 
 /// Parse structural Verilog text into a Netlist. Malformed input throws
 /// util::Error; a syntax error names the line of the offending token, and
-/// an error in a statement's meaning (an undeclared net, an unknown or
-/// twice-connected pin, a second driver, a malformed number) names the
-/// line the statement starts on.
+/// an error in a statement's meaning (an undeclared or redeclared name, an
+/// unknown or twice-connected pin, a second driver, a malformed number)
+/// names the line the statement starts on.
 ///
 /// Keep this exact signature: the benchmark's probe (m3dbench/probe.cpp)
 /// wraps the function by its mangled name.

@@ -14,8 +14,10 @@
 /// the probed candidates on the combined objective on the fly.
 ///
 /// Each pass is one serial select → commit loop; only the per-pass
-/// initial gain computation runs on the pool, so the committed move
-/// sequence is byte-identical at any pool size.
+/// initial gain computation and the engine's per-cell and per-net sweeps
+/// (net CSR, area cache, per-net tier counts) run on the pool, each slot
+/// with one writer, so the committed move sequence is byte-identical at
+/// any pool size.
 
 #include "part/fm.hpp"
 
@@ -34,6 +36,7 @@
 
 namespace m3d::part {
 
+using netlist::CellKind;
 using netlist::kInvalidId;
 using netlist::PinId;
 
@@ -205,6 +208,12 @@ struct GainBuckets {
 /// Cells per parallel_for chunk of the initial gain computation.
 constexpr int kGainChunk = 2048;
 
+/// Cells or nets per chunk of the engine's net-CSR, area and pin-count
+/// sweeps. Each chunk writes only its own cells' or nets' slots; a design
+/// under 16k cells and nets (the paper tables' designs) sweeps in one
+/// inline chunk.
+constexpr int kCountChunk = 1 << 14;
+
 /// FM over `num_regions` balance domains (one for whole-design FM, a
 /// placement bin each for the bin-based variant) on a stack of K >= 2
 /// tiers.
@@ -215,6 +224,7 @@ class KwayEngine {
       : d_(d),
         nl_(d.nl()),
         opt_(opt),
+        pool_(exec::pool_or_global(opt.pool)),
         K_(d.num_tiers()),
         region_(std::move(region)),
         nreg_(num_regions) {
@@ -335,6 +345,7 @@ class KwayEngine {
   Design& d_;
   const netlist::Netlist& nl_;
   const FmOptions& opt_;
+  exec::Pool& pool_;
   const int K_;
   std::vector<int> region_;
   int nreg_;
@@ -352,12 +363,10 @@ class KwayEngine {
 };
 
 void KwayEngine::build_net_csr() {
-  const std::size_t nc = static_cast<std::size_t>(nl_.cell_count());
-  csr_off_.assign(nc + 1, 0);
-  csr_.clear();
-  csr_.reserve(static_cast<std::size_t>(nl_.pin_count()));
-  std::vector<NetId> row;
-  for (CellId c = 0; c < nl_.cell_count(); ++c) {
+  // Per cell: the sorted, distinct signal nets of two or more pins on its
+  // pins. One sweep counts each row, a second fills it from its offset.
+  const int nc = nl_.cell_count();
+  const auto row_of = [&](CellId c, std::vector<NetId>& row) {
     row.clear();
     for (PinId p : nl_.cell(c).pins) {
       const NetId n = nl_.pin(p).net;
@@ -367,44 +376,86 @@ void KwayEngine::build_net_csr() {
     }
     std::sort(row.begin(), row.end());
     row.erase(std::unique(row.begin(), row.end()), row.end());
-    max_deg_ = std::max(max_deg_, static_cast<int>(row.size()));
-    csr_.insert(csr_.end(), row.begin(), row.end());
-    csr_off_[static_cast<std::size_t>(c) + 1] =
-        static_cast<int>(csr_.size());
+  };
+  const auto n_chunks = static_cast<std::size_t>(
+      (nc + kCountChunk - 1) / kCountChunk);
+  std::vector<int> chunk_start(n_chunks, 0);  // row total, then first slot
+  std::vector<int> chunk_max(n_chunks, 0);
+  csr_off_.resize(static_cast<std::size_t>(nc) + 1);
+  csr_off_[0] = 0;
+  exec::for_chunks(pool_, nc, kCountChunk, [&](int ch, int lo, int hi) {
+    std::vector<NetId> row;
+    int total = 0, max_deg = 0;
+    for (CellId c = lo; c < hi; ++c) {
+      row_of(c, row);
+      const int deg = static_cast<int>(row.size());
+      csr_off_[static_cast<std::size_t>(c) + 1] = deg;
+      total += deg;
+      max_deg = std::max(max_deg, deg);
+    }
+    chunk_start[static_cast<std::size_t>(ch)] = total;
+    chunk_max[static_cast<std::size_t>(ch)] = max_deg;
+  });
+  int run = 0;
+  for (std::size_t ch = 0; ch < n_chunks; ++ch) {
+    const int total = chunk_start[ch];
+    chunk_start[ch] = run;
+    run += total;
+    max_deg_ = std::max(max_deg_, chunk_max[ch]);
   }
+  csr_.resize(static_cast<std::size_t>(run));
+  exec::for_chunks(pool_, nc, kCountChunk, [&](int ch, int lo, int hi) {
+    std::vector<NetId> row;
+    int at = chunk_start[static_cast<std::size_t>(ch)];
+    for (CellId c = lo; c < hi; ++c) {
+      row_of(c, row);
+      std::copy(row.begin(), row.end(),
+                csr_.begin() + static_cast<std::ptrdiff_t>(at));
+      at += static_cast<int>(row.size());
+      csr_off_[static_cast<std::size_t>(c) + 1] = at;
+    }
+  });
 }
 
 void KwayEngine::build_area_cache() {
-  area_cache_.assign(
-      static_cast<std::size_t>(nl_.cell_count()) *
-          static_cast<std::size_t>(K_),
-      0.0);
-  for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const auto& cc = nl_.cell(c);
-    if (!cc.is_comb() && !cc.is_sequential() && !cc.is_macro()) continue;
-    for (int t = 0; t < K_; ++t)
-      area_cache_[idx(c, t)] = cell_area_on(d_, c, t);
-  }
+  const int nc = nl_.cell_count();
+  area_cache_.resize(static_cast<std::size_t>(nc) *
+                     static_cast<std::size_t>(K_));
+  exec::for_chunks(pool_, nc, kCountChunk, [&](int, int lo, int hi) {
+    for (CellId c = lo; c < hi; ++c) {
+      const auto& cc = nl_.cell(c);
+      const bool sized = cc.is_comb() || cc.is_sequential() || cc.is_macro();
+      for (int t = 0; t < K_; ++t)
+        area_cache_[idx(c, t)] = sized ? cell_area_on(d_, c, t) : 0.0;
+    }
+  });
 }
 
 void KwayEngine::rebuild_counts() {
-  const std::size_t nn = static_cast<std::size_t>(nl_.net_count());
-  cnt_.assign(nn * static_cast<std::size_t>(K_), 0);
-  occ_.assign(nn, 0);
-  for (NetId n = 0; n < nl_.net_count(); ++n) {
-    const auto& net = nl_.net(n);
-    if (net.is_clock || net.pins.size() < 2) continue;
-    for (PinId p : net.pins) ++cnt_[nidx(n, d_.tier(nl_.pin(p).cell))];
-    int o = 0;
-    for (int t = 0; t < K_; ++t) o += cnt_[nidx(n, t)] > 0;
-    occ_[static_cast<std::size_t>(n)] = o;
-  }
+  // Per net: pins per tier and occupied tiers, one writer per net.
+  const int nn = nl_.net_count();
+  cnt_.resize(static_cast<std::size_t>(nn) * static_cast<std::size_t>(K_));
+  occ_.resize(static_cast<std::size_t>(nn));
+  exec::for_chunks(pool_, nn, kCountChunk, [&](int, int lo, int hi) {
+    for (NetId n = lo; n < hi; ++n) {
+      int* cnt = cnt_.data() + nidx(n, 0);
+      std::fill_n(cnt, K_, 0);
+      const auto& net = nl_.net(n);
+      int o = 0;
+      if (!net.is_clock && net.pins.size() >= 2) {
+        for (PinId p : net.pins) ++cnt[d_.tier(nl_.pin(p).cell)];
+        for (int t = 0; t < K_; ++t) o += cnt[t] > 0;
+      }
+      occ_[static_cast<std::size_t>(n)] = o;
+    }
+  });
+  // The area sums stay in cell order.
   area_.assign(static_cast<std::size_t>(nreg_) * static_cast<std::size_t>(K_),
                0.0);
   global_.assign(static_cast<std::size_t>(K_), 0.0);
   for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    const auto& cc = nl_.cell(c);
-    if (!cc.is_comb() && !cc.is_sequential()) continue;
+    const CellKind k = nl_.cell_kind(c);
+    if (k != CellKind::Comb && k != CellKind::Seq) continue;
     const int t = d_.tier(c);
     const double a = area_on(c, t);
     area_[ridx(region_[static_cast<std::size_t>(c)], t)] += a;
@@ -678,7 +729,6 @@ int KwayEngine::run() {
   double cost = mu > 0.0 ? die_cost_now() : 0.0;
   double J = cut + mu * cost;
 
-  exec::Pool& pool = exec::pool_or_global(opt_.pool);
   const int nc = nl_.cell_count();
   const bool tracing = util::trace_enabled();
 
@@ -701,7 +751,7 @@ int KwayEngine::run() {
 
     // Initial gains: independent integers over frozen counts, each cell
     // writing only its own K−1 slots — pool-parallel equals serial.
-    pool.parallel_for(
+    pool_.parallel_for(
         0, nc,
         [&](int ci) {
           const CellId c = ci;

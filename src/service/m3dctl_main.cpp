@@ -11,7 +11,8 @@
 ///   direct  [spec flags]             → run_flow locally, same digest line
 ///   bench   --clients N --requests M [--distinct K] [spec flags]
 ///           → drives N concurrent connections, honors backpressure,
-///             writes bench_artifacts/BENCH_service.json
+///             writes bench_artifacts/BENCH_service.json (with the
+///             client host's core count as `nproc`)
 ///
 /// Spec flags: --design aes|ldpc|netcard|cpu  --scale F  --seed N
 ///             --config 2d9t|2d12t|3d9t|3d12t|hetero3d  --period F
@@ -236,6 +237,7 @@ int cmd_bench(const Args& a) {
 
   Json j = Json::object();
   j["bench"] = Json("service");
+  j["nproc"] = Json(static_cast<int>(std::thread::hardware_concurrency()));
   j["clients"] = Json(n_clients);
   j["requests_per_client"] = Json(n_requests);
   j["distinct_specs"] = Json(n_distinct);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -44,6 +45,19 @@ constexpr bool kCompensatePortLatency = true;
 // retime buckets. A level of one chunk runs inline; the result is the
 // same either way (single-writer gather), only the scheduling differs.
 constexpr int kPinChunk = 192;
+
+// Pins, cells or nets per chunk of the engine-construction sweeps. Every
+// sweep writes only its own chunk's slots, so the structure is the same at
+// any pool size; a design under 32k pins (the paper tables' designs) builds
+// in one inline chunk per sweep.
+constexpr int kBuildChunk = 1 << 15;
+
+// Frontier pins per chunk of the leveling rounds. The paper tables'
+// widest level has under 2.5k pins, so their rounds run inline.
+constexpr int kFrontierChunk = 1 << 13;
+
+// Endpoints per independently sorted run of aggregate()'s ranking.
+constexpr int kSortChunk = 1 << 14;
 
 int opp(int t) { return 1 - t; }
 
@@ -109,6 +123,16 @@ class StaEngine {
 
   void build_structure();
   bool pin_participates(PinId p) const;
+  /// A combinational cell on the data graph (not a clock buffer).
+  bool data_comb(CellId c) const {
+    return nl_.cell_kind(c) == CellKind::Comb &&
+           !clkbuf_[static_cast<std::size_t>(c)];
+  }
+  /// Level the participating pins in pooled frontier rounds and return
+  /// the level count; throws util::Error on a combinational loop.
+  std::size_t level_pins();
+  /// Sort eps_ by (slack, pin): pooled runs, then pooled pairwise merges.
+  void sort_endpoints();
 
   // Gather kernels: each writes only the state of pin `p` (and, for
   // kCombOut/kNetSink, the stored arc delays *at* `p`), reading only
@@ -138,7 +162,7 @@ class StaEngine {
   }
 
   void compute_port_latency();
-  void run_level(const std::vector<PinId>& pins, bool forward);
+  void run_level(const PinArray<PinId>& pins, bool forward);
   void aggregate();
 
   /// retime()'s body: seed the dirty cone, then walk it forward and
@@ -156,18 +180,20 @@ class StaEngine {
   exec::Pool& pool_;
 
   // ---- static structure (valid across tier moves and drive changes) -------
-  std::vector<char> part_;        // per pin: participates in the data graph
-  std::vector<char> clkbuf_;      // per cell: is a clock buffer
-  std::vector<Role> role_;        // per pin
-  std::vector<int> level_;        // per pin: topological level (-1 if none)
-  std::vector<std::vector<PinId>> levels_;  // pins per level, id-ascending
-  std::vector<PinId> drv_pin_;    // per kNetSink pin: its net driver
-  std::vector<int> sink_ord_;     // per kNetSink pin: ordinal among sinks
+  // Per-pin arrays are PinArrays: construction writes every slot of each
+  // in pooled chunks.
+  PinArray<char> part_;           // per pin: participates in the data graph
+  PinArray<char> clkbuf_;         // per cell: is a clock buffer
+  PinArray<Role> role_;           // per pin
+  PinArray<int> level_;           // per pin: topological level (-1 if none)
+  std::vector<PinArray<PinId>> levels_;  // pins per level, id-ascending
+  PinArray<PinId> drv_pin_;       // per kNetSink pin: its net driver
+  PinArray<int> sink_ord_;        // per kNetSink pin: ordinal among sinks
   // Forward successors / predecessors per pin (CSR), participating only.
-  std::vector<PinId> succ_, preds_;
-  std::vector<int> succ_off_, preds_off_;
-  std::vector<PinId> ep_pins_;    // endpoint pins, id-ascending
-  std::vector<int> ep_index_;     // per pin: index into ep arrays, -1
+  PinArray<PinId> succ_, preds_;
+  PinArray<int> succ_off_, preds_off_;
+  PinArray<PinId> ep_pins_;       // endpoint pins, id-ascending
+  PinArray<int> ep_index_;        // per pin: index into ep arrays, -1
   std::size_t participating_ = 0;
 
   /// Corner-factor lane index of a cell: its tier's contiguous factors.
@@ -184,17 +210,17 @@ class StaEngine {
   // slew_, pred_, net_arc_delay_, cell_arc_ and ep_required_ stay
   // corner-shared (delay-only derating: slews, wire delays and clock
   // constraints do not vary across the modeled corners).
-  std::vector<double> arr_min_[2];
-  std::vector<double> net_arc_delay_;  // per sink pin
+  PinArray<double> arr_min_[2];
+  PinArray<double> net_arc_delay_;  // per sink pin
   // Cell-arc delays, flat with per-pin offsets (CSR): pin p's row is
   // cell_arc_[arc_off_[p], arc_off_[p + 1]), nonempty only for
   // combinational outputs.
-  std::vector<double> cell_arc_;
-  std::vector<int> arc_off_;
+  PinArray<double> cell_arc_;
+  PinArray<int> arc_off_;
   std::size_t max_arc_row_ = 0;  // longest row
-  std::vector<double> ep_slack_;     // +inf = unreachable endpoint
-  std::vector<double> ep_hold_;      // +inf = no hold check at endpoint
-  std::vector<double> ep_required_;  // capture-edge required time
+  PinArray<double> ep_slack_;     // +inf = unreachable endpoint
+  PinArray<double> ep_hold_;      // +inf = no hold check at endpoint
+  PinArray<double> ep_required_;  // capture-edge required time
   double port_latency_ = 0.0;
   /// res_ is a complete timing of the design: false until a run()
   /// completes, and from the start of each run() or retime() until it
@@ -212,7 +238,8 @@ class StaEngine {
   std::vector<PinId> redo_eps_;
   std::vector<double> fwd_olds_;  // per bucket slot: forward capture
   std::vector<double> req_olds_;  // per bucket slot: required capture
-  std::vector<std::pair<double, PinId>> eps_;  // aggregate()'s sort buffer
+  // aggregate()'s ranking buffer and sort_endpoints()' merge target.
+  std::vector<std::pair<double, PinId>> eps_, eps_merge_;
 
   StaResult res_;
 };
@@ -226,75 +253,86 @@ bool StaEngine::pin_participates(PinId p) const {
 }
 
 void StaEngine::build_structure() {
-  const std::size_t np = static_cast<std::size_t>(nl_.pin_count());
-  const std::size_t nc = static_cast<std::size_t>(nl_.cell_count());
+  const int np = nl_.pin_count();
+  const auto npu = static_cast<std::size_t>(np);
+  const auto n_pin_chunks =
+      static_cast<std::size_t>((np + kBuildChunk - 1) / kBuildChunk);
 
-  clkbuf_.assign(nc, 0);
-  // A combinational cell has no clock pin: its inputs and outputs are
-  // all its pins.
+  // ---- clock buffers (per cell) ------------------------------------------
+  // A combinational cell has no clock pin: its inputs and outputs are all
+  // its pins.
   auto on_clock_net = [&](PinId p) {
     const NetId n = nl_.pin(p).net;
     return n != kInvalidId && nl_.net_is_clock(n);
   };
-  for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    if (nl_.cell_kind(c) != CellKind::Comb) continue;
-    const auto ins = nl_.input_pins_of(c);
-    const auto outs = nl_.output_pins_of(c);
-    if (std::any_of(ins.begin(), ins.end(), on_clock_net) ||
-        std::any_of(outs.begin(), outs.end(), on_clock_net))
-      clkbuf_[static_cast<std::size_t>(c)] = 1;
-  }
+  const int nc = nl_.cell_count();
+  clkbuf_.resize(static_cast<std::size_t>(nc));
+  exec::for_chunks(pool_, nc, kBuildChunk, [&](int, int lo, int hi) {
+    for (CellId c = lo; c < hi; ++c) {
+      bool clock = false;
+      if (nl_.cell_kind(c) == CellKind::Comb) {
+        const auto ins = nl_.input_pins_of(c);
+        const auto outs = nl_.output_pins_of(c);
+        clock = std::any_of(ins.begin(), ins.end(), on_clock_net) ||
+                std::any_of(outs.begin(), outs.end(), on_clock_net);
+      }
+      clkbuf_[static_cast<std::size_t>(c)] = clock ? 1 : 0;
+    }
+  });
 
-  part_.assign(np, 0);
+  // ---- participation and pin roles (per pin, then per net) ---------------
+  // Every participating pin starts as a combinational output or a launch
+  // point; the net sweep then marks each driven net sink, whose one writer
+  // is its net.
+  part_.resize(npu);
+  role_.resize(npu);
+  drv_pin_.resize(npu);
+  sink_ord_.resize(npu);
+  std::vector<std::size_t> chunk_part(n_pin_chunks);
+  exec::for_chunks(pool_, np, kBuildChunk, [&](int ch, int lo, int hi) {
+    std::size_t count = 0;
+    for (PinId p = lo; p < hi; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      const bool on = pin_participates(p);
+      const Pin& pp = nl_.pin(p);
+      part_[pi] = on ? 1 : 0;
+      count += on ? 1 : 0;
+      role_[pi] = !on ? Role::kNone
+                  : pp.dir == PinDir::Output && data_comb(pp.cell)
+                      ? Role::kCombOut
+                      : Role::kLaunch;
+      drv_pin_[pi] = kInvalidId;
+      sink_ord_[pi] = -1;
+    }
+    chunk_part[static_cast<std::size_t>(ch)] = count;
+  });
   participating_ = 0;
-  for (PinId p = 0; p < nl_.pin_count(); ++p)
-    if (pin_participates(p)) {
-      part_[static_cast<std::size_t>(p)] = 1;
-      ++participating_;
+  for (const std::size_t count : chunk_part) participating_ += count;
+  const int nn = nl_.net_count();
+  exec::for_chunks(pool_, nn, kBuildChunk, [&](int, int lo, int hi) {
+    for (NetId n = lo; n < hi; ++n) {
+      const PinId drv = nl_.net_driver(n);
+      if (nl_.net_is_clock(n) || drv == kInvalidId) continue;
+      if (!part_[static_cast<std::size_t>(drv)]) continue;
+      int ord = 0;
+      nl_.for_each_sink(n, [&](PinId s) {
+        const int o = ord++;
+        const auto si = static_cast<std::size_t>(s);
+        if (!part_[si]) return;
+        role_[si] = Role::kNetSink;
+        drv_pin_[si] = drv;
+        sink_ord_[si] = o;
+      });
     }
+  });
 
-  // ---- pin roles, net-arc sources, in-degrees ----------------------------
-  role_.assign(np, Role::kNone);
-  drv_pin_.assign(np, kInvalidId);
-  sink_ord_.assign(np, -1);
-  std::vector<int> indeg(np, 0);
-
-  for (NetId n = 0; n < nl_.net_count(); ++n) {
-    const PinId drv = nl_.net_driver(n);
-    if (nl_.net_is_clock(n) || drv == kInvalidId) continue;
-    if (!part_[static_cast<std::size_t>(drv)]) continue;
-    std::size_t i = 0;
-    nl_.for_each_sink(n, [&](PinId s) {
-      const std::size_t ord = i++;
-      if (!part_[static_cast<std::size_t>(s)]) return;
-      role_[static_cast<std::size_t>(s)] = Role::kNetSink;
-      drv_pin_[static_cast<std::size_t>(s)] = drv;
-      sink_ord_[static_cast<std::size_t>(s)] = static_cast<int>(ord);
-      ++indeg[static_cast<std::size_t>(s)];
-    });
-  }
-  for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    if (nl_.cell_kind(c) != CellKind::Comb ||
-        clkbuf_[static_cast<std::size_t>(c)])
-      continue;
-    const int nin = static_cast<int>(nl_.input_pins_of(c).size());
-    for (PinId o : nl_.output_pins_of(c)) {
-      // In-degree counts *all* input pins (as the original Kahn traversal
-      // did), so an output behind a never-ready input trips the loop check.
-      // A combinational cell has no clock pin, so input_pins_of is all of
-      // them.
-      indeg[static_cast<std::size_t>(o)] += nin;
-      if (part_[static_cast<std::size_t>(o)])
-        role_[static_cast<std::size_t>(o)] = Role::kCombOut;
-    }
-  }
-  for (PinId p = 0; p < nl_.pin_count(); ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    if (part_[pi] && role_[pi] == Role::kNone) role_[pi] = Role::kLaunch;
-  }
-
-  // ---- forward successors (participating only; CSR) ----------------------
-  succ_off_.assign(np + 1, 0);
+  // ---- adjacency and cell-arc rows (participating only; CSR) -------------
+  // Successors: an output's participating net sinks, a data cell input's
+  // cell outputs. Predecessors, their transpose: a net sink's driver, a
+  // combinational output's cell inputs in pin order. Cell-arc rows:
+  // [in*2 + T] per combinational output. One sweep counts every pin's
+  // rows, a second turns counts into offsets from its chunk's base and
+  // fills the rows.
   auto for_each_succ = [&](PinId u, auto&& fn) {
     const Pin& up = nl_.pin(u);
     if (up.dir == PinDir::Output) {
@@ -302,130 +340,246 @@ void StaEngine::build_structure() {
       nl_.for_each_sink(up.net, [&](PinId s) {
         if (part_[static_cast<std::size_t>(s)]) fn(s);
       });
-    } else {
-      if (nl_.cell_kind(up.cell) != CellKind::Comb ||
-          clkbuf_[static_cast<std::size_t>(up.cell)])
-        return;
+    } else if (data_comb(up.cell)) {
       for (PinId o : nl_.output_pins_of(up.cell)) fn(o);
     }
   };
-  for (PinId p = 0; p < nl_.pin_count(); ++p) {
-    if (!part_[static_cast<std::size_t>(p)]) continue;
-    for_each_succ(p, [&](PinId) { ++succ_off_[static_cast<std::size_t>(p) + 1]; });
+  auto for_each_pred = [&](PinId v, auto&& fn) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (role_[vi] == Role::kNetSink) {
+      fn(drv_pin_[vi]);
+    } else if (role_[vi] == Role::kCombOut) {
+      for (PinId in : nl_.input_pins_of(nl_.pin(v).cell)) fn(in);
+    }
+  };
+  auto arc_row_len = [&](PinId p) {
+    if (role_[static_cast<std::size_t>(p)] != Role::kCombOut) return 0;
+    return 2 * static_cast<int>(nl_.input_pins_of(nl_.pin(p).cell).size());
+  };
+  struct RowTotals {
+    int succ = 0, preds = 0, arcs = 0;
+  };
+  std::vector<RowTotals> chunk_rows(n_pin_chunks);
+  succ_off_.resize(npu + 1);
+  preds_off_.resize(npu + 1);
+  arc_off_.resize(npu + 1);
+  exec::for_chunks(pool_, np, kBuildChunk, [&](int ch, int lo, int hi) {
+    RowTotals t;
+    for (PinId p = lo; p < hi; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      int succs = 0, preds = 0;
+      if (part_[pi]) {
+        for_each_succ(p, [&](PinId) { ++succs; });
+        for_each_pred(p, [&](PinId) { ++preds; });
+      }
+      const int arcs = arc_row_len(p);
+      t.succ += succs;
+      t.preds += preds;
+      t.arcs += arcs;
+      succ_off_[pi + 1] = succs;
+      preds_off_[pi + 1] = preds;
+      arc_off_[pi + 1] = arcs;
+    }
+    chunk_rows[static_cast<std::size_t>(ch)] = t;
+  });
+  RowTotals total;
+  for (RowTotals& t : chunk_rows) {
+    const RowTotals count = t;
+    t = total;  // now the chunk's base
+    total.succ += count.succ;
+    total.preds += count.preds;
+    total.arcs += count.arcs;
   }
-  for (std::size_t i = 0; i < np; ++i) succ_off_[i + 1] += succ_off_[i];
-  succ_.resize(static_cast<std::size_t>(succ_off_[np]));
-  {
-    std::vector<int> w(succ_off_.begin(), succ_off_.end() - 1);
-    for (PinId p = 0; p < nl_.pin_count(); ++p) {
-      if (!part_[static_cast<std::size_t>(p)]) continue;
-      for_each_succ(p, [&](PinId s) {
-        succ_[static_cast<std::size_t>(w[static_cast<std::size_t>(p)]++)] = s;
+  succ_.resize(static_cast<std::size_t>(total.succ));
+  preds_.resize(static_cast<std::size_t>(total.preds));
+  succ_off_[0] = preds_off_[0] = arc_off_[0] = 0;
+  std::vector<int> chunk_max_arc(n_pin_chunks, 0);
+  exec::for_chunks(pool_, np, kBuildChunk, [&](int ch, int lo, int hi) {
+    RowTotals at = chunk_rows[static_cast<std::size_t>(ch)];
+    int max_arc = 0;
+    for (PinId p = lo; p < hi; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      if (part_[pi]) {
+        for_each_succ(p, [&](PinId s) {
+          succ_[static_cast<std::size_t>(at.succ++)] = s;
+        });
+        for_each_pred(p, [&](PinId u) {
+          preds_[static_cast<std::size_t>(at.preds++)] = u;
+        });
+      }
+      max_arc = std::max(max_arc, arc_off_[pi + 1]);
+      at.arcs += arc_off_[pi + 1];
+      succ_off_[pi + 1] = at.succ;
+      preds_off_[pi + 1] = at.preds;
+      arc_off_[pi + 1] = at.arcs;
+    }
+    chunk_max_arc[static_cast<std::size_t>(ch)] = max_arc;
+  });
+  max_arc_row_ = 0;
+  for (const int m : chunk_max_arc)
+    max_arc_row_ = std::max(max_arc_row_, static_cast<std::size_t>(m));
+
+  // ---- levels ------------------------------------------------------------
+  const std::size_t n_levels = level_pins();
+
+  // ---- level buckets and endpoints (pin order) ---------------------------
+  // One sweep counts each chunk's pins per level and its endpoints; the
+  // column scans turn the counts into each chunk's first slot, and the
+  // last sweep fills the buckets and endpoint list (id-ascending, as a
+  // serial pin walk appends them) and first-touches the state arrays.
+  auto is_endpoint = [&](PinId p) {
+    if (!part_[static_cast<std::size_t>(p)]) return false;
+    const Pin& pp = nl_.pin(p);
+    if (pp.dir != PinDir::Input) return false;
+    const CellKind k = nl_.cell_kind(pp.cell);
+    return k == CellKind::Seq || k == CellKind::Macro ||
+           k == CellKind::PrimaryOut;
+  };
+  const std::size_t cols = n_levels + 1;  // levels, then endpoints
+  std::vector<int> slot(n_pin_chunks * cols, 0);
+  exec::for_chunks(pool_, np, kBuildChunk, [&](int ch, int lo, int hi) {
+    std::vector<int> count(cols, 0);
+    for (PinId p = lo; p < hi; ++p) {
+      if (const int lv = level_[static_cast<std::size_t>(p)]; lv >= 0)
+        ++count[static_cast<std::size_t>(lv)];
+      if (is_endpoint(p)) ++count[n_levels];
+    }
+    std::copy(count.begin(), count.end(),
+              slot.begin() + static_cast<std::ptrdiff_t>(ch * cols));
+  });
+  levels_.resize(n_levels);
+  for (std::size_t j = 0; j < cols; ++j) {
+    int run = 0;
+    for (std::size_t ch = 0; ch < n_pin_chunks; ++ch) {
+      int& s = slot[ch * cols + j];
+      const int count = s;
+      s = run;
+      run += count;
+    }
+    auto& filled = j < n_levels ? levels_[j] : ep_pins_;
+    filled.resize(static_cast<std::size_t>(run));
+  }
+
+  // ---- dynamic-state storage ---------------------------------------------
+  // Allocated here, first written in pooled chunks. Slots run() always
+  // writes before anything reads them stay unwritten until then: a
+  // participating pin's arrivals, min-arrivals, required times, slews and
+  // predecessors (compute_forward and compute_required reset a pin's own
+  // slots first and read only lower-level pins forward, higher-level pins
+  // backward, and the endpoint state eval_endpoint wrote in between), every
+  // cell-arc row (all belong to combinational outputs, which
+  // compute_forward zero-fills), and every endpoint's slack, hold slack and
+  // required time (eval_endpoint writes them for every endpoint before
+  // aggregate() reads them). retime() and the StaResult accessors are
+  // valid only after a run(). Pins off the data graph keep the initial
+  // values below, which the accessors report.
+  const auto K = static_cast<std::size_t>(K_);
+  const std::size_t n_eps = ep_pins_.size();
+  ep_index_.resize(npu);
+  ep_slack_.resize(n_eps * K);
+  ep_hold_.resize(n_eps * K);
+  ep_required_.resize(n_eps);
+  for (int t : {0, 1}) {
+    res_.arr_[t].resize(npu * K);
+    res_.req_[t].resize(npu * K);
+    res_.slew_[t].resize(npu);
+    res_.pred_[t].resize(npu);
+    arr_min_[t].resize(npu * K);
+  }
+  net_arc_delay_.resize(npu);
+  res_.setup_at_endpoint_.resize(npu);
+  cell_arc_.resize(static_cast<std::size_t>(arc_off_[npu]));
+  exec::for_chunks(pool_, np, kBuildChunk, [&](int ch, int lo, int hi) {
+    const auto first = slot.begin() + static_cast<std::ptrdiff_t>(ch * cols);
+    std::vector<int> next(first, first + static_cast<std::ptrdiff_t>(cols));
+    for (PinId p = lo; p < hi; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      if (const int lv = level_[pi]; lv >= 0) {
+        const auto l = static_cast<std::size_t>(lv);
+        levels_[l][static_cast<std::size_t>(next[l]++)] = p;
+      }
+      int ei = -1;
+      if (is_endpoint(p)) {
+        ei = next[n_levels]++;
+        ep_pins_[static_cast<std::size_t>(ei)] = p;
+      }
+      ep_index_[pi] = ei;
+      net_arc_delay_[pi] = 0.0;
+      res_.setup_at_endpoint_[pi] = 0.0;
+      if (part_[pi]) continue;
+      for (int t : {0, 1}) {
+        std::fill_n(res_.arr_[t].data() + pi * K, K, kNegInf);
+        std::fill_n(res_.req_[t].data() + pi * K, K, kPosInf);
+        std::fill_n(arr_min_[t].data() + pi * K, K, kPosInf);
+        res_.slew_[t][pi] = 0.0;
+        res_.pred_[t][pi] = {};
+      }
+    }
+  });
+  res_.lanes_ = K_;
+  res_.corners_ = K_;
+  res_.design_ = &d_;
+}
+
+std::size_t StaEngine::level_pins() {
+  const int np = nl_.pin_count();
+  level_.resize(static_cast<std::size_t>(np));
+  // Round 0: the launch points, every participating pin without
+  // predecessors.
+  std::vector<PinId> frontier = exec::ordered_gather<PinId>(
+      pool_, np, kBuildChunk, [&](int p, std::vector<PinId>& out) {
+        const bool launch = role_[static_cast<std::size_t>(p)] == Role::kLaunch;
+        level_[static_cast<std::size_t>(p)] = launch ? 0 : -1;
+        if (launch) out.push_back(p);
       });
-    }
-  }
-
-  // ---- forward predecessors (participating only; CSR) --------------------
-  preds_off_.assign(np + 1, 0);
-  for (std::size_t i = 0; i < succ_.size(); ++i)
-    ++preds_off_[static_cast<std::size_t>(succ_[i]) + 1];
-  for (std::size_t i = 0; i < np; ++i) preds_off_[i + 1] += preds_off_[i];
-  preds_.resize(succ_.size());
-  {
-    std::vector<int> w(preds_off_.begin(), preds_off_.end() - 1);
-    for (PinId p = 0; p < nl_.pin_count(); ++p) {
-      if (!part_[static_cast<std::size_t>(p)]) continue;
-      for (int k = succ_off_[static_cast<std::size_t>(p)];
-           k < succ_off_[static_cast<std::size_t>(p) + 1]; ++k) {
-        const PinId s = succ_[static_cast<std::size_t>(k)];
-        preds_[static_cast<std::size_t>(w[static_cast<std::size_t>(s)]++)] = p;
-      }
-    }
-  }
-
-  // ---- Kahn leveling -----------------------------------------------------
-  level_.assign(np, -1);
-  std::vector<PinId> queue;
-  for (PinId p = 0; p < nl_.pin_count(); ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    if (part_[pi] && indeg[pi] == 0) {
-      level_[pi] = 0;
-      queue.push_back(p);
-    }
-  }
-  std::size_t head = 0;
-  std::size_t leveled = queue.size();
-  while (head < queue.size()) {
-    const PinId u = queue[head++];
-    const auto ui = static_cast<std::size_t>(u);
-    for (int k = succ_off_[ui]; k < succ_off_[ui + 1]; ++k) {
-      const PinId v = succ_[static_cast<std::size_t>(k)];
-      const auto vi = static_cast<std::size_t>(v);
-      level_[vi] = std::max(level_[vi], level_[ui] + 1);
-      if (--indeg[vi] == 0) {
-        queue.push_back(v);
-        ++leveled;
-      }
-    }
+  // Round r's frontier is every pin whose last predecessor was leveled in
+  // round r − 1, so a pin's level is the round in which its in-degree
+  // reaches 0 — its longest path from a launch point, as Kahn's leveling
+  // gives it. Each ready pin is emitted, and its level written, once: a
+  // net sink by its driver (its only predecessor), the outputs of a
+  // combinational cell by the last of the cell's inputs (their shared
+  // predecessor row) of level r − 1. So each round writes disjoint slots
+  // and yields the same frontier at any pool size. An input that another
+  // chunk levels in the same round reads as −1 or r, "not ready" either
+  // way; relaxed atomic accesses keep that read race-free.
+  std::size_t leveled = 0;
+  std::size_t n_levels = 0;
+  while (!frontier.empty()) {
+    leveled += frontier.size();
+    const int r = static_cast<int>(++n_levels);
+    frontier = exec::ordered_gather<PinId>(
+        pool_, static_cast<int>(frontier.size()), kFrontierChunk,
+        [&](int i, std::vector<PinId>& out) {
+          const auto ui =
+              static_cast<std::size_t>(frontier[static_cast<std::size_t>(i)]);
+          const int k0 = succ_off_[ui], k1 = succ_off_[ui + 1];
+          if (k0 == k1) return;
+          const auto v0 =
+              static_cast<std::size_t>(succ_[static_cast<std::size_t>(k0)]);
+          if (role_[v0] == Role::kCombOut) {
+            PinId last = kInvalidId;
+            for (int j = preds_off_[v0]; j < preds_off_[v0 + 1]; ++j) {
+              const PinId in = preds_[static_cast<std::size_t>(j)];
+              const int lv =
+                  std::atomic_ref<int>(level_[static_cast<std::size_t>(in)])
+                      .load(std::memory_order_relaxed);
+              if (lv < 0 || lv >= r) return;
+              if (lv == r - 1) last = in;
+            }
+            if (static_cast<std::size_t>(last) != ui) return;
+          }
+          for (int k = k0; k < k1; ++k) {
+            const PinId v = succ_[static_cast<std::size_t>(k)];
+            std::atomic_ref<int>(level_[static_cast<std::size_t>(v)])
+                .store(r, std::memory_order_relaxed);
+            out.push_back(v);
+          }
+        });
   }
   M3D_CHECK_MSG(leveled == participating_,
                 "combinational loop detected: " << participating_ - leveled
                                                 << " pins unreachable");
-
-  int max_level = -1;
-  for (PinId p = 0; p < nl_.pin_count(); ++p)
-    max_level = std::max(max_level, level_[static_cast<std::size_t>(p)]);
-  levels_.assign(static_cast<std::size_t>(max_level + 1), {});
-  for (PinId p = 0; p < nl_.pin_count(); ++p)
-    if (level_[static_cast<std::size_t>(p)] >= 0)
-      levels_[static_cast<std::size_t>(level_[static_cast<std::size_t>(p)])]
-          .push_back(p);
-  // Pin ids were visited in ascending order, so each bucket is sorted.
-
-  // ---- endpoints ---------------------------------------------------------
-  ep_index_.assign(np, -1);
-  for (PinId p = 0; p < nl_.pin_count(); ++p) {
-    if (!part_[static_cast<std::size_t>(p)]) continue;
-    const Pin& pp = nl_.pin(p);
-    if (pp.dir != PinDir::Input) continue;
-    const CellKind k = nl_.cell_kind(pp.cell);
-    if (k != CellKind::Seq && k != CellKind::Macro &&
-        k != CellKind::PrimaryOut)
-      continue;
-    ep_index_[static_cast<std::size_t>(p)] = static_cast<int>(ep_pins_.size());
-    ep_pins_.push_back(p);
-  }
-  const auto K = static_cast<std::size_t>(K_);
-  ep_slack_.assign(ep_pins_.size() * K, kPosInf);
-  ep_hold_.assign(ep_pins_.size() * K, kPosInf);
-  ep_required_.assign(ep_pins_.size(), 0.0);
-
-  // ---- dynamic-state storage ---------------------------------------------
-  for (int t : {0, 1}) {
-    res_.arr_[t].assign(np * K, kNegInf);
-    res_.req_[t].assign(np * K, kPosInf);
-    res_.slew_[t].assign(np, 0.0);
-    res_.pred_[t].assign(np, {});
-    arr_min_[t].assign(np * K, kPosInf);
-  }
-  res_.lanes_ = K_;
-  res_.corners_ = K_;
-  net_arc_delay_.assign(np, 0.0);
-  arc_off_.assign(np + 1, 0);
-  for (CellId c = 0; c < nl_.cell_count(); ++c) {
-    if (nl_.cell_kind(c) != CellKind::Comb ||
-        clkbuf_[static_cast<std::size_t>(c)])
-      continue;
-    const std::size_t nin = nl_.input_pins_of(c).size();
-    for (PinId o : nl_.output_pins_of(c)) {
-      arc_off_[static_cast<std::size_t>(o) + 1] = static_cast<int>(nin * 2);
-      max_arc_row_ = std::max(max_arc_row_, nin * 2);
-    }
-  }
-  for (std::size_t i = 0; i < np; ++i) arc_off_[i + 1] += arc_off_[i];
-  cell_arc_.assign(static_cast<std::size_t>(arc_off_[np]), 0.0);
-  res_.setup_at_endpoint_.assign(np, 0.0);
-  res_.design_ = &d_;
+  return n_levels;
 }
 
 double StaEngine::net_load_ff(NetId n) const {
@@ -759,7 +913,7 @@ void StaEngine::compute_port_latency() {
   }
 }
 
-void StaEngine::run_level(const std::vector<PinId>& pins, bool forward) {
+void StaEngine::run_level(const PinArray<PinId>& pins, bool forward) {
   pool_.parallel_for(
       0, static_cast<int>(pins.size()),
       [&](int i) {
@@ -772,13 +926,46 @@ void StaEngine::run_level(const std::vector<PinId>& pins, bool forward) {
       kPinChunk);
 }
 
+void StaEngine::sort_endpoints() {
+  // Pin ids are unique, so the (slack, pin) keys are too: sorted runs
+  // merged pairwise give exactly std::sort's order.
+  const int n = static_cast<int>(eps_.size());
+  const int runs = (n + kSortChunk - 1) / kSortChunk;
+  if (runs <= 1) {
+    std::sort(eps_.begin(), eps_.end());
+    return;
+  }
+  pool_.parallel_for(
+      0, runs,
+      [&](int c) {
+        const int lo = c * kSortChunk;
+        std::sort(eps_.begin() + lo,
+                  eps_.begin() + std::min(n, lo + kSortChunk));
+      },
+      /*grain=*/1);
+  eps_merge_.resize(eps_.size());
+  for (int width = kSortChunk; width < n; width *= 2) {
+    pool_.parallel_for(
+        0, (n + 2 * width - 1) / (2 * width),
+        [&](int i) {
+          const int lo = 2 * width * i;
+          const int mid = std::min(n, lo + width);
+          const int hi = std::min(n, lo + 2 * width);
+          std::merge(eps_.begin() + lo, eps_.begin() + mid, eps_.begin() + mid,
+                     eps_.begin() + hi, eps_merge_.begin() + lo);
+        },
+        /*grain=*/1);
+    eps_.swap(eps_merge_);
+  }
+}
+
 void StaEngine::aggregate() {
   const std::size_t K = static_cast<std::size_t>(K_);
   eps_.clear();
   for (std::size_t i = 0; i < ep_pins_.size(); ++i)
     if (ep_slack_[i * K] != kPosInf)
       eps_.emplace_back(ep_slack_[i * K], ep_pins_[i]);
-  std::sort(eps_.begin(), eps_.end());
+  sort_endpoints();
   res_.endpoints_.clear();
   res_.endpoint_slack_.clear();
   res_.wns_ = eps_.empty() ? 0.0 : eps_.front().first;

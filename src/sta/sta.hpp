@@ -23,6 +23,8 @@
 
 #include <limits>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "netlist/design.hpp"
@@ -37,7 +39,33 @@ namespace m3d::sta {
 
 namespace detail {
 class StaEngine;
-}
+
+/// Allocator whose value-less construct() leaves the element as it is, so
+/// resize() allocates without touching the memory. The engine's per-pin
+/// arrays use it: each slot is then first written by a pooled sweep (of
+/// the engine's construction, or of run()), which spreads the page faults
+/// of a million-pin design over the workers.
+template <typename T>
+struct UninitAlloc : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAlloc<U>;
+  };
+  UninitAlloc() = default;
+  template <typename U>
+  UninitAlloc(const UninitAlloc<U>&) noexcept {}
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A per-pin (or per-endpoint) array that resize() leaves unwritten.
+template <typename T>
+using PinArray = std::vector<T, UninitAlloc<T>>;
+}  // namespace detail
 
 using netlist::CellId;
 using netlist::Design;
@@ -52,9 +80,11 @@ struct StaOptions {
   bool ideal_clock = false;       ///< ignore CTS latencies (pre-CTS timing)
   bool hold_analysis = true;      ///< also run the min-delay (hold) check
   /// Worker pool for the level-synchronous propagation, the endpoint
-  /// constraints and the retime buckets (192-pin chunks); nullptr means
-  /// exec::Pool::global(). Results are byte-identical for any pool size,
-  /// so this field is deliberately excluded from flow-cache option hashes.
+  /// constraints and the retime buckets (192-pin chunks), and for the
+  /// engine's construction sweeps and endpoint ranking (32k-pin and
+  /// 16k-endpoint chunks); nullptr means exec::Pool::global(). Results
+  /// are byte-identical for any pool size, so this field is deliberately
+  /// excluded from flow-cache option hashes.
   exec::Pool* pool = nullptr;
   /// Process-corner sweep: K = corners.count per-tier delay factors are
   /// propagated as stride-K SoA lanes in a single level-synchronous pass
@@ -192,11 +222,11 @@ class StaResult {
   // slew_ and pred_ are per-pin only — factors derate delays, not slews,
   // and path tracing reports the nominal corner's winners.
   int lanes_ = 1;
-  std::vector<double> arr_[2];
-  std::vector<double> req_[2];
-  std::vector<double> slew_[2];
-  std::vector<Pred> pred_[2];
-  std::vector<double> setup_at_endpoint_;  // per pin; 0 if not an endpoint
+  detail::PinArray<double> arr_[2];
+  detail::PinArray<double> req_[2];
+  detail::PinArray<double> slew_[2];
+  detail::PinArray<Pred> pred_[2];
+  detail::PinArray<double> setup_at_endpoint_;  // per pin; 0 off endpoints
   // Per-corner aggregates (size corners_; index 0 mirrors wns_/tns_).
   int corners_ = 1;
   std::vector<double> corner_wns_;
@@ -206,9 +236,10 @@ class StaResult {
 
 /// A persistent timing engine bound to one design. Construction builds the
 /// static timing-graph structure (participation, topological levels,
-/// adjacency) once; run() then propagates the whole graph level by level —
-/// in parallel across each level — and retime() re-propagates only the
-/// cone of a set of touched cells.
+/// adjacency) once, in pooled sweeps over fixed chunks of pins, cells and
+/// nets; run() then propagates the whole graph level by level — in
+/// parallel across each level — and retime() re-propagates only the cone
+/// of a set of touched cells.
 ///
 /// Invariants:
 ///  * run() and retime() produce bitwise-identical StaResults for any

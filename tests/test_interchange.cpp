@@ -350,6 +350,48 @@ void expect_error_at(const std::string& text, const std::string& fragment,
 
 }  // namespace
 
+TEST(Verilog, ReaderRejectsDuplicateNames) {
+  // A wire declared twice and two instances of one name. Without the
+  // checks this parses into two nets named n (the first left empty) and
+  // two cells named u, and validate() passes.
+  const std::string dup =
+      "module dup (input a, output z);\n"  // 1
+      "  wire n;\n"                        // 2
+      "  wire n;\n"                        // 3
+      "  wire y;\n"                        // 4
+      "  assign n = a;\n"                  // 5
+      "  assign z = y;\n"                  // 6
+      "  INV_X1 u (.A0(n), .Z(y));\n"      // 7
+      "  INV_X1 u (.A0(n), .Z());\n"       // 8
+      "endmodule\n";
+  expect_error_at(dup, "duplicate wire 'n'", 3);
+  std::string one_wire = dup;
+  one_wire.erase(one_wire.find("  wire n;\n"), 10);
+  expect_error_at(one_wire, "duplicate cell name 'u'", 7);
+
+  // A port given twice, and an instance named like a port (ports are
+  // cells too).
+  std::string dup_port = one_wire;
+  dup_port.replace(dup_port.find("input a,"), 8, "input a, input a,");
+  expect_error_at(dup_port, "duplicate port 'a'", 1);
+  std::string port_named = one_wire;
+  port_named.replace(port_named.find("INV_X1 u (.A0(n), .Z());"), 24,
+                     "INV_X1 a (.A0(n), .Z());");
+  expect_error_at(port_named, "duplicate cell name 'a'", 7);
+
+  // Nets and cells are separate name spaces: a wire may share an
+  // instance's name, as long as each name is declared once in its own.
+  std::string net_named = one_wire;
+  net_named.replace(net_named.find("INV_X1 u (.A0(n), .Z());"), 24,
+                    "INV_X1 v (.A0(n), .Z());");
+  net_named.replace(net_named.find("wire y;"), 7, "wire u;");
+  net_named.replace(net_named.find("assign z = y;"), 13, "assign z = u;");
+  net_named.replace(net_named.find(".Z(y)"), 5, ".Z(u)");
+  const auto nl = mn::parse_verilog(net_named);
+  EXPECT_EQ(nl.net_count(), 2);
+  EXPECT_EQ(nl.cell_count(), 4);
+}
+
 TEST(Verilog, OpenPinsRoundTrip) {
   const auto orig = open_pins();
   const std::string text = mn::verilog_string(orig);

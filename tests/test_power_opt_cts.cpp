@@ -318,7 +318,9 @@ TEST(Cts, ByteIdenticalAcrossPoolSizes) {
   // Build the tree on three copies of the same placed design with
   // different pools: the netlist (names, ids, connectivity), placement,
   // latencies, and report must all come out bitwise equal. At this scale
-  // the tree has enough clock nets for annotate's pooled pre-route.
+  // the tree has more than one 128-net chunk of clock nets, so annotate's
+  // pooled sweep (route each clock net, then time its sinks and its
+  // driving buffer) fans out.
   auto d0 = placed("netcard", 0.2, /*hetero=*/true);
   auto d1 = placed("netcard", 0.2, /*hetero=*/true);
   auto d4 = placed("netcard", 0.2, /*hetero=*/true);
@@ -346,7 +348,8 @@ TEST(Cts, ByteIdenticalAcrossPoolSizes) {
     ASSERT_EQ(d0.clock_latency(c), d4.clock_latency(c)) << "cell " << c;
   }
 
-  // annotate_clock_latencies on its own must agree too.
+  // annotate_clock_latencies on its own must agree too, and its timing
+  // sweep must post to the wide pool.
   const auto a1 = mcts::annotate_clock_latencies(d1, &serial);
   posted = wide.stats().posted;
   const auto a4 = mcts::annotate_clock_latencies(d4, &wide);

@@ -703,8 +703,11 @@ TEST(StaRetime, ThrowingRetimeRequiresRun) {
 }
 
 TEST(Sta, ByteIdenticalAcrossPoolSizes) {
-  // Wide generated design so real levels clear the parallel threshold.
-  auto d = routed_hetero("netcard", kWideScale, 0.8);
+  // Over 32k pins (even under a sanitizer), so the construction sweeps
+  // run in more than one chunk, and real levels clear the parallel
+  // threshold.
+  auto d = routed_hetero("netcard", 0.25, 0.8);
+  ASSERT_GT(d.nl().pin_count(), 1 << 15);
   auto routes = mr::route_design(d);
 
   mex::Pool serial(1), wide(4);
@@ -713,9 +716,11 @@ TEST(Sta, ByteIdenticalAcrossPoolSizes) {
   ms::StaOptions o4;
   o4.pool = &wide;
   ms::Sta a(d, &routes, o1);
+  auto posted = wide.stats().posted;
   ms::Sta b(d, &routes, o4);
+  EXPECT_GT(wide.stats().posted, posted);  // the wide build fanned out
   a.run();
-  const auto posted = wide.stats().posted;
+  posted = wide.stats().posted;
   b.run();
   EXPECT_GT(wide.stats().posted, posted);  // the wide run fanned out
   expect_identical(a.result(), b.result(), d);
@@ -727,6 +732,69 @@ TEST(Sta, ByteIdenticalAcrossPoolSizes) {
   for (mn::CellId c : moved) d.set_tier(c, 1 - d.tier(c));
   mr::update_routes_for_cells(d, moved, &routes);
   expect_identical(a.retime(moved), b.retime(moved), d);
+}
+
+TEST(Sta, PooledBuildSameAtAnyPoolSize) {
+  // A mesh whose launch round alone holds about 21k pins, so the leveling
+  // runs its frontier rounds in several 8k-pin chunks, with about 21k
+  // endpoints, which rank in two sorted runs and a merge. Zero-wire
+  // timing: no placement is needed.
+  mn::Design d(mgen::make_design("mesh", {5.0, 7}), mt::make_12track(),
+               mt::make_9track());
+  int flops = 0;  // each flop's Q launches in round 0
+  for (mn::CellId c = 0; c < d.nl().cell_count(); ++c)
+    flops += d.nl().cell_kind(c) == mn::CellKind::Seq;
+  ASSERT_GT(flops, 2 << 13);
+  mex::Pool serial(1), wide(4);
+  ms::StaOptions o1;
+  o1.pool = &serial;
+  ms::StaOptions o4;
+  o4.pool = &wide;
+  ms::Sta a(d, nullptr, o1);
+  auto posted = wide.stats().posted;
+  ms::Sta b(d, nullptr, o4);
+  EXPECT_GT(wide.stats().posted, posted);
+  expect_identical(a.run(), b.run(), d);
+  const auto& eps = a.result().endpoints_by_slack();
+  ASSERT_GT(eps.size(), std::size_t{1} << 14);
+  EXPECT_EQ(eps, b.result().endpoints_by_slack());
+  EXPECT_EQ(ms::timing_fingerprint(a.result()),
+            ms::timing_fingerprint(b.result()));
+  for (std::size_t i = 1; i < eps.size(); ++i)
+    ASSERT_LT(std::make_pair(a.result().pin_slack(eps[i - 1]), eps[i - 1]),
+              std::make_pair(a.result().pin_slack(eps[i]), eps[i]))
+        << "rank " << i;
+
+  // Feed a combinational cell's output back into its first input: the
+  // cell and its whole fanout cone never level. Both pools must report
+  // the same loop with the same unreachable-pin count.
+  mn::Netlist& nl = d.nl();
+  mn::CellId c = nl.cell_count() / 2;
+  mn::NetId out = mn::kInvalidId;
+  for (;; ++c) {
+    ASSERT_LT(c, nl.cell_count());
+    if (nl.cell_kind(c) != mn::CellKind::Comb || nl.input_pins_of(c).empty())
+      continue;
+    out = nl.pin(nl.output_pin(c)).net;
+    if (out != mn::kInvalidId && !nl.net_is_clock(out) && nl.fanout(out) > 0)
+      break;
+  }
+  nl.disconnect(nl.input_pin(c, 0));
+  nl.connect(out, nl.input_pin(c, 0));
+  std::string error[2];
+  for (int i = 0; i < 2; ++i) {
+    posted = wide.stats().posted;
+    try {
+      ms::Sta looped(d, nullptr, i == 0 ? o1 : o4);
+      ADD_FAILURE() << "no loop reported at pool " << (i == 0 ? 1 : 4);
+    } catch (const m3d::util::Error& e) {
+      error[i] = e.what();
+    }
+  }
+  EXPECT_GT(wide.stats().posted, posted);
+  EXPECT_NE(error[0].find("combinational loop detected: "), std::string::npos)
+      << error[0];
+  EXPECT_EQ(error[0], error[1]);
 }
 
 TEST(Sta, RetimeBigBatchByteIdenticalAcrossPoolSizes) {
