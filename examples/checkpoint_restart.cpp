@@ -22,6 +22,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 
 #include "core/checkpoint.hpp"
 #include "core/flow.hpp"
@@ -60,13 +61,11 @@ int run(int argc, char** argv) {
   exec::FlowCache cache(8);
   const bool cached = !exec::FlowCache::disk_dir().empty();
   try {
-    core::FlowResult direct = cached
-                                  ? core::FlowResult(core::design_for_config(
-                                        nl, core::Config::Hetero3D))
-                                  : core::run_flow(nl, core::Config::Hetero3D,
-                                                   opt);
-    const core::FlowResult& res =
-        cached ? *cache.get_or_run(nl, core::Config::Hetero3D, opt) : direct;
+    const std::shared_ptr<const core::FlowResult> flow =
+        cached ? cache.get_or_run(nl, core::Config::Hetero3D, opt)
+               : std::make_shared<const core::FlowResult>(
+                     core::run_flow(nl, core::Config::Hetero3D, opt));
+    const core::FlowResult& res = *flow;
 
     std::fputs(io::metrics_csv({res.metrics}).c_str(), stdout);
     std::printf("netlist_fp %016" PRIx64 "\n",

@@ -155,12 +155,10 @@ Checkpoint::Checkpoint(std::string dir, const netlist::Netlist& nl,
   }
   if (const char* s = std::getenv("M3D_FAULT_AT")) {
     if (*s != '\0') {
-      if (parse_fault_spec(s, &env_fault_stage_, &env_fault_iter_)) {
-        env_fault_armed_ = true;
-      } else {
-        util::log_warn("M3D_FAULT_AT: malformed spec '", s,
-                       "' (want <stage>[:<iter>]), ignoring");
-      }
+      if (!parse_fault_spec(s, &env_fault_stage_, &env_fault_iter_))
+        throw util::Error(std::string("M3D_FAULT_AT: malformed value '") + s +
+                          "'");
+      env_fault_armed_ = true;
     }
   }
 }
@@ -183,39 +181,45 @@ void Checkpoint::maybe_inject_fault(Stage s, int iter) const {
   }
 }
 
-void Checkpoint::write_boundary(Stage s, int iter, const core::FlowResult& res,
-                                const part::EcoIterState* eco) {
-  if (!active()) return;
-  util::TraceSpan span("checkpoint_write",
-                       std::string(stage_name(s)) +
-                           (iter > 0 ? ":" + std::to_string(iter)
-                                     : std::string()));
-  std::string payload;
-  io::BinWriter w{payload};
-  io::write_snapshot(w, res);
-  w.f64(eco ? eco->wns : res.opt.wns_after);
-  w.f64(eco ? eco->tns : res.repart.tns_after);
-  w.u8(eco ? 1 : 0);
-  if (eco) write_eco_state(w, *eco);
-  const io::StateKey key{netlist_fp_, static_cast<int>(cfg_), opt_hash_,
-                         static_cast<int>(s), iter};
-  if (io::write_state_file(file_for(key.stage, iter), key, payload))
-    util::trace_counter("checkpoint_bytes",
-                        static_cast<double>(payload.size()));
+void Checkpoint::boundary(Stage s, int iter, const core::FlowResult& res,
+                          const part::EcoIterState* eco) {
+  if (active()) {
+    util::TraceSpan span("checkpoint_write",
+                         std::string(stage_name(s)) +
+                             (iter > 0 ? ":" + std::to_string(iter)
+                                       : std::string()));
+    std::string payload;
+    io::BinWriter w{payload};
+    io::write_snapshot(w, res);
+    w.f64(eco ? eco->wns : res.opt.wns_after);
+    w.f64(eco ? eco->tns : res.repart.tns_after);
+    w.u8(eco ? 1 : 0);
+    if (eco) write_eco_state(w, *eco);
+    const io::StateKey key{netlist_fp_, static_cast<int>(cfg_), opt_hash_,
+                           static_cast<int>(s), iter};
+    if (io::write_state_file(file_for(key.stage, iter), key, payload))
+      util::trace_counter("checkpoint_bytes",
+                          static_cast<double>(payload.size()));
+  }
+  maybe_inject_fault(s, iter);
+  maybe_interrupt(s, iter);
 }
 
 void Checkpoint::save(Stage s, const core::FlowResult& res) {
-  write_boundary(s, 0, res, nullptr);
-  maybe_inject_fault(s, 0);
-  maybe_interrupt(s, 0);
+  boundary(s, 0, res, nullptr);
 }
 
-void Checkpoint::save_iter(Stage s, const core::FlowResult& res,
-                           const part::EcoIterState& st) {
+part::EcoHooks Checkpoint::eco_hooks(Stage s, const core::FlowResult& res) {
   M3D_CHECK(s == Stage::RepartEco || s == Stage::RepartFixup);
-  write_boundary(s, st.partial.iterations, res, &st);
-  maybe_inject_fault(s, st.partial.iterations);
-  maybe_interrupt(s, st.partial.iterations);
+  part::EcoHooks hooks;
+  if (resume_stage_ == static_cast<int>(s) && resume_iter_ >= 1 &&
+      eco_state_valid_)
+    hooks.resume = &eco_state_;
+  hooks.after_iteration = [this, s, &res](const netlist::Design&,
+                                          const part::EcoIterState& st) {
+    boundary(s, st.partial.iterations, res, &st);
+  };
+  return hooks;
 }
 
 void Checkpoint::maybe_interrupt(Stage s, int iter) const {
@@ -299,13 +303,6 @@ bool Checkpoint::resume(core::FlowResult& res) {
 bool Checkpoint::done(Stage s) const {
   return order_value(resume_stage_, resume_iter_) >=
          order_value(static_cast<int>(s), 0);
-}
-
-const part::EcoIterState* Checkpoint::eco_resume(Stage s) const {
-  if (resume_stage_ == static_cast<int>(s) && resume_iter_ >= 1 &&
-      eco_state_valid_)
-    return &eco_state_;
-  return nullptr;
 }
 
 void Checkpoint::finish() {

@@ -40,12 +40,19 @@
 ///    M3D_CHECKPOINT_KEEP is set (the finished result belongs to the
 ///    flow cache, not the checkpoint directory).
 ///
+/// Boundaries: run_flow sends every stage through one helper that skips
+/// a stage done() reports, runs the rest under a trace span named
+/// stage_name(s) and ends it with save(); the two ECO stages add their
+/// per-iteration boundaries through eco_hooks().
+///
 /// Fault injection: M3D_FAULT_AT=<stage>[:<iter>] kills the process
 /// (std::_Exit(kFaultExitCode), no cleanup — a real crash) right after
-/// the matching boundary's checkpoint write. In-process tests instead arm
-/// the same kill point with fault_arm(), which throws FaultInjected once.
-/// Kill points fire at every boundary even when checkpointing is
-/// disabled, so "the flow dies here" is testable on its own.
+/// the matching boundary's checkpoint write; a value that names no
+/// boundary fails the run with a util::Error before its first stage.
+/// In-process tests instead arm the same kill point with fault_arm(),
+/// which throws FaultInjected once. Kill points fire at every boundary
+/// even when checkpointing is disabled, so "the flow dies here" is
+/// testable on its own.
 ///
 /// Tracing: every write emits a `checkpoint_write` span (stage:iter
 /// detail) and a `checkpoint_bytes` counter; a successful resume emits a
@@ -144,9 +151,14 @@ void install_interrupt_handlers();
 /// concurrent saves — run_flow drives it from one thread.
 class Checkpoint {
  public:
-  /// `dir` empty disables checkpointing; kill points still fire.
+  /// `dir` empty disables checkpointing; kill points still fire. Throws
+  /// util::Error "M3D_FAULT_AT: malformed value '<v>'" when that variable
+  /// is set to anything parse_fault_spec rejects.
   Checkpoint(std::string dir, const netlist::Netlist& nl, core::Config cfg,
              const core::FlowOptions& opt);
+  // The hooks eco_hooks() returns hold this session's address.
+  Checkpoint(const Checkpoint&) = delete;
+  Checkpoint& operator=(const Checkpoint&) = delete;
 
   bool active() const { return !dir_.empty(); }
 
@@ -158,19 +170,17 @@ class Checkpoint {
   /// Did the restored checkpoint already complete stage `s`?
   bool done(Stage s) const;
 
-  /// Mid-loop resume state for an ECO stage, or nullptr when that stage
-  /// starts fresh (valid until the next resume()).
-  const part::EcoIterState* eco_resume(Stage s) const;
-
   /// Write the stage-completion boundary (iter 0), then fire a matching
   /// kill point. A failed write is logged and swallowed: checkpointing
   /// must never fail a healthy flow.
   void save(Stage s, const core::FlowResult& res);
 
-  /// Write an ECO-iteration boundary (iter = st.partial.iterations >= 1)
-  /// for stage RepartEco or RepartFixup, then fire a matching kill point.
-  void save_iter(Stage s, const core::FlowResult& res,
-                 const part::EcoIterState& st);
+  /// The hooks for ECO stage `s` (RepartEco or RepartFixup): resume from
+  /// the restored mid-loop state when the checkpoint stopped inside `s`,
+  /// and after every iteration write its boundary (iter =
+  /// st.partial.iterations >= 1) and fire a matching kill point. The
+  /// hooks refer to this session and to `res`; both must outlive them.
+  part::EcoHooks eco_hooks(Stage s, const core::FlowResult& res);
 
   /// The flow completed: delete this run's checkpoint files (unless
   /// M3D_CHECKPOINT_KEEP is set in the environment).
@@ -187,8 +197,10 @@ class Checkpoint {
   };
 
   std::vector<Candidate> scan() const;  ///< this run's files, newest first
-  void write_boundary(Stage s, int iter, const core::FlowResult& res,
-                      const part::EcoIterState* eco);
+  /// Write boundary (s, iter) when active, then its kill point and an
+  /// interrupt check; `eco` is the loop state of an iteration boundary.
+  void boundary(Stage s, int iter, const core::FlowResult& res,
+                const part::EcoIterState* eco);
   void load_file(const Candidate& c, core::FlowResult& res);
   std::string file_for(int stage, int iter) const;
   void maybe_inject_fault(Stage s, int iter) const;

@@ -136,6 +136,25 @@ part::FmOptions partition_fm_options(const Design& d, const FlowOptions& opt) {
   return fm;
 }
 
+/// A fresh route of the design and a full STA on it.
+struct RoutedTiming {
+  sta::StaOptions sopt;
+  route::RoutingEstimate routes;
+  sta::StaResult timing;
+};
+
+/// Route `d`, then time it over `corners`, both on `pool`: the Hetero-3D
+/// partition stage (single-corner), the rebalance and finalize.
+RoutedTiming route_and_time(const Design& d, exec::Pool* pool,
+                            const tech::CornerSpec& corners) {
+  RoutedTiming t;
+  t.sopt.pool = pool;
+  t.sopt.corners = corners;
+  t.routes = route::route_design(d, {pool});
+  t.timing = sta::run_sta(d, &t.routes, t.sopt);
+  return t;
+}
+
 }  // namespace
 
 void finalize(FlowResult& res, Config cfg, const FlowOptions& opt) {
@@ -144,16 +163,12 @@ void finalize(FlowResult& res, Config cfg, const FlowOptions& opt) {
   const Design& d = res.design;
   const std::string& name = d.nl().name();
   util::TraceSpan span("finalize", name);
-  const auto routes = route::route_design(d, {opt.pool});
-  sta::StaOptions sopt;
-  sopt.pool = opt.pool;
-  sopt.corners = opt.sta_corners;
-  const auto timing = sta::run_sta(d, &routes, sopt);
+  const RoutedTiming rt = route_and_time(d, opt.pool, opt.sta_corners);
   power::PowerOptions popt;
   popt.pool = opt.pool;
   const auto pw =
-      power::analyze_power(d, &routes, 1.0 / d.clock_period_ns(), popt);
-  res.metrics = collect_metrics(d, routes, timing, pw, res.clock, name,
+      power::analyze_power(d, &rt.routes, 1.0 / d.clock_period_ns(), popt);
+  res.metrics = collect_metrics(d, rt.routes, rt.timing, pw, res.clock, name,
                                 config_name(cfg));
 }
 
@@ -180,38 +195,40 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   ckpt.resume(res);
   Design& d = res.design;
 
-  place::PlaceOptions popt = opt.place;
-  popt.utilization = opt.utilization;
+  // The one stage boundary. A stage the restored checkpoint completed is
+  // skipped; any other runs its body under a trace span of the stage's
+  // name, then writes its checkpoint and passes its kill point.
+  const auto stage = [&](flow::Stage s, const auto& body) {
+    if (ckpt.done(s)) return;
+    {
+      util::TraceSpan span(flow::stage_name(s), nl.name());
+      body();
+    }
+    ckpt.save(s, res);
+  };
 
   // ---- synthesis-like stage ------------------------------------------------
   // Zero-wire sizing/buffering toward the frequency target *before* the
   // floorplan is cut: the floorplan is then sized from the synthesized
   // area (paper §IV-A2). Driving the slow 9-track library to a 12-track
   // frequency target over-corrects here, inflating its chip area.
-  if (!ckpt.done(flow::Stage::Synth)) {
-    {
-      util::TraceSpan span("synth", nl.name());
-      opt::OptOptions synth = opt.opt;
-      synth.routed = false;
-      res.opt = opt::optimize_timing(d, synth);
-    }
-    ckpt.save(flow::Stage::Synth, res);
-  }
+  stage(flow::Stage::Synth, [&] {
+    opt::OptOptions synth = opt.opt;
+    synth.routed = false;
+    res.opt = opt::optimize_timing(d, synth);
+  });
 
   // ---- pseudo-3-D / 2-D placement stage ----------------------------------
-  if (!ckpt.done(flow::Stage::Place)) {
-    {
-      util::TraceSpan span("place", nl.name());
-      place::init_floorplan(d, popt);
-      place::global_place(d, popt);
-    }
-    ckpt.save(flow::Stage::Place, res);
-  }
+  stage(flow::Stage::Place, [&] {
+    place::PlaceOptions popt = opt.place;
+    popt.utilization = opt.utilization;
+    place::init_floorplan(d, popt);
+    place::global_place(d, popt);
+  });
 
   // ---- tier partitioning (3-D) + legalization ------------------------------
-  if (!ckpt.done(flow::Stage::Partition)) {
+  stage(flow::Stage::Partition, [&] {
     if (d.num_tiers() >= 2) {
-      util::TraceSpan span("partition", nl.name());
       const part::FmOptions fm = partition_fm_options(d, opt);
       if (cfg == Config::Hetero3D && d.num_tiers() == 2) {
         // Pseudo-3-D knows only the 12-track bottom technology. Partition
@@ -221,18 +238,15 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
         // legalizing the whole netlist into the folded footprint before
         // partitioning would scatter it at ~2x density and wreck the
         // placement. Legality only exists per tier, after the fold.
-        const auto routes = route::route_design(d, {opt.pool});
-        sta::StaOptions sopt;
-        sopt.pool = opt.pool;
-        const auto timing = sta::run_sta(d, &routes, sopt);
+        const RoutedTiming rt = route_and_time(d, opt.pool, {});
         if (opt.enable_timing_partition) {
           part::TimingPartitionOptions tp = opt.timing_part;
           tp.fm = fm;
           if (opt.path_based_criticality) {
             res.timing_part = part::timing_partition_path_based(
-                d, timing, opt.path_based_paths, tp);
+                d, rt.timing, opt.path_based_paths, tp);
           } else {
-            res.timing_part = part::timing_partition(d, timing, tp);
+            res.timing_part = part::timing_partition(d, rt.timing, tp);
           }
         } else {
           res.timing_part.cut = part::bin_fm_partition(d, fm);
@@ -244,32 +258,27 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
       }
     }
     place::legalize(d);
-    ckpt.save(flow::Stage::Partition, res);
-  }
+  });
 
   // ---- post-placement timing optimization ---------------------------------
-  if (!ckpt.done(flow::Stage::PostPlaceOpt)) {
-    {
-      util::TraceSpan span("post_place_opt", nl.name());
-      opt::OptOptions oopt = opt.opt;
-      oopt.routed = true;
-      // The heterogeneous design is accepted at WNS within ~5-7 % of the
-      // period (the paper's own hetero runs all sit slightly negative);
-      // optimizing it to zero would over-correct — blanket-upsizing the slow
-      // tier and erasing the area/power benefit heterogeneity exists for.
-      if (cfg == Config::Hetero3D)
-        oopt.target_slack_ns = -0.04 * opt.clock_period_ns;
-      const auto post = opt::optimize_timing(d, oopt);
-      res.opt.cells_upsized += post.cells_upsized;
-      res.opt.cells_downsized += post.cells_downsized;
-      res.opt.buffers_added += post.buffers_added;
-      res.opt.wns_after = post.wns_after;
-    }
+  stage(flow::Stage::PostPlaceOpt, [&] {
+    opt::OptOptions oopt = opt.opt;
+    oopt.routed = true;
+    // The heterogeneous design is accepted at WNS within ~5-7 % of the
+    // period (the paper's own hetero runs all sit slightly negative);
+    // optimizing it to zero would over-correct — blanket-upsizing the slow
+    // tier and erasing the area/power benefit heterogeneity exists for.
+    if (cfg == Config::Hetero3D)
+      oopt.target_slack_ns = -0.04 * opt.clock_period_ns;
+    const auto post = opt::optimize_timing(d, oopt);
+    res.opt.cells_upsized += post.cells_upsized;
+    res.opt.cells_downsized += post.cells_downsized;
+    res.opt.buffers_added += post.buffers_added;
+    res.opt.wns_after = post.wns_after;
     // Sizing changed cell area; restore the utilization target.
     place::rescale_to_utilization(d, opt.utilization);
     place::legalize(d);
-    ckpt.save(flow::Stage::PostPlaceOpt, res);
-  }
+  });
 
   // ---- clock tree ----------------------------------------------------------
   // The 3-D mode and the trunk tier follow from the configuration alone;
@@ -287,91 +296,66 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     copt.mode = cts::CtsOptions{}.mode;
     copt.prefer_low_power_trunk = cts::CtsOptions{}.prefer_low_power_trunk;
   }
-  if (!ckpt.done(flow::Stage::Cts)) {
-    {
-      util::TraceSpan span("cts", nl.name());
-      cts::build_clock_tree(d, copt);
-      place::legalize(d);
-      res.clock = cts::annotate_clock_latencies(d, copt.pool);
-    }
-    ckpt.save(flow::Stage::Cts, res);
-  }
+  // Every stage from here on ends the same way: re-legalize what it moved
+  // or resized, then refresh the clock latencies. res.clock keeps the
+  // last annotation's report for the metrics.
+  const auto legalize_and_annotate = [&] {
+    place::legalize(d);
+    res.clock = cts::annotate_clock_latencies(d, copt.pool);
+  };
+  stage(flow::Stage::Cts, [&] {
+    cts::build_clock_tree(d, copt);
+    legalize_and_annotate();
+  });
 
   // ---- post-CTS optimization ----------------------------------------------
   // The pre-CTS power recovery ran against stale wire loads (the floorplan
   // rescale and the clock tree both moved things); repair slew and setup
   // without further recovery, as commercial flows do after CTS.
-  if (!ckpt.done(flow::Stage::PostCtsOpt)) {
-    {
-      util::TraceSpan span("post_cts_opt", nl.name());
-      opt::OptOptions post = opt.opt;
-      post.routed = true;
-      post.max_sizing_rounds = 2;
-      if (cfg == Config::Hetero3D)
-        post.target_slack_ns = -0.04 * opt.clock_period_ns;
-      post.power_recovery_rounds = 0;
-      post.max_fanout = 0x7fffffff;  // no topology changes after CTS
-      post.max_wire_um = 1e9;
-      const auto fix = opt::optimize_timing(d, post);
-      res.opt.cells_upsized += fix.cells_upsized;
-      place::legalize(d);
-      res.clock = cts::annotate_clock_latencies(d, copt.pool);
-    }
-    ckpt.save(flow::Stage::PostCtsOpt, res);
-  }
+  stage(flow::Stage::PostCtsOpt, [&] {
+    opt::OptOptions post = opt.opt;
+    post.routed = true;
+    post.max_sizing_rounds = 2;
+    if (cfg == Config::Hetero3D)
+      post.target_slack_ns = -0.04 * opt.clock_period_ns;
+    post.power_recovery_rounds = 0;
+    post.max_fanout = 0x7fffffff;  // no topology changes after CTS
+    post.max_wire_um = 1e9;
+    const auto fix = opt::optimize_timing(d, post);
+    res.opt.cells_upsized += fix.cells_upsized;
+    legalize_and_annotate();
+  });
 
   // ---- repartitioning ECO (hetero only; the engine is two-tier) -----------
   if (cfg == Config::Hetero3D && d.num_tiers() == 2 &&
       opt.enable_repartition) {
-    util::TraceSpan span("repartition_eco", nl.name());
-    if (!ckpt.done(flow::Stage::RepartEco)) {
-      part::EcoHooks hooks;
-      hooks.resume = ckpt.eco_resume(flow::Stage::RepartEco);
-      hooks.after_iteration = [&](const Design&,
-                                  const part::EcoIterState& st) {
-        ckpt.save_iter(flow::Stage::RepartEco, res, st);
-      };
+    stage(flow::Stage::RepartEco, [&] {
+      const part::EcoHooks hooks =
+          ckpt.eco_hooks(flow::Stage::RepartEco, res);
       res.repart = part::repartition_eco(d, opt.repart, &hooks);
-      ckpt.save(flow::Stage::RepartEco, res);
-    }
+    });
     // Counter-move: park slack-rich bottom cells on the 9-track tier so
     // the fast die does not balloon the footprint (and the slow die does
     // the power saving it exists for). A 12T→9T remap roughly doubles the
     // stage delay, so only cells with a comfortable margin qualify; a
     // second ECO pass pulls back anything that turned critical anyway.
-    if (!ckpt.done(flow::Stage::Rebalance)) {
-      {
-        const auto routes = route::route_design(d, {opt.pool});
-        sta::StaOptions sopt;
-        sopt.pool = opt.pool;
-        sopt.corners = opt.sta_corners;
-        const auto timing = sta::run_sta(d, &routes, sopt);
-        part::rebalance_to_top(d, timing, 0.05 * d.clock_period_ns(),
-                               opt.utilization, opt.pool, sopt);
-      }
+    stage(flow::Stage::Rebalance, [&] {
+      const RoutedTiming rt = route_and_time(d, opt.pool, opt.sta_corners);
+      part::rebalance_to_top(d, rt.timing, 0.05 * d.clock_period_ns(),
+                             opt.utilization, opt.pool, rt.sopt);
       place::rescale_to_utilization(d, opt.utilization);
-      place::legalize(d);
-      cts::annotate_clock_latencies(d, copt.pool);
-      ckpt.save(flow::Stage::Rebalance, res);
-    }
+      legalize_and_annotate();
+    });
     // Final ECO pass at settled positions: pull back anything the
     // migration or the rescale shake-up turned critical.
-    if (!ckpt.done(flow::Stage::RepartFixup)) {
-      {
-        part::RepartitionOptions fixup = opt.repart;
-        fixup.max_iters = 4;
-        part::EcoHooks hooks;
-        hooks.resume = ckpt.eco_resume(flow::Stage::RepartFixup);
-        hooks.after_iteration = [&](const Design&,
-                                    const part::EcoIterState& st) {
-          ckpt.save_iter(flow::Stage::RepartFixup, res, st);
-        };
-        part::repartition_eco(d, fixup, &hooks);
-        place::legalize(d);
-      }
-      res.clock = cts::annotate_clock_latencies(d, copt.pool);
-      ckpt.save(flow::Stage::RepartFixup, res);
-    }
+    stage(flow::Stage::RepartFixup, [&] {
+      part::RepartitionOptions fixup = opt.repart;
+      fixup.max_iters = 4;
+      const part::EcoHooks hooks =
+          ckpt.eco_hooks(flow::Stage::RepartFixup, res);
+      part::repartition_eco(d, fixup, &hooks);
+      legalize_and_annotate();
+    });
   }
 
   finalize(res, cfg, opt);

@@ -150,9 +150,8 @@ struct FlowResult {
   part::TimingPartitionResult timing_part;
   part::RepartitionResult repart;
   opt::OptResult opt;
-  /// Report of the last clock-latency annotation that run_flow keeps (CTS,
-  /// post-CTS opt, the final repartition pass); finalize feeds it to
-  /// collect_metrics.
+  /// Report of the last annotation: every stage from CTS on ends with a
+  /// clock-latency annotation; finalize feeds it to collect_metrics.
   cts::ClockTreeReport clock;
 
   FlowResult(netlist::Design d) : design(std::move(d)) {}

@@ -2,7 +2,8 @@
 # Malformed input to a bench or example program must end it with exit
 # status 2 and "<program>: <message>" on stderr, never with an abort.
 #
-#   tests/mains_exit_two.sh <bench_table6_hetero_ppac> <cost_explorer>
+#   tests/mains_exit_two.sh <bench_table6_hetero_ppac> <cost_explorer> \
+#                           <checkpoint_restart>
 set -u
 status=0
 
@@ -28,4 +29,6 @@ expect 2 "bench_table6_hetero_ppac: M3D_BENCH_SCALE: malformed value 'abc'" \
 expect 2 "cost_explorer: die_area_mm2: malformed value 'abc'" "$2" abc
 expect 2 "cost_explorer: freq_ghz: malformed value '1.5GHz'" \
   "$2" 2 500 1.5GHz
+expect 2 "checkpoint_restart: M3D_FAULT_AT: malformed value 'ctss'" \
+  env M3D_FAULT_AT=ctss "$3"
 exit $status

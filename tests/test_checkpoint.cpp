@@ -139,6 +139,22 @@ TEST_F(CheckpointTest, ParseFaultSpec) {
     EXPECT_FALSE(mf::parse_fault_spec(bad, &s, &iter)) << bad;
 }
 
+TEST_F(CheckpointTest, MalformedEnvFaultSpecIsTypedError) {
+  // A kill point the run cannot parse fails the run, in the wording of
+  // the numeric M3D_* knobs, instead of leaving it silently unarmed.
+  setenv("M3D_FAULT_AT", "ctss", 1);
+  std::string what;
+  try {
+    mc::run_flow(tiny(), mc::Config::Hetero3D, tiny_opts());
+  } catch (const mu::Error& e) {
+    what = e.what();
+  }
+  unsetenv("M3D_FAULT_AT");
+  EXPECT_NE(what.find("M3D_FAULT_AT: malformed value 'ctss'"),
+            std::string::npos)
+      << "error: '" << what << "'";
+}
+
 // ---- crash/resume at every boundary --------------------------------------
 
 TEST_F(CheckpointTest, ResumeAtEveryStageBoundaryIsByteIdentical) {
@@ -165,6 +181,38 @@ TEST_F(CheckpointTest, ResumeAtEveryStageBoundaryIsByteIdentical) {
     // The completed resume run cleans its checkpoints back up.
     EXPECT_EQ(checkpoint_files(dir_), 0u);
   }
+}
+
+TEST_F(CheckpointTest, SixStageFlowsResumeAtEveryBoundaryByteIdentically) {
+  // 2-D and homogeneous 3-D flows skip the three ECO stages: kill each at
+  // its six boundaries, resume, and demand the uninterrupted result.
+  const auto nl = tiny();
+  for (const auto cfg : {mc::Config::TwoD12T, mc::Config::ThreeD9T}) {
+    SCOPED_TRACE(mc::config_name(cfg));
+    auto opt = tiny_opts();
+    const auto ref = mc::run_flow(nl, cfg, opt);
+
+    opt.checkpoint_dir = dir_;
+    for (int i = 0; i <= static_cast<int>(mf::Stage::PostCtsOpt); ++i) {
+      const auto stage = static_cast<mf::Stage>(i);
+      SCOPED_TRACE(mf::stage_name(stage));
+      fs::remove_all(dir_);
+      mf::fault_arm(stage);
+      EXPECT_THROW(mc::run_flow(nl, cfg, opt), mf::FaultInjected);
+      ASSERT_EQ(checkpoint_files(dir_), static_cast<std::size_t>(i + 1));
+      expect_flow_equal(ref, mc::run_flow(nl, cfg, opt));
+      EXPECT_EQ(checkpoint_files(dir_), 0u);
+    }
+  }
+
+  // A kill point at an ECO stage never fires on a 2-D flow, which leaves
+  // no checkpoint behind.
+  auto opt = tiny_opts();
+  opt.checkpoint_dir = dir_;
+  fs::remove_all(dir_);
+  mf::fault_arm(mf::Stage::RepartEco);
+  EXPECT_NO_THROW(mc::run_flow(nl, mc::Config::TwoD12T, opt));
+  EXPECT_EQ(checkpoint_files(dir_), 0u);
 }
 
 TEST_F(CheckpointTest, ResumeMidEcoIterationIsByteIdentical) {

@@ -822,7 +822,8 @@ TEST_F(ExecTrace, EmitsParseableChromeTrace) {
   for (const char* stage :
        {"\"flow\"", "\"synth\"", "\"place\"", "\"partition\"",
         "\"post_place_opt\"", "\"cts\"", "\"post_cts_opt\"",
-        "\"repartition_eco\"", "\"finalize\""})
+        "\"repart_eco\"", "\"rebalance\"", "\"repart_fixup\"",
+        "\"finalize\""})
     EXPECT_NE(flow_json.find(stage), std::string::npos) << stage;
   std::remove(path.c_str());
 }

@@ -15,6 +15,8 @@
 #include "tech/library_factory.hpp"
 #include "util/rng.hpp"
 
+#include "mutate.hpp"
+
 namespace mg = m3d::gen;
 namespace mn = m3d::netlist;
 namespace mt = m3d::tech;
@@ -495,74 +497,19 @@ TEST(Verilog, ReparseIsAFixedPoint) {
 
 namespace {
 
-/// `text` with one random edit: a flipped, inserted or deleted byte; a
-/// deleted or duplicated line; a truncation; or an inserted `\`, `/*`,
-/// `(`, `.` or run of digits.
-std::string mutate(const std::string& text, m3d::util::Rng& rng) {
-  std::string m = text;
-  const auto at = static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<int>(m.size()) - 1));
-  const std::size_t nl_before = m.rfind('\n', at);
-  const std::size_t line_begin =
-      nl_before == std::string::npos ? 0 : nl_before + 1;
-  const std::size_t nl_after = m.find('\n', at);
-  const std::size_t line_end =
-      nl_after == std::string::npos ? m.size() : nl_after + 1;
-  switch (rng.uniform_int(0, 10)) {
-    case 0:
-      m[at] = static_cast<char>(m[at] ^ rng.uniform_int(1, 255));
-      break;
-    case 1:
-      m.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
-      break;
-    case 2:
-      m.erase(at, 1);
-      break;
-    case 3:
-      m.erase(line_begin, line_end - line_begin);
-      break;
-    case 4:
-      m.insert(line_begin, m.substr(line_begin, line_end - line_begin));
-      break;
-    case 5:
-      m.resize(at);
-      break;
-    case 6:
-      m.insert(at, "\\");
-      break;
-    case 7:
-      m.insert(at, "/*");
-      break;
-    case 8:
-      m.insert(at, "(");
-      break;
-    case 9:
-      m.insert(at, ".");
-      break;
-    default: {
-      std::string digits(static_cast<std::size_t>(rng.uniform_int(1, 12)),
-                         '0');
-      for (char& d : digits) d = static_cast<char>('0' + rng.uniform_int(0, 9));
-      m.insert(at, digits);
-    }
-  }
-  return m;
-}
-
-/// Parses `mutants` mutants of small writer texts and the hand-written
-/// adder. Each must parse or throw util::Error: any other exception fails
-/// the test, and a crash or sanitizer report ends it.
-void fuzz_reader(int mutants, std::uint64_t seed) {
-  mg::GenOptions g;
-  g.scale = 0.02;  // the generators' smallest mesh and cpu
-  const std::string corpus[] = {mn::verilog_string(mg::make_mesh(g)),
-                                mn::verilog_string(mg::make_cpu(g)), kAdder};
+/// Parses `mutants` mutants of the `corpus` texts, in turn. Each must
+/// parse or throw util::Error: any other exception fails the test, and a
+/// crash or sanitizer report ends it. Both outcomes must occur.
+template <typename Parse>
+void fuzz(const std::vector<std::string>& corpus, int mutants,
+          std::uint64_t seed, Parse parse) {
+  for (const std::string& text : corpus) ASSERT_NO_THROW(parse(text));
   m3d::util::Rng rng(seed);
   int parsed = 0, rejected = 0;
   for (int i = 0; i < mutants; ++i) {
-    const std::string text = mutate(corpus[i % 3], rng);
+    const std::string text = m3d::test::mutate(corpus[i % corpus.size()], rng);
     try {
-      mn::parse_verilog(text);
+      parse(text);
       ++parsed;
     } catch (const m3d::util::Error&) {
       ++rejected;
@@ -577,14 +524,51 @@ void fuzz_reader(int mutants, std::uint64_t seed) {
   EXPECT_GT(rejected, 0);
 }
 
+/// Small writer texts and the hand-written adder, through the Verilog
+/// reader.
+void fuzz_verilog(int mutants, std::uint64_t seed) {
+  mg::GenOptions g;
+  g.scale = 0.02;  // the generators' smallest mesh and cpu
+  fuzz({mn::verilog_string(mg::make_mesh(g)),
+        mn::verilog_string(mg::make_cpu(g)), kAdder},
+       mutants, seed, [](const std::string& t) { mn::parse_verilog(t); });
+}
+
+/// The header and a few cell groups (an inverter, a NAND2, a flop and the
+/// smallest macro) of a factory library's Liberty text: about 21 KB of
+/// its 636 KB, so a mutant parses in a fraction of a millisecond.
+std::string few_cells(const mt::TechLib& lib) {
+  const std::string text = mt::liberty_string(lib);
+  std::string out = text.substr(0, text.find("  cell ("));
+  for (const char* cell : {"INV_X1_", "NAND2_X1_", "DFF_X1_", "SRAM_64X32"}) {
+    const std::size_t at = text.find(std::string("  cell (") + cell);
+    out += text.substr(at, text.find("\n  }\n", at) + 5 - at);
+  }
+  return out + "}\n";
+}
+
+/// The 12- and 9-track cuts, through the Liberty reader.
+void fuzz_liberty(int mutants, std::uint64_t seed) {
+  fuzz({few_cells(*mt::make_12track()), few_cells(*mt::make_9track())},
+       mutants, seed, [](const std::string& t) { mt::parse_liberty(t); });
+}
+
 }  // namespace
 
-TEST(VerilogFuzz, MutantsParseOrThrowTypedErrors) { fuzz_reader(2000, 24); }
+TEST(VerilogFuzz, MutantsParseOrThrowTypedErrors) { fuzz_verilog(2000, 24); }
 
 // Ten times deeper; the ASan+UBSan CI job runs it through
 // --gtest_also_run_disabled_tests.
 TEST(VerilogFuzz, DISABLED_DeepMutantsParseOrThrowTypedErrors) {
-  fuzz_reader(20000, 2024);
+  fuzz_verilog(20000, 2024);
+}
+
+TEST(LibertyFuzz, MutantsParseOrThrowTypedErrors) { fuzz_liberty(2000, 26); }
+
+// Ten times deeper; the ASan+UBSan CI job runs it through
+// --gtest_also_run_disabled_tests.
+TEST(LibertyFuzz, DISABLED_DeepMutantsParseOrThrowTypedErrors) {
+  fuzz_liberty(20000, 2026);
 }
 
 // ------------------------------------------------------- numeric tokens

@@ -27,6 +27,9 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
+
+#include "mutate.hpp"
 
 namespace fs = std::filesystem;
 namespace mc = m3d::core;
@@ -174,6 +177,60 @@ TEST_F(ServiceProtocol, JobSpecRoundTripsAndValidates) {
   reject("scale", ms::Json(99.0));
   reject("period_ns", ms::Json(0.0));
   reject("eco_iters", ms::Json(1000));
+}
+
+TEST_F(ServiceProtocol, MutatedRequestsParseOrFailWithAMessage) {
+  // The daemon's request path: Json::parse, then JobSpec::from_json, on
+  // mutants of a valid submit line and of valid jobs.jsonl records (a
+  // submit record nests its spec under "spec"). Each mutant must come
+  // through as a spec or be refused with a message; nothing may throw.
+  ms::JobSpec spec;
+  spec.design = "ldpc";
+  spec.seed = 13;
+  spec.config = mc::Config::ThreeD12T;
+  ms::Json submit = spec.to_json();
+  submit["cmd"] = ms::Json("submit");
+  ms::Json record = ms::Json::object();
+  record["ev"] = ms::Json("submit");
+  record["id"] = ms::Json(7);
+  record["client"] = ms::Json("c-2");
+  record["spec"] = spec.to_json();
+  ms::Json done = ms::Json::object();
+  done["ev"] = ms::Json("done");
+  done["id"] = ms::Json(7);
+  done["state"] = ms::Json("done");
+  done["digest"] = ms::Json("6edacd20e73feef4-027a91fa1180e74b");
+  const std::string corpus[] = {submit.dump(), record.dump(), done.dump()};
+
+  mu::Rng rng(27);
+  int specs = 0, bad_json = 0, bad_spec = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string line = m3d::test::mutate(corpus[i % 3], rng);
+    try {
+      ms::Json req;
+      std::string err;
+      if (!ms::Json::parse(line, &req, &err)) {
+        EXPECT_FALSE(err.empty()) << line;
+        ++bad_json;
+        continue;
+      }
+      const ms::Json* nested = req.find("spec");
+      ms::JobSpec out;
+      err.clear();
+      if (ms::JobSpec::from_json(nested ? *nested : req, &out, &err)) {
+        ++specs;
+      } else {
+        EXPECT_FALSE(err.empty()) << line;
+        ++bad_spec;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what() << ": "
+                    << line;
+    }
+  }
+  EXPECT_GT(specs, 0);
+  EXPECT_GT(bad_json, 0);
+  EXPECT_GT(bad_spec, 0);
 }
 
 TEST_F(ServiceProtocol, ConfigTokensCoverAllConfigsBothSpellings) {
