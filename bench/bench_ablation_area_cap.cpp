@@ -30,7 +30,7 @@ int run(int, char**) {
             "Si area (mm2)", "Power (mW)", "PPC"});
   for (double cap : {0.05, 0.10, 0.20, 0.25, 0.30, 0.40, 0.50}) {
     auto opts = bench::flow_options(period);
-    opts.timing_part.area_cap = cap;
+    opts.timing_area_cap = cap;
     const auto res = core::run_flow(nl, core::Config::Hetero3D, opts);
     t.row({TextTable::num(cap * 100.0, 0) + "%",
            TextTable::integer(res.timing_part.pinned_cells),

@@ -53,8 +53,8 @@ int run(int argc, char** argv) {
   opt.clock_period_ns =
       argc > 3 ? util::parse_token<double>("period_ns", argv[3], argv[3])
                : 1.2;
-  opt.opt.max_sizing_rounds = 2;
-  opt.repart.max_iters = 3;
+  opt.max_sizing_rounds = 2;
+  opt.eco_iters = 3;
 
   // Through the cache when a disk tier is configured (so CI can assert
   // warm hits), straight run_flow otherwise — the result is identical.

@@ -144,7 +144,7 @@ Checkpoint::Checkpoint(std::string dir, const netlist::Netlist& nl,
     : dir_(std::move(dir)), cfg_(cfg), nl_name_(nl.name()) {
   if (active()) {
     netlist_fp_ = exec::FlowCache::fingerprint(nl);
-    opt_hash_ = exec::FlowCache::options_hash(opt);
+    opt_hash_ = core::options_hash(opt);
     opt_ = opt;
     char buf[64];
     std::snprintf(buf, sizeof buf, "%016llx-c%d-%016llx-",

@@ -7,10 +7,12 @@
 #include "cost/cost.hpp"
 #include "exec/flow_cache.hpp"
 #include "part/fm.hpp"
+#include "place/place.hpp"
 #include "power/power.hpp"
 #include "route/route.hpp"
 #include "sta/sta.hpp"
 #include "tech/library_factory.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/trace.hpp"
 
@@ -77,53 +79,60 @@ Design design_for_flow(const Netlist& nl, Config cfg,
   return Design(nl, std::move(libs));
 }
 
+std::uint64_t options_hash(const FlowOptions& o) {
+  util::Hasher h;
+  h.mix(o.clock_period_ns);
+  h.mix(o.utilization);
+  h.mix(o.max_sizing_rounds);
+  h.mix(o.eco_iters);
+  h.mix(o.timing_area_cap);
+  h.mix(o.enable_timing_partition);
+  h.mix(o.enable_repartition);
+  h.mix(o.enable_cover_cts);
+  h.mix(o.path_based_criticality);
+  h.mix(o.path_based_paths);
+  const tech::CornerSpec& c = o.sta_corners;
+  h.mix(c.count);
+  h.mix(c.derate[0]);
+  h.mix(c.derate[1]);
+  h.mix(c.sigma[0]);
+  h.mix(c.sigma[1]);
+  h.mix(c.seed);
+  h.mix(static_cast<std::uint64_t>(o.tiers.size()));
+  for (const TierSpec& t : o.tiers) {
+    h.mix(t.tech);
+    h.mix(t.vdd_scale);
+    h.mix(t.area_cap_um2);
+    h.mix(t.process.feol_fraction);
+    h.mix(t.process.beol_fraction);
+  }
+  h.mix(o.part_cost_weight);
+  return h.h;
+}
+
 namespace {
-
-/// Propagate the flow-level pool into every nested options struct that
-/// carries its own, unless the caller already named one there.
-FlowOptions with_pool(FlowOptions o) {
-  if (o.pool == nullptr) return o;
-  if (o.place.pool == nullptr) o.place.pool = o.pool;
-  if (o.fm.pool == nullptr) o.fm.pool = o.pool;
-  if (o.opt.sta.pool == nullptr) o.opt.sta.pool = o.pool;
-  if (o.repart.sta.pool == nullptr) o.repart.sta.pool = o.pool;
-  if (o.repart.pool == nullptr) o.repart.pool = o.pool;
-  if (o.cts.pool == nullptr) o.cts.pool = o.pool;
-  return o;
-}
-
-/// Propagate the flow-level corner spec into the ECO's STA options: the
-/// repartition loop is the flow's variation-aware stage (guard-banded
-/// accept metric). The synth/opt/partition-stage STAs deliberately stay
-/// single-corner — see FlowOptions::sta_corners.
-FlowOptions with_corners(FlowOptions o) {
-  if (o.repart.sta.corners == tech::CornerSpec{})
-    o.repart.sta.corners = o.sta_corners;
-  return o;
-}
 
 /// FM options for the partition stage: µ, the utilization and the
 /// per-tier caps/process shares from the flow-level knobs. A two-tier
-/// stack without explicit shares gets the macro-aware pair {1 − t, t}:
-/// with macros split across tiers, equal plan-view occupation means the
-/// tier holding less macro area carries extra cells.
+/// stack gets the macro-aware shares {1 − t, t}: with macros split across
+/// tiers, equal plan-view occupation means the tier holding less macro
+/// area carries extra cells.
 part::FmOptions partition_fm_options(const Design& d, const FlowOptions& opt) {
-  part::FmOptions fm = opt.fm;
+  part::FmOptions fm;
+  fm.pool = opt.pool;
   fm.cost_weight = opt.part_cost_weight;
   fm.utilization = opt.utilization;
   if (!opt.tiers.empty()) {
     M3D_CHECK(static_cast<int>(opt.tiers.size()) == d.num_tiers());
-    fm.tier_area_cap_um2.clear();
-    fm.tier_process.clear();
+    bool any_cap = false;
     for (const TierSpec& t : opt.tiers) {
       fm.tier_area_cap_um2.push_back(t.area_cap_um2);
       fm.tier_process.push_back(t.process);
+      any_cap |= t.area_cap_um2 > 0.0;
     }
-    bool any_cap = false;
-    for (double c : fm.tier_area_cap_um2) any_cap |= c > 0.0;
     if (!any_cap) fm.tier_area_cap_um2.clear();
   }
-  if (d.num_tiers() == 2 && fm.tier_share.empty()) {
+  if (d.num_tiers() == 2) {
     double top = 0.5;
     const double cells = d.total_std_cell_area();
     const double mb = place::tier_macro_area(d, kBottomTier);
@@ -172,8 +181,7 @@ void finalize(FlowResult& res, Config cfg, const FlowOptions& opt) {
                                 config_name(cfg));
 }
 
-FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
-  const FlowOptions opt = with_corners(with_pool(opt_in));
+FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt) {
   util::TraceSpan flow_span(
       "flow", std::string(config_name(cfg)) + " " + nl.name());
   util::log_info("=== flow ", config_name(cfg), " on ", nl.name(), " @ ",
@@ -206,6 +214,23 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     }
     ckpt.save(s, res);
   };
+  // Options of the three sizing stages and the two ECO passes: kernel
+  // defaults plus the flow's pool. Only the ECO's STA times the flow's
+  // corners; the sizing STAs stay single-corner (FlowOptions::sta_corners).
+  const auto sizing = [&](int rounds) {
+    opt::OptOptions o;
+    o.max_sizing_rounds = rounds;
+    o.sta.pool = opt.pool;
+    return o;
+  };
+  const auto eco = [&](int iters) {
+    part::RepartitionOptions o;
+    o.max_iters = iters;
+    o.pool = opt.pool;
+    o.sta.pool = opt.pool;
+    o.sta.corners = opt.sta_corners;
+    return o;
+  };
 
   // ---- synthesis-like stage ------------------------------------------------
   // Zero-wire sizing/buffering toward the frequency target *before* the
@@ -213,15 +238,16 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   // area (paper §IV-A2). Driving the slow 9-track library to a 12-track
   // frequency target over-corrects here, inflating its chip area.
   stage(flow::Stage::Synth, [&] {
-    opt::OptOptions synth = opt.opt;
+    opt::OptOptions synth = sizing(opt.max_sizing_rounds);
     synth.routed = false;
     res.opt = opt::optimize_timing(d, synth);
   });
 
   // ---- pseudo-3-D / 2-D placement stage ----------------------------------
   stage(flow::Stage::Place, [&] {
-    place::PlaceOptions popt = opt.place;
+    place::PlaceOptions popt;
     popt.utilization = opt.utilization;
+    popt.pool = opt.pool;
     place::init_floorplan(d, popt);
     place::global_place(d, popt);
   });
@@ -240,7 +266,8 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
         // placement. Legality only exists per tier, after the fold.
         const RoutedTiming rt = route_and_time(d, opt.pool, {});
         if (opt.enable_timing_partition) {
-          part::TimingPartitionOptions tp = opt.timing_part;
+          part::TimingPartitionOptions tp;
+          tp.area_cap = opt.timing_area_cap;
           tp.fm = fm;
           if (opt.path_based_criticality) {
             res.timing_part = part::timing_partition_path_based(
@@ -262,8 +289,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
 
   // ---- post-placement timing optimization ---------------------------------
   stage(flow::Stage::PostPlaceOpt, [&] {
-    opt::OptOptions oopt = opt.opt;
-    oopt.routed = true;
+    opt::OptOptions oopt = sizing(opt.max_sizing_rounds);
     // The heterogeneous design is accepted at WNS within ~5-7 % of the
     // period (the paper's own hetero runs all sit slightly negative);
     // optimizing it to zero would over-correct — blanket-upsizing the slow
@@ -281,29 +307,27 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   });
 
   // ---- clock tree ----------------------------------------------------------
-  // The 3-D mode and the trunk tier follow from the configuration alone;
-  // a 2-D configuration keeps the CtsOptions defaults (the CTS reads both
-  // only on two-tier designs).
-  cts::CtsOptions copt = opt.cts;
-  if (cfg == Config::Hetero3D) {
-    copt.mode = opt.enable_cover_cts ? cts::Mode3D::CoverCell
-                                     : cts::Mode3D::PerDie;
-    copt.prefer_low_power_trunk = opt.enable_cover_cts;
-  } else if (config_is_3d(cfg)) {
-    copt.mode = cts::Mode3D::CoverCell;
-    copt.prefer_low_power_trunk = false;  // homogeneous: no power asymmetry
-  } else {
-    copt.mode = cts::CtsOptions{}.mode;
-    copt.prefer_low_power_trunk = cts::CtsOptions{}.prefer_low_power_trunk;
-  }
   // Every stage from here on ends the same way: re-legalize what it moved
   // or resized, then refresh the clock latencies. res.clock keeps the
   // last annotation's report for the metrics.
   const auto legalize_and_annotate = [&] {
     place::legalize(d);
-    res.clock = cts::annotate_clock_latencies(d, copt.pool);
+    res.clock = cts::annotate_clock_latencies(d, opt.pool);
   };
   stage(flow::Stage::Cts, [&] {
+    // The 3-D mode and the trunk tier follow from the configuration alone;
+    // a 2-D configuration keeps the CtsOptions defaults (the CTS reads
+    // both only on two-tier designs).
+    cts::CtsOptions copt;
+    copt.pool = opt.pool;
+    if (cfg == Config::Hetero3D) {
+      copt.mode = opt.enable_cover_cts ? cts::Mode3D::CoverCell
+                                       : cts::Mode3D::PerDie;
+      copt.prefer_low_power_trunk = opt.enable_cover_cts;
+    } else if (config_is_3d(cfg)) {
+      copt.mode = cts::Mode3D::CoverCell;
+      copt.prefer_low_power_trunk = false;  // homogeneous: no power asymmetry
+    }
     cts::build_clock_tree(d, copt);
     legalize_and_annotate();
   });
@@ -313,9 +337,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
   // rescale and the clock tree both moved things); repair slew and setup
   // without further recovery, as commercial flows do after CTS.
   stage(flow::Stage::PostCtsOpt, [&] {
-    opt::OptOptions post = opt.opt;
-    post.routed = true;
-    post.max_sizing_rounds = 2;
+    opt::OptOptions post = sizing(2);
     if (cfg == Config::Hetero3D)
       post.target_slack_ns = -0.04 * opt.clock_period_ns;
     post.power_recovery_rounds = 0;
@@ -332,7 +354,7 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     stage(flow::Stage::RepartEco, [&] {
       const part::EcoHooks hooks =
           ckpt.eco_hooks(flow::Stage::RepartEco, res);
-      res.repart = part::repartition_eco(d, opt.repart, &hooks);
+      res.repart = part::repartition_eco(d, eco(opt.eco_iters), &hooks);
     });
     // Counter-move: park slack-rich bottom cells on the 9-track tier so
     // the fast die does not balloon the footprint (and the slow die does
@@ -349,11 +371,9 @@ FlowResult run_flow(const Netlist& nl, Config cfg, const FlowOptions& opt_in) {
     // Final ECO pass at settled positions: pull back anything the
     // migration or the rescale shake-up turned critical.
     stage(flow::Stage::RepartFixup, [&] {
-      part::RepartitionOptions fixup = opt.repart;
-      fixup.max_iters = 4;
       const part::EcoHooks hooks =
           ckpt.eco_hooks(flow::Stage::RepartFixup, res);
-      part::repartition_eco(d, fixup, &hooks);
+      part::repartition_eco(d, eco(4), &hooks);
       legalize_and_annotate();
     });
   }

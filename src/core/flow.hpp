@@ -19,23 +19,22 @@
 ///
 /// The three heterogeneous enhancements can be disabled individually to
 /// reproduce the Pin-3D baseline of Table V and the ablation benches.
+///
+/// FlowOptions names only the values callers vary; each stage of run_flow
+/// builds its kernel's options from them and the kernel's defaults.
+/// options_hash, declared beside the struct, is the one key over them.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/metrics.hpp"
 #include "cost/cost.hpp"
-// NOTE: when adding a field to FlowOptions (or any nested options struct)
-// that run_flow reads, extend exec::FlowCache::options_hash so cached flows
-// keyed on the old field set cannot be served for the new one. Hash a field
-// only if run_flow reads it: a field it overwrites first (timing_part.fm,
-// say) would split one result across cache entries.
 #include "cts/cts.hpp"
 #include "netlist/netlist.hpp"
 #include "opt/opt.hpp"
 #include "part/repartition.hpp"
 #include "part/timing_partition.hpp"
-#include "place/place.hpp"
 #include "tech/corners.hpp"
 
 namespace m3d::exec {
@@ -74,20 +73,15 @@ struct TierSpec {
 struct FlowOptions {
   double clock_period_ns = 0.8;
   double utilization = 0.65;
-  /// place.utilization is overwritten with `utilization`.
-  place::PlaceOptions place;
-  /// opt.routed is set per stage (false at synthesis, true after).
-  opt::OptOptions opt;
-  /// Only area_cap is read: timing_part.fm is replaced by the partition
-  /// stage's FM options (`fm` below).
-  part::TimingPartitionOptions timing_part;
-  /// fm.cost_weight and fm.utilization are overwritten with
-  /// `part_cost_weight` and `utilization`.
-  part::FmOptions fm;
-  part::RepartitionOptions repart;
-  /// cts.mode and cts.prefer_low_power_trunk are overwritten from the
-  /// configuration (a 2-D one gets the CtsOptions defaults).
-  cts::CtsOptions cts;
+  /// Upsizing rounds of the synthesis and post-placement optimizations;
+  /// the post-CTS repair always runs two.
+  int max_sizing_rounds = opt::OptOptions{}.max_sizing_rounds;
+  /// Iteration cap of the repartitioning ECO; the fixup pass after the
+  /// rebalance always runs four.
+  int eco_iters = part::RepartitionOptions{}.max_iters;
+  /// Max fraction of standard-cell area the timing partition pins to the
+  /// fast tier (the paper's 20-30 % cap).
+  double timing_area_cap = part::TimingPartitionOptions{}.area_cap;
 
   // Heterogeneous-flow enhancements (Table V / ablations). Only consulted
   // by the Hetero3D configuration.
@@ -102,11 +96,8 @@ struct FlowOptions {
 
   /// Worker pool for the parallel kernels inside every stage (placement,
   /// FM gains, STA, routing, CTS, power, the ECO scans); nullptr means
-  /// exec::Pool::global(), as it does for every kernel. Propagated into
-  /// every nested options struct that carries its own pool, unless that
-  /// struct already names one. Flow results are byte-identical for any
-  /// pool size, so pool fields are deliberately NOT part of
-  /// exec::FlowCache::options_hash.
+  /// exec::Pool::global(), as it does for every kernel. Flow results are
+  /// byte-identical for any pool size, so options_hash leaves it out.
   exec::Pool* pool = nullptr;
 
   /// Multi-corner signoff: when sta_corners.count > 1, the repartition
@@ -116,8 +107,7 @@ struct FlowOptions {
   /// WNS/TNS. The mid-flow synthesis/optimization/partition STAs stay
   /// single-corner — variation awareness belongs to signoff and the ECO,
   /// not to every inner sizing loop. With the default (count == 1) spec
-  /// every artifact is byte-identical to the single-corner flow. Unlike
-  /// `pool`, this field IS hashed into exec::FlowCache::options_hash.
+  /// every artifact is byte-identical to the single-corner flow.
   tech::CornerSpec sta_corners;
 
   /// Explicit stack overriding the configuration's library mapping: one
@@ -138,10 +128,16 @@ struct FlowOptions {
   /// run_flow persists the full flow state after every stage and every
   /// repartition-ECO iteration there, and a later identical invocation
   /// resumes from the newest valid boundary. Resumed results are
-  /// byte-identical to an uninterrupted run, so like `pool` this knob is
-  /// deliberately NOT part of exec::FlowCache::options_hash.
+  /// byte-identical to an uninterrupted run, so options_hash leaves this
+  /// knob out.
   std::string checkpoint_dir;
 };
+
+/// The flow's key over its options, shared by exec::FlowCache and
+/// flow::Checkpoint: every field above that run_flow reads, each TierSpec
+/// and CornerSpec field included, mixed once. `pool` and `checkpoint_dir`
+/// stay out, so runs that differ only there share one key.
+std::uint64_t options_hash(const FlowOptions& opt);
 
 /// Everything a flow run produces.
 struct FlowResult {

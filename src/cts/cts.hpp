@@ -49,9 +49,8 @@ struct CtsOptions {
   bool balance_skew = true;
   /// Worker pool for the bisection planning and the clock-net routing and
   /// timing sweeps; nullptr means exec::Pool::global(). The built tree is
-  /// bitwise identical at any pool size (each subtree owns a precomputed
-  /// counter range), so this field must stay out of
-  /// exec::FlowCache::options_hash.
+  /// byte-identical at any pool size (each subtree owns a precomputed
+  /// counter range).
   exec::Pool* pool = nullptr;
 };
 

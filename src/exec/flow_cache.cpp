@@ -7,30 +7,8 @@
 
 namespace m3d::exec {
 
-namespace {
-
-using util::Hasher;
-
-void mix_corners(Hasher& h, const tech::CornerSpec& c) {
-  h.mix(c.count);
-  h.mix(c.derate[0]);
-  h.mix(c.derate[1]);
-  h.mix(c.sigma[0]);
-  h.mix(c.sigma[1]);
-  h.mix(c.seed);
-}
-
-void mix_sta(Hasher& h, const sta::StaOptions& o) {
-  h.mix(o.boundary_derates);
-  h.mix(o.ideal_clock);
-  h.mix(o.hold_analysis);
-  mix_corners(h, o.corners);
-}
-
-}  // namespace
-
 std::uint64_t FlowCache::fingerprint(const netlist::Netlist& nl) {
-  Hasher h;
+  util::Hasher h;
   h.mix(nl.name());
   h.mix(nl.block_count());
   for (netlist::BlockId b = 0; b < nl.block_count(); ++b)
@@ -68,68 +46,6 @@ std::uint64_t FlowCache::fingerprint(const netlist::Netlist& nl) {
   return h.h;
 }
 
-std::uint64_t FlowCache::options_hash(const core::FlowOptions& o) {
-  // Only what run_flow reads goes in. Pool pointers (FlowOptions::pool
-  // and the nested ones) stay out: flow results are byte-identical for any
-  // pool size. So do the fields run_flow overwrites before reading them:
-  // place.utilization, opt.routed, fm.cost_weight and fm.utilization come
-  // from the flow-level knobs, timing_part.fm is replaced by the
-  // partition stage's FM options, and cts.mode and
-  // cts.prefer_low_power_trunk follow from the configuration.
-  Hasher h;
-  h.mix(o.clock_period_ns);
-  h.mix(o.utilization);
-  h.mix(o.place.seed);
-  // opt
-  h.mix(o.opt.max_sizing_rounds);
-  h.mix(o.opt.power_recovery_rounds);
-  h.mix(o.opt.target_slack_ns);
-  h.mix(o.opt.recovery_slack_frac);
-  h.mix(o.opt.max_fanout);
-  h.mix(o.opt.max_wire_um);
-  mix_sta(h, o.opt.sta);
-  // partitioning
-  h.mix(o.timing_part.area_cap);
-  h.mix(o.fm.balance_tol);
-  h.mix(o.fm.bins);
-  h.mix(o.fm.seed);
-  h.mix(static_cast<std::uint64_t>(o.fm.tier_share.size()));
-  for (double s : o.fm.tier_share) h.mix(s);
-  h.mix(static_cast<std::uint64_t>(o.fm.tier_area_cap_um2.size()));
-  for (double c : o.fm.tier_area_cap_um2) h.mix(c);
-  h.mix(static_cast<std::uint64_t>(o.fm.tier_process.size()));
-  for (const cost::TierProcess& p : o.fm.tier_process) {
-    h.mix(p.feol_fraction);
-    h.mix(p.beol_fraction);
-  }
-  // repartitioning ECO
-  h.mix(o.repart.max_iters);
-  mix_sta(h, o.repart.sta);
-  // cts
-  h.mix(o.cts.balance_skew);
-  // hetero enhancements
-  h.mix(o.enable_timing_partition);
-  h.mix(o.enable_repartition);
-  h.mix(o.enable_cover_cts);
-  h.mix(o.path_based_criticality);
-  h.mix(o.path_based_paths);
-  // multi-corner signoff spec — a corner sweep changes the ECO's accept
-  // decisions and the signoff metrics, so different specs must not share
-  // a cached flow.
-  mix_corners(h, o.sta_corners);
-  // explicit tier stack + cost-aware partition weight
-  h.mix(o.part_cost_weight);
-  h.mix(static_cast<std::uint64_t>(o.tiers.size()));
-  for (const core::TierSpec& t : o.tiers) {
-    h.mix(t.tech);
-    h.mix(t.vdd_scale);
-    h.mix(t.area_cap_um2);
-    h.mix(t.process.feol_fraction);
-    h.mix(t.process.beol_fraction);
-  }
-  return h.h;
-}
-
 std::size_t FlowCache::default_capacity() {
   if (const auto n = util::env_int("M3D_FLOW_CACHE_CAP"); n && *n > 0)
     return static_cast<std::size_t>(*n);
@@ -147,7 +63,7 @@ FlowCache& FlowCache::global() {
 FlowCache::ResultPtr FlowCache::get_or_run(const netlist::Netlist& nl,
                                            core::Config cfg,
                                            const core::FlowOptions& opt) {
-  const Key key{fingerprint(nl), static_cast<int>(cfg), options_hash(opt)};
+  const Key key{fingerprint(nl), static_cast<int>(cfg), core::options_hash(opt)};
 
   std::promise<ResultPtr> promise;
   std::shared_future<ResultPtr> existing;
@@ -216,7 +132,7 @@ FlowCache::ResultPtr FlowCache::get_or_run(const netlist::Netlist& nl,
 FlowCache::ResultPtr FlowCache::lookup(const netlist::Netlist& nl,
                                        core::Config cfg,
                                        const core::FlowOptions& opt) const {
-  const Key key{fingerprint(nl), static_cast<int>(cfg), options_hash(opt)};
+  const Key key{fingerprint(nl), static_cast<int>(cfg), core::options_hash(opt)};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || !it->second.ready) return nullptr;
@@ -250,7 +166,7 @@ std::size_t FlowCache::size() const {
   return entries_.size();
 }
 
-FlowCacheStats FlowCache::stats_snapshot() const {
+FlowCacheStats FlowCache::stats() const {
   FlowCacheStats s;
   s.hits = stats_.hits.load(std::memory_order_relaxed);
   s.joins = stats_.joins.load(std::memory_order_relaxed);

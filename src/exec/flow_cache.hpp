@@ -8,11 +8,11 @@
 /// ablations share their baseline run. The FlowCache turns those into
 /// lookups.
 ///
-/// Key: (netlist fingerprint, config, options hash) — a structural hash of
-/// the full netlist (cells, nets, pins, connectivity, activities) plus a
-/// field-wise hash of every FlowOptions knob, clock period included. Flows
-/// are deterministic functions of exactly this tuple (see rng.hpp), so a
-/// hit is semantically identical to a re-run.
+/// Key: (netlist fingerprint, config, options key) — a structural hash of
+/// the full netlist (cells, nets, pins, connectivity, activities) plus the
+/// flow's own key over its options (core/flow.hpp), clock period
+/// included. Flows are deterministic functions of exactly this tuple (see
+/// rng.hpp), so a hit is semantically identical to a re-run.
 ///
 /// Concurrency: get_or_run() is safe from any thread. Concurrent requests
 /// for the *same* key are deduplicated — the first requester computes, the
@@ -89,8 +89,7 @@ class FlowCache {
   /// The fields are loaded independently, so the snapshot is coherent per
   /// counter, not across counters (a concurrent hit may be visible in
   /// `hits` before the entry's LRU bump lands).
-  FlowCacheStats stats_snapshot() const;
-  FlowCacheStats stats() const { return stats_snapshot(); }
+  FlowCacheStats stats() const;
 
   /// Process-wide cache used by core::find_max_frequency and the benches.
   static FlowCache& global();
@@ -105,12 +104,6 @@ class FlowCache {
   /// Structural hash of a netlist: name, blocks, cells (function, drive,
   /// kind, block), nets (pins, driver, activity, clock flag) and pins.
   static std::uint64_t fingerprint(const netlist::Netlist& nl);
-
-  /// Field-wise hash of every FlowOptions knob run_flow reads (including
-  /// nested place / opt / partition / cts / sta options). Pool pointers
-  /// and the fields run_flow overwrites before reading stay out. Keep in
-  /// sync when adding fields to any of those structs.
-  static std::uint64_t options_hash(const core::FlowOptions& opt);
 
  private:
   struct Key {
@@ -139,7 +132,7 @@ class FlowCache {
   bool disk_store(const Key& key, const core::FlowResult& res) const;
 
   /// Counters behind FlowCacheStats, kept as relaxed atomics so
-  /// stats_snapshot() never takes mu_ (increments happen both under the
+  /// stats() never takes mu_ (increments happen both under the
   /// lock and — disk_hits/disk_writes — outside it).
   struct AtomicStats {
     std::atomic<std::uint64_t> hits{0};

@@ -38,8 +38,7 @@ struct RepartitionOptions {
   /// selection) and for routing and re-routing the design; nullptr means
   /// exec::Pool::global(). The scans gather in deterministic chunk order
   /// and routes are per-net slots, so results are byte-identical at any
-  /// pool size and the field is excluded from flow-cache option hashes.
-  /// The STA runs on `sta.pool`.
+  /// pool size. The STA runs on `sta.pool`.
   exec::Pool* pool = nullptr;
 };
 

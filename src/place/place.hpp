@@ -33,9 +33,8 @@ struct PlaceOptions {
   unsigned seed = 1;          ///< initial-placement scatter seed
   /// Worker pool for the relaxation/spreading passes and the spreading
   /// histogram; nullptr means exec::Pool::global(). Placements are
-  /// byte-identical for any pool size (single-writer updates; histogram
-  /// reductions use fixed 2,048-cell chunks), so this field is excluded
-  /// from flow-cache option hashes.
+  /// byte-identical at any pool size (single-writer updates; histogram
+  /// reductions use fixed 2,048-cell chunks).
   exec::Pool* pool = nullptr;
 };
 

@@ -33,8 +33,7 @@ struct PowerOptions {
   bool boundary_leakage = true;  ///< apply hetero leakage derates
   /// Worker pool for the per-net and per-cell gathers; nullptr means
   /// exec::Pool::global(). Totals accumulate serially in id order
-  /// afterwards, so the report is byte-identical at any pool size — keep
-  /// this field out of exec::FlowCache::options_hash.
+  /// afterwards, so the report is byte-identical at any pool size.
   exec::Pool* pool = nullptr;
 };
 

@@ -35,8 +35,7 @@ using netlist::PinId;
 /// Knobs for the whole-design routing entry points.
 struct RouteOptions {
   /// Worker pool for the per-net loops; nullptr means
-  /// exec::Pool::global(). Results are byte-identical at any pool size,
-  /// so this field must stay out of exec::FlowCache::options_hash.
+  /// exec::Pool::global(). Results are byte-identical at any pool size.
   exec::Pool* pool = nullptr;
 };
 

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -121,7 +122,12 @@ std::string Client::submit(const JobSpec& spec, int max_retries,
     const std::string err = resp.str_or("error", "");
     if (err == "queue_full" || err == "client_limit") {
       if (rejections) ++*rejections;
-      const int wait = std::max(resp.int_or("retry_after_ms", 100), 10);
+      int wait = 100;
+      std::string bad;
+      if (!resp.int_field("retry_after_ms", 0,
+                          std::numeric_limits<int>::max(), &wait, &bad))
+        throw std::runtime_error("m3dctl: daemon reply: " + bad);
+      wait = std::max(wait, 10);
       std::this_thread::sleep_for(std::chrono::milliseconds(wait));
       continue;
     }

@@ -23,11 +23,29 @@ double Json::num_or(const std::string& key, double def) const {
   return v && v->type_ == Type::Number ? v->num_ : def;
 }
 
-int Json::int_or(const std::string& key, int def) const {
+template <typename T>
+bool Json::int_field(const std::string& key, T lo, T hi, T* out,
+                     std::string* err) const {
   const Json* v = find(key);
-  if (!v || v->type_ != Type::Number) return def;
-  return static_cast<int>(std::llround(v->num_));
+  if (!v) return true;
+  const double x = v->num_;
+  if (v->type_ != Type::Number || x != std::floor(x) ||
+      x < static_cast<double>(lo) || x > static_cast<double>(hi)) {
+    if (err)
+      *err = key + ": expected a whole number in [" + std::to_string(lo) +
+             ", " + std::to_string(hi) + "]";
+    return false;
+  }
+  *out = static_cast<T>(x);
+  return true;
 }
+
+template bool Json::int_field<int>(const std::string&, int, int, int*,
+                                   std::string*) const;
+template bool Json::int_field<std::uint64_t>(const std::string&,
+                                             std::uint64_t, std::uint64_t,
+                                             std::uint64_t*,
+                                             std::string*) const;
 
 bool Json::bool_or(const std::string& key, bool def) const {
   const Json* v = find(key);

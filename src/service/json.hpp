@@ -57,9 +57,19 @@ class Json {
   // Typed lookups with defaults — the protocol's tolerant-reader posture:
   // a wrong-typed or missing field yields the default, never a throw.
   double num_or(const std::string& key, double def) const;
-  int int_or(const std::string& key, int def) const;
   bool bool_or(const std::string& key, bool def) const;
   std::string str_or(const std::string& key, const std::string& def) const;
+
+  /// The one reader of integer fields. A missing field leaves *out (the
+  /// caller's default) as it is. A number holding a whole value in
+  /// [lo, hi] is stored there; anything else (a fraction, a value out of
+  /// range, a non-number) stores nothing and returns false with a message
+  /// naming the field in *err. The value is checked before it is
+  /// narrowed, so no conversion can wrap. T is int or std::uint64_t, and
+  /// lo and hi must lie within ±2^53.
+  template <typename T>
+  bool int_field(const std::string& key, T lo, T hi, T* out,
+                 std::string* err) const;
 
   void push(Json v) { type_ = Type::Array; arr_.push_back(std::move(v)); }
 

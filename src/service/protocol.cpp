@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 #include "exec/flow_cache.hpp"
 #include "gen/designs.hpp"
@@ -83,10 +84,7 @@ bool JobSpec::from_json(const Json& j, JobSpec* out, std::string* err) {
     return false;
   }
   s.scale = j.num_or("scale", s.scale);
-  s.seed = j.int_or("seed", s.seed);
   s.period_ns = j.num_or("period_ns", s.period_ns);
-  s.max_sizing_rounds = j.int_or("max_sizing_rounds", s.max_sizing_rounds);
-  s.eco_iters = j.int_or("eco_iters", s.eco_iters);
   if (!(s.scale > 0.0) || s.scale > 4.0) {
     if (err) *err = "scale out of range (0, 4]";
     return false;
@@ -95,11 +93,11 @@ bool JobSpec::from_json(const Json& j, JobSpec* out, std::string* err) {
     if (err) *err = "period_ns out of range (0, 100]";
     return false;
   }
-  if (s.seed < 0 || s.max_sizing_rounds < 0 || s.max_sizing_rounds > 16 ||
-      s.eco_iters < 0 || s.eco_iters > 64) {
-    if (err) *err = "seed/max_sizing_rounds/eco_iters out of range";
+  if (!j.int_field("seed", 0, std::numeric_limits<int>::max(), &s.seed,
+                   err) ||
+      !j.int_field("max_sizing_rounds", 0, 16, &s.max_sizing_rounds, err) ||
+      !j.int_field("eco_iters", 0, 64, &s.eco_iters, err))
     return false;
-  }
   *out = s;
   return true;
 }
@@ -113,8 +111,8 @@ std::string JobSpec::label() const {
 core::FlowOptions JobSpec::flow_options() const {
   core::FlowOptions opt;
   opt.clock_period_ns = period_ns;
-  opt.opt.max_sizing_rounds = max_sizing_rounds;
-  opt.repart.max_iters = eco_iters;
+  opt.max_sizing_rounds = max_sizing_rounds;
+  opt.eco_iters = eco_iters;
   return opt;
 }
 

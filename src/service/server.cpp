@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
@@ -396,9 +397,15 @@ Json Server::dispatch(Session& s, const Json& req) {
     if (cmd == "result") {
       // Bounded block: a drain or timeout returns the current state, so
       // no session thread is ever stranded.
-      int timeout_ms = req.int_or("timeout_ms", 600000);
-      timeout_ms = std::min(timeout_ms, 3600000);
-      job = queue_.wait_terminal(id, timeout_ms);
+      int timeout_ms = 600000;
+      std::string err;
+      if (!req.int_field("timeout_ms", 0, std::numeric_limits<int>::max(),
+                         &timeout_ms, &err)) {
+        Json resp = error_response("bad_request");
+        resp["detail"] = Json(err);
+        return resp;
+      }
+      job = queue_.wait_terminal(id, std::min(timeout_ms, 3600000));
     } else {
       job = queue_.get(id);
     }
@@ -443,7 +450,7 @@ void Server::executor_main(int index) {
 
 Json Server::stats_json() const {
   const QueueStats qs = queue_.stats();
-  const exec::FlowCacheStats cs = cache_->stats_snapshot();
+  const exec::FlowCacheStats cs = cache_->stats();
   const QueueLimits lim = queue_.limits();
   Json j = ok_response();
   j["uptime_s"] = Json(std::chrono::duration<double>(
@@ -527,9 +534,14 @@ void Server::journal_replay() {
     Json rec;
     std::string err;
     if (!Json::parse(line, &rec, &err)) continue;  // torn tail write
-    const std::uint64_t id =
-        static_cast<std::uint64_t>(rec.num_or("id", 0));
-    if (id == 0) continue;
+    // Like a torn line, a record whose id is not a whole number in
+    // [1, 2^53] (what a double holds exactly) is skipped; the bound also
+    // keeps max_id + 1 from wrapping.
+    std::uint64_t id = 0;
+    if (!rec.int_field<std::uint64_t>("id", 1, std::uint64_t{1} << 53, &id,
+                                      nullptr) ||
+        id == 0)
+      continue;
     max_id = std::max(max_id, id);
     const std::string ev = rec.str_or("ev", "");
     if (ev == "submit") {

@@ -83,8 +83,7 @@ struct StaOptions {
   /// constraints and the retime buckets (192-pin chunks), and for the
   /// engine's construction sweeps and endpoint ranking (32k-pin and
   /// 16k-endpoint chunks); nullptr means exec::Pool::global(). Results
-  /// are byte-identical for any pool size, so this field is deliberately
-  /// excluded from flow-cache option hashes.
+  /// are byte-identical at any pool size.
   exec::Pool* pool = nullptr;
   /// Process-corner sweep: K = corners.count per-tier delay factors are
   /// propagated as stride-K SoA lanes in a single level-synchronous pass
@@ -93,8 +92,6 @@ struct StaOptions {
   /// delays only, the `set_timing_derate`-style OCV model). Lane 0 is
   /// the systematic (nominal) corner; with the default spec it is
   /// bitwise-identical to the historical scalar engine at any pool size.
-  /// Unlike `pool`, this field IS part of the flow-cache option hashes —
-  /// different corner sets must never share a cached flow.
   tech::CornerSpec corners;
 };
 

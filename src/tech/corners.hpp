@@ -25,7 +25,7 @@
 namespace m3d::tech {
 
 /// Value-type corner configuration carried inside sta::StaOptions and
-/// core::FlowOptions (and hashed by the flow-cache option hashes).
+/// core::FlowOptions.
 struct CornerSpec {
   int count = 1;                    ///< K; 1 = single-corner scalar engine
   double derate[2] = {1.0, 1.0};    ///< systematic per-tier delay multiplier

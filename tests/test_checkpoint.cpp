@@ -65,8 +65,8 @@ mn::Netlist tiny(const char* which = "aes", double scale = 0.05) {
 mc::FlowOptions tiny_opts(double period = 1.2) {
   mc::FlowOptions o;
   o.clock_period_ns = period;
-  o.opt.max_sizing_rounds = 2;
-  o.repart.max_iters = 3;
+  o.max_sizing_rounds = 2;
+  o.eco_iters = 3;
   return o;
 }
 
@@ -374,7 +374,7 @@ TEST_F(CheckpointTest, OversizedPayloadFieldIsRejectedWithoutAllocating) {
     }
     const mio::StateKey key{me::FlowCache::fingerprint(nl),
                             static_cast<int>(mc::Config::Hetero3D),
-                            me::FlowCache::options_hash(opt), stage, iter};
+                            mc::options_hash(opt), stage, iter};
     EXPECT_THROW(mio::read_state_file(e.path().string(), key), mu::Error);
     ++patched;
   }

@@ -27,8 +27,8 @@ mc::FlowResult flow(mc::Config cfg = mc::Config::Hetero3D) {
   g.scale = 0.06;
   mc::FlowOptions o;
   o.clock_period_ns = 1.2;
-  o.opt.max_sizing_rounds = 1;
-  o.repart.max_iters = 1;
+  o.max_sizing_rounds = 1;
+  o.eco_iters = 1;
   return mc::run_flow(mg::make_netcard(g), cfg, o);
 }
 

@@ -37,8 +37,8 @@ mn::Netlist small(const char* which = "netcard", double scale = 0.05) {
 mc::FlowOptions fast_opts(double period = 1.2) {
   mc::FlowOptions o;
   o.clock_period_ns = period;
-  o.opt.max_sizing_rounds = 2;
-  o.repart.max_iters = 3;
+  o.max_sizing_rounds = 2;
+  o.eco_iters = 3;
   return o;
 }
 

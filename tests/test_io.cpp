@@ -23,8 +23,8 @@ mc::FlowResult run(const char* which, mc::Config cfg) {
   g.scale = 0.08;
   mc::FlowOptions o;
   o.clock_period_ns = 1.2;
-  o.opt.max_sizing_rounds = 1;
-  o.repart.max_iters = 1;
+  o.max_sizing_rounds = 1;
+  o.eco_iters = 1;
   return mc::run_flow(mg::make_design(which, g), cfg, o);
 }
 

@@ -200,8 +200,8 @@ TEST_P(FlowProperty, MetricIdentitiesHold) {
   g.scale = 0.05;
   mc::FlowOptions o;
   o.clock_period_ns = 1.3;
-  o.opt.max_sizing_rounds = 1;
-  o.repart.max_iters = 1;
+  o.max_sizing_rounds = 1;
+  o.eco_iters = 1;
   const auto r = mc::run_flow(mg::make_design(which, g), cfg, o);
   const auto& m = r.metrics;
 

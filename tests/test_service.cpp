@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,7 +118,7 @@ TEST_F(ServiceJson, DumpIsCanonicalAndParseRoundTrips) {
   ASSERT_TRUE(ms::Json::parse(text, &back, &err)) << err;
   EXPECT_EQ(back.dump(), text);  // canonical fixed point
   EXPECT_EQ(back.num_or("zeta", 0), 1.5);
-  EXPECT_EQ(back.int_or("count", 0), 42);
+  EXPECT_EQ(back.num_or("count", 0), 42);
   EXPECT_TRUE(back.bool_or("flag", false));
   EXPECT_EQ(back.str_or("alpha", ""), "line\n\"quote\"\\tab\t");
 
@@ -138,6 +139,48 @@ TEST_F(ServiceJson, ParseRejectsGarbageWithOffsets) {
   // \u escapes decode to UTF-8.
   ASSERT_TRUE(ms::Json::parse("\"\\u00e9\\u20ac\"", &out, &err)) << err;
   EXPECT_EQ(out.dump(), std::string("\"\xc3\xa9\xe2\x82\xac\""));
+}
+
+TEST_F(ServiceJson, IntFieldStoresOnlyWholeNumbersInRange) {
+  // timeout_ms as the result verb reads it: 4294967296 used to wrap to 0
+  // (an unbounded wait), 1.5 rounded to 2 and -1 waited forever.
+  const auto read = [](const std::string& text, int* v, std::string* err) {
+    ms::Json j;
+    EXPECT_TRUE(ms::Json::parse(text, &j, err)) << text;
+    return j.int_field("timeout_ms", 0, std::numeric_limits<int>::max(), v,
+                       err);
+  };
+  int v = 600000;
+  std::string err;
+  EXPECT_TRUE(read("{}", &v, &err));
+  EXPECT_EQ(v, 600000);  // missing: the caller's default stays
+  EXPECT_TRUE(read(R"({"timeout_ms":2147483647})", &v, &err));
+  EXPECT_EQ(v, std::numeric_limits<int>::max());
+  for (const char* bad :
+       {R"({"timeout_ms":4294967296})", R"({"timeout_ms":1.5})",
+        R"({"timeout_ms":-1})", R"({"timeout_ms":2147483648})",
+        R"({"timeout_ms":1e400})", R"({"timeout_ms":"60000"})"}) {
+    v = 7;
+    err.clear();
+    EXPECT_FALSE(read(bad, &v, &err)) << bad;
+    EXPECT_EQ(v, 7) << bad;  // nothing stored
+    EXPECT_EQ(err.rfind("timeout_ms: ", 0), 0u) << err;
+  }
+
+  // Journal ids: whole numbers in [1, 2^53].
+  ms::Json j;
+  std::uint64_t id = 0;
+  ASSERT_TRUE(ms::Json::parse(R"({"id":9007199254740992})", &j, &err));
+  EXPECT_TRUE(j.int_field<std::uint64_t>("id", 1, std::uint64_t{1} << 53, &id,
+                                         nullptr));
+  EXPECT_EQ(id, std::uint64_t{1} << 53);
+  for (const char* bad : {R"({"id":9007199254740994})", R"({"id":0})",
+                          R"({"id":-1})"}) {
+    ASSERT_TRUE(ms::Json::parse(bad, &j, &err));
+    EXPECT_FALSE(j.int_field<std::uint64_t>("id", 1, std::uint64_t{1} << 53,
+                                            &id, nullptr))
+        << bad;
+  }
 }
 
 // ---- protocol ------------------------------------------------------------
@@ -168,8 +211,9 @@ TEST_F(ServiceProtocol, JobSpecRoundTripsAndValidates) {
     ms::Json j = ms::Json::object();
     j[field] = std::move(v);
     ms::JobSpec ignored;
+    err.clear();
     EXPECT_FALSE(ms::JobSpec::from_json(j, &ignored, &err)) << field;
-    EXPECT_FALSE(err.empty());
+    EXPECT_NE(err.find(field), std::string::npos) << err;
   };
   reject("design", ms::Json(std::string("rocket")));
   reject("config", ms::Json(std::string("4d")));
@@ -177,6 +221,12 @@ TEST_F(ServiceProtocol, JobSpecRoundTripsAndValidates) {
   reject("scale", ms::Json(99.0));
   reject("period_ns", ms::Json(0.0));
   reject("eco_iters", ms::Json(1000));
+  // Integers are checked before they narrow: these used to pass as seed 7,
+  // 3 ECO iterations, seed 0 and seed 8.
+  reject("seed", ms::Json(4294967303.0));
+  reject("eco_iters", ms::Json(4294967299.0));
+  reject("seed", ms::Json(1e19));
+  reject("seed", ms::Json(7.6));
 }
 
 TEST_F(ServiceProtocol, MutatedRequestsParseOrFailWithAMessage) {
@@ -397,7 +447,7 @@ TEST_F(ServiceDaemon, FourClientsGetDirectRunFlowAnswers) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(hits.load(), 0);  // 12 requests, 2 keys: the cache answered
 
-  const auto cs = cache.stats_snapshot();
+  const auto cs = cache.stats();
   EXPECT_GE(cs.hits + cs.joins, 1u);
 
   // stats verb reflects the work.
@@ -406,8 +456,8 @@ TEST_F(ServiceDaemon, FourClientsGetDirectRunFlowAnswers) {
   EXPECT_TRUE(stats.bool_or("ok", false));
   const ms::Json* queue = stats.find("queue");
   ASSERT_NE(queue, nullptr);
-  EXPECT_EQ(queue->int_or("done", 0), 12);
-  EXPECT_EQ(queue->int_or("failed", 1), 0);
+  EXPECT_EQ(queue->num_or("done", 0), 12);
+  EXPECT_EQ(queue->num_or("failed", 1), 0);
 
   // shutdown verb acks, then the daemon drains; the socket disappears.
   EXPECT_TRUE(c.shutdown().bool_or("ok", false));
@@ -427,8 +477,8 @@ TEST_F(ServiceDaemon, ConfigReloadIgnoresBadValuesAndAppliesGoodOnes) {
     const ms::Json stats = server.stats_json();
     const ms::Json* q = stats.find("queue");
     EXPECT_NE(q, nullptr);
-    return std::pair(q ? q->int_or("max_queue", -1) : -1,
-                     q ? q->int_or("max_inflight_per_client", -1) : -1);
+    return std::pair(q ? q->num_or("max_queue", -1) : -1.0,
+                     q ? q->num_or("max_inflight_per_client", -1) : -1.0);
   };
 
   // A trailing letter, an int overflow and an unknown level: each line is
@@ -437,7 +487,7 @@ TEST_F(ServiceDaemon, ConfigReloadIgnoresBadValuesAndAppliesGoodOnes) {
                      << "max_inflight_per_client=99999999999\n"
                      << "log_level=verbose\n";
   server.reload_config();
-  EXPECT_EQ(limits(), std::pair(64, 8));
+  EXPECT_EQ(limits(), std::pair(64.0, 8.0));
   EXPECT_EQ(mu::log_level(), mu::LogLevel::Silent);
 
   // A valid file applies.
@@ -445,7 +495,7 @@ TEST_F(ServiceDaemon, ConfigReloadIgnoresBadValuesAndAppliesGoodOnes) {
                      << "max_inflight_per_client=3\n"
                      << "log_level=silent\n";
   server.reload_config();
-  EXPECT_EQ(limits(), std::pair(48, 3));
+  EXPECT_EQ(limits(), std::pair(48.0, 3.0));
 }
 
 TEST_F(ServiceDaemon, StatusCancelAndProtocolErrors) {
@@ -483,6 +533,13 @@ TEST_F(ServiceDaemon, StatusCancelAndProtocolErrors) {
   const ms::Json done = c.wait_result(id);
   EXPECT_EQ(done.str_or("state", ""), "done");
   EXPECT_FALSE(done.str_or("digest", "").empty());
+
+  // A timeout that does not fit an int is refused, not wrapped.
+  req["cmd"] = ms::Json(std::string("result"));
+  req["timeout_ms"] = ms::Json(4294967296.0);
+  const ms::Json bad = c.request(req);
+  EXPECT_EQ(bad.str_or("error", ""), "bad_request");
+  EXPECT_EQ(bad.str_or("detail", "").rfind("timeout_ms: ", 0), 0u);
 
   // A terminal job is not cancellable; the response names its state.
   req["cmd"] = ms::Json(std::string("cancel"));
@@ -602,6 +659,52 @@ TEST_F(ServiceDaemon, DrainJournalsInterruptedJobAndRestartResumesIt) {
   EXPECT_FALSE(fs::exists(state + "/jobs.jsonl"));
 }
 
+TEST_F(ServiceDaemon, JournalReplaySkipsRecordsWithUntrustedIds) {
+  // A record whose id is not a whole number in [1, 2^53] is skipped like
+  // a torn line. Read unchecked, "id":1.5 closed job 1, and "id":-5 came
+  // back as job 18446744073709551611, pushing every later id past it.
+  const std::string state = base_ + "/state";
+  fs::create_directories(state);
+  {
+    ms::Json submit = ms::Json::object();
+    submit["ev"] = ms::Json("submit");
+    submit["client"] = ms::Json("c-1");
+    submit["spec"] = fast_spec(400).to_json();
+    std::ofstream os(state + "/jobs.jsonl");
+    submit["id"] = ms::Json(1);
+    os << submit.dump() << "\n";
+    os << R"({"ev":"done","id":1.5})" << "\n";
+    os << R"({"ev":"done","id":-1})" << "\n";
+    submit["id"] = ms::Json(-5);
+    os << submit.dump() << "\n";
+  }
+  me::Pool pool(1);
+  me::FlowCache cache(8);
+  ms::ServerOptions so;
+  so.socket_path = sock_;
+  so.state_dir = state;
+  so.executors = 1;
+  so.pool = &pool;
+  so.cache = &cache;
+  ms::Server server(so);
+  server.start();
+
+  ms::Client c = ms::Client::connect_unix(sock_);
+  EXPECT_EQ(c.wait_result("j-1", 60000).str_or("state", ""), "done");
+  ms::Json req = ms::Json::object();
+  req["cmd"] = ms::Json("status");
+  req["id"] = ms::Json("j-18446744073709551611");
+  EXPECT_EQ(c.request(req).str_or("error", ""), "unknown_id");
+  EXPECT_EQ(c.submit(fast_spec(401)), "j-2");
+  const ms::Json stats = c.stats();
+  const ms::Json* queue = stats.find("queue");
+  ASSERT_NE(queue, nullptr);
+  EXPECT_EQ(queue->num_or("submitted", 0), 2);  // job 1 and the new one
+
+  server.begin_drain();
+  server.wait_drained();
+}
+
 TEST_F(ServiceDaemon, BackpressureSurfacesOverTheWire) {
   // One executor, a queue of 1, per-client cap 1: the second concurrent
   // submit from the same connection must be rejected with a retry hint,
@@ -631,7 +734,7 @@ TEST_F(ServiceDaemon, BackpressureSurfacesOverTheWire) {
     // client_limit once it's running — both are honest backpressure.
     const std::string code = second.str_or("error", "");
     EXPECT_TRUE(code == "client_limit" || code == "queue_full") << code;
-    EXPECT_GT(second.int_or("retry_after_ms", 0), 0);
+    EXPECT_GT(second.num_or("retry_after_ms", 0), 0);
   }
   // The retry loop shakes out: every spec completes with the right bytes.
   int rejections = 0;

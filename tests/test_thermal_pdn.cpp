@@ -41,8 +41,8 @@ struct FlowCase {
     g.scale = scale;
     mc::FlowOptions o;
     o.clock_period_ns = 1.1;
-    o.opt.max_sizing_rounds = 1;
-    o.repart.max_iters = 1;
+    o.max_sizing_rounds = 1;
+    o.eco_iters = 1;
     return mc::run_flow(mg::make_design(which, g), cfg, o);
   }
 };
